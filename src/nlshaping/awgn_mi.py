@@ -3,6 +3,15 @@
 The production path is tensor-product Gauss-Hermite quadrature over the
 two noise quadratures; a seeded Monte-Carlo estimator with the exact
 conditional densities serves as its independent check.
+
+The quadrature never forms the M x M mixture. Square QAM points lie on a
+Cartesian grid of I and Q levels and circular Gaussian noise factorizes
+over I and Q, so the mixture sum_j p_j k(y - x_j) is the bilinear form
+k_I^T P k_Q of two 1-D kernels over the sqrt(M) levels and the pmf
+reshaped to the level grid. This holds for every pmf, product over I and
+Q or not. When that grid is dihedrally symmetric (P = P^T = P[::-1] =
+P[:, ::-1]), every point of a symmetry orbit contributes the same term,
+and the outer expectation runs over one representative per orbit.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .constellation import Constellation
-from .shaping import Pmf, entropy, is_ring_constant
+from .shaping import Pmf, entropy
 
 LN2 = float(np.log(2.0))
 
@@ -29,6 +38,10 @@ UNIT_POWER_TOL = 1e-6
 EXP_UNDERFLOW = -700.0
 
 PROB_TINY = 1e-320
+
+# Largest entry-wise asymmetry of the pmf grid that still counts as
+# dihedral symmetry for the orbit reduction.
+DIHEDRAL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,30 @@ def _require_unit_power(constellation: Constellation, pmf: Pmf) -> None:
         )
 
 
+def _is_dihedral(probs: np.ndarray) -> bool:
+    """True when the (I, Q) pmf matrix is invariant under the square's
+    symmetries: transpose and both axis flips generate the group."""
+    return bool(
+        np.abs(probs - probs.T).max() <= DIHEDRAL_TOL
+        and np.abs(probs - probs[::-1]).max() <= DIHEDRAL_TOL
+        and np.abs(probs - probs[:, ::-1]).max() <= DIHEDRAL_TOL
+    )
+
+
+def _log_kernel(levels: np.ndarray, sigma: float, t: np.ndarray):
+    """1-D Gaussian kernels between every sent and every candidate level.
+
+    Entry (s, a, j) is exp(-(d^2 + 2 sigma d t_a) / sigma^2) with
+    d = levels[s] - levels[j], divided by the largest entry of its row
+    (s, a); the log of that divisor is returned alongside. Every kernel
+    entry is then at most 1, so products of kernels cannot overflow.
+    """
+    d = (levels[:, None] - levels[None, :])[:, None, :]
+    ell = -(d * d) / (sigma * sigma) - (2.0 / sigma) * d * t[None, :, None]
+    shift = ell.max(axis=2)
+    return np.exp(ell - shift[:, :, None]), shift
+
+
 def mi_awgn_2d(
     constellation: Constellation,
     pmf: Pmf,
@@ -80,22 +117,22 @@ def mi_awgn_2d(
     """MI in bits per complex symbol for Y = X + N, N circular Gaussian.
 
     The expectation over the two noise quadratures uses the tensor
-    product of ``rule`` with itself. The mixture over constellation
-    points is evaluated in a factorized, overflow-safe form; for
-    ring-constant pmfs the outer expectation collapses onto one point
-    per dihedral orbit, an 8-fold saving.
+    product of ``rule`` with itself. The mixture at node pair (a, b) is
+    k_I[a] @ P @ k_Q[b] (see the module docstring); for a dihedrally
+    symmetric P the outer expectation runs over one point per orbit.
 
     The result is clamped to [0, entropy(pmf)].
     """
     if rule is None:
         rule = gauss_hermite(DEFAULT_ORDER)
     _require_unit_power(constellation, pmf)
-    sigma2 = _snr_to_sigma2(snr_db)
-    sigma = np.sqrt(sigma2)
+    sigma = np.sqrt(_snr_to_sigma2(snr_db))
 
     x = constellation.points
     p = pmf.probs
-    if is_ring_constant(constellation, pmf):
+    m = int(round(np.sqrt(constellation.order)))
+    grid = p.reshape(m, m)
+    if _is_dihedral(grid):
         reps = constellation.orbit_reps
         mult = constellation.orbit_sizes.astype(np.float64)
     else:
@@ -104,32 +141,18 @@ def mi_awgn_2d(
     keep = p[reps] > 0.0
     reps, mult = reps[keep], mult[keep]
 
+    # A sent point enters the kernels only through its I and Q levels:
+    # build them per level, then pick each representative's pair.
     t = rule.nodes
+    k_i, s_i = _log_kernel(x.real[::m], sigma, t)        # (m, A, m)
+    k_q, s_q = _log_kernel(x.imag[:m], sigma, t)
+    ri, rq = np.divmod(reps, m)
+    mix = (k_i @ grid)[ri] @ np.swapaxes(k_q, 1, 2)[rq]  # (R, A, B)
+    log_mix = np.log(mix) + s_i[ri][:, :, None] + s_q[rq][:, None, :]
     w2d = np.outer(rule.weights, rule.weights) / np.pi
-    tmax = float(np.abs(t).max())
+    per_rep = np.tensordot(log_mix, w2d, axes=([1, 2], [0, 1]))
 
-    acc = 0.0
-    # Rep-axis chunks bound the (chunk, order, M) work arrays to ~30 MB.
-    chunk = max(1, 3_000_000 // (rule.order * constellation.order))
-    for lo in range(0, reps.size, chunk):
-        r = reps[lo : lo + chunk]
-        d = x[r][:, None] - x[None, :]                     # (R, M)
-        dr, di = d.real, d.imag
-        # term(a, b, j) = p_j exp(-(|d_j|^2 + 2 Re(d_j conj(n_ab))) / s2)
-        # with n_ab = sigma (t_a + i t_b). Split the node dependence into
-        # two rank-one exponents, shifting each by its maximum over the
-        # nodes so every factor stays finite.
-        mu = (2.0 * tmax / sigma) * np.abs(dr)
-        mv = (2.0 * tmax / sigma) * np.abs(di)
-        base = p[None, :] * np.exp(-(dr * dr + di * di) / sigma2 + mu + mv)
-        u = np.exp((-2.0 / sigma) * dr[:, None, :] * t[None, :, None] - mu[:, None, :])
-        v = np.exp((-2.0 / sigma) * di[:, None, :] * t[None, :, None] - mv[:, None, :])
-        inner = np.matmul(base[:, None, :] * u, np.swapaxes(v, 1, 2))  # (R, A, B)
-        log_mix = np.log(inner)
-        per_rep = np.tensordot(log_mix, w2d, axes=([1, 2], [0, 1]))
-        acc += float((p[r] * mult[lo : lo + chunk] * per_rep).sum())
-
-    mi = -acc / LN2
+    mi = -float((p[reps] * mult * per_rep).sum()) / LN2
     return float(np.clip(mi, 0.0, entropy(pmf)))
 
 

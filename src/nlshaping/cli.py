@@ -13,10 +13,12 @@ reproduce byte-identical payloads.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,8 +31,6 @@ from .nl_model import (
     Family,
     MiCurvePoint,
     NlChannelModel,
-    ShapingParams,
-    evaluate_family,
     mi_curve,
     optimize_mb,
     optimize_tailored,
@@ -46,6 +46,10 @@ from .ssfm import (
 )
 
 SHAPED_FAMILIES = ("uniform", "mb", "opt")
+
+# Relative slack, in steps, for a grid maximum that the steps reach up
+# to floating-point rounding (e.g. 0.1 * 3 > 0.3).
+GRID_TOL = 1e-9
 
 
 def format_cell(value) -> str:
@@ -84,6 +88,21 @@ def _open_out(args):
     return open(args.out, "w", encoding="utf-8"), True
 
 
+def _out_path(text: str) -> str:
+    """Validate ``--out`` at parse time, so a bad path fails before any
+    compute: it must not be a directory, and its directory must exist
+    and be writable."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    parent = path.parent
+    if not parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {str(parent)!r} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"directory {str(parent)!r} is not writable")
+    return text
+
+
 def _parse_families(text: str, allowed) -> list[str]:
     names = [item.strip() for item in text.split(",") if item.strip()]
     for name in names:
@@ -101,8 +120,10 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError("grid maximum must be >= minimum")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    count = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(count)]
+    # A step that would pass hi is never taken; one that reaches it up to
+    # rounding is, and lands on hi.
+    count = int(np.floor((hi - lo) / step + GRID_TOL)) + 1
+    return [min(lo + i * step, hi) for i in range(count)]
 
 
 def _point_row(point: MiCurvePoint) -> list:
@@ -121,36 +142,16 @@ def cmd_mi_curve(args) -> int:
         constellation = square_qam(args.order)
         grid = _grid(args.snr_min, args.snr_max, args.snr_step)
         rule = gauss_hermite(DEFAULT_ORDER)
-        rows = []
-        if set(args.families) == set(SHAPED_FAMILIES):
-            for triple in mi_curve(constellation, args.c, grid, rule):
-                rows.extend(_point_row(point) for point in triple)
-        else:
-            prev_lam = None
-            prev_nu = None
-            for snr_db in grid:
-                model = NlChannelModel(c=args.c, snr_gauss_db=snr_db)
-                for family in args.families:
-                    if family == "uniform":
-                        point = evaluate_family(
-                            constellation, ShapingParams(Family.UNIFORM), model, rule
-                        )
-                    elif family == "mb":
-                        prev_lam, point = optimize_mb(
-                            constellation, model, rule, initial_lam=prev_lam
-                        )
-                    else:
-                        nu1, nu2, point = optimize_tailored(
-                            constellation, model, rule, initial=prev_nu
-                        )
-                        prev_nu = (nu1, nu2)
-                    rows.append(_point_row(point))
+        families = tuple(Family(name) for name in args.families)
+        rows = [
+            _point_row(point)
+            for points in mi_curve(constellation, args.c, grid, rule, families)
+            for point in points
+        ]
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: mi-curve failed: {exc}", file=sys.stderr)
         return 1
 
-    order_key = {name: i for i, name in enumerate(SHAPED_FAMILIES)}
-    rows.sort(key=lambda r: (r[0], order_key[r[1]]))
     stream, close = _open_out(args)
     try:
         write_csv(
@@ -222,18 +223,20 @@ def build_modulations(names, order: int, c: float, cal_snr_db: float):
     constellation = square_qam(order)
     model = NlChannelModel(c=c, snr_gauss_db=cal_snr_db)
     rule = gauss_hermite(DEFAULT_ORDER)
+    mb = None
     out = []
     for name in names:
         if name == "gaussian":
             out.append(gaussian_modulation())
             continue
+        if name in ("mb", "opt") and mb is None:
+            mb = optimize_mb(constellation, model, rule)
         if name == "uniform":
             pmf = uniform_pmf(constellation)
         elif name == "mb":
-            lam, _ = optimize_mb(constellation, model, rule)
-            pmf = mb_pmf(constellation, lam)
+            pmf = mb_pmf(constellation, mb[0])
         else:
-            nu1, nu2, point = optimize_tailored(constellation, model, rule)
+            _, _, point = optimize_tailored(constellation, model, rule, mb=mb)
             pmf = build_pmf(constellation, point.params)
         out.append(Modulation(name, constellation, pmf))
     return out
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=shaped, default=list(SHAPED_FAMILIES))
     p.add_argument("--delta-mi", action="store_true",
                    help="ΔMI column is always emitted; flag kept for scripts")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_mi_curve)
 
     p = sub.add_parser("pmf", help="optimized distribution at one SNR")
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=DEFAULT_C)
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--family", choices=("mb", "opt"), required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_pmf)
 
     p = sub.add_parser("simulate", help="launch-power sweep over the fiber link")
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-max", type=float, required=True)
     p.add_argument("--power-step", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate-c", help="fit eta2/eta1 from simulation probes")
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=64)
     p.add_argument("--probe-power", type=float, default=6.0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_estimate_c)
 
     return parser

@@ -43,6 +43,8 @@ _COARSE_NU2 = np.array([-0.5, -0.2, 0.0, 0.2, 0.5, 1.0, 2.0])
 
 _MI_TIE_TOL = 1e-9
 
+CURVE_FAMILIES = (Family.UNIFORM, Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED)
+
 
 class OptimizationError(RuntimeError):
     """Raised when a shaping search hits its iteration cap.
@@ -193,18 +195,21 @@ def optimize_tailored(
     model: NlChannelModel,
     rule: QuadratureRule | None = None,
     initial: tuple[float, float] | None = None,
+    mb: tuple[float, MiCurvePoint] | None = None,
 ) -> tuple[float, float, MiCurvePoint]:
     """Best (nu1, nu2) of the kurtosis-tailored family.
 
     Simplex searches are multi-started from the Maxwell-Boltzmann
     optimum, from the origin, and from the best cell of a coarse 2-D
     grid; with ``initial`` given (continuation along an SNR grid) the
-    origin and grid starts are replaced by that point. The returned MI
-    never falls below the Maxwell-Boltzmann optimum, which the family
-    contains at nu2 = 0. Among ties the smallest |nu2| wins.
+    origin and grid starts are replaced by that point. ``mb`` is the
+    ``optimize_mb`` result for the same constellation, model and rule,
+    when the caller has it; otherwise it is searched here. The returned
+    MI never falls below that Maxwell-Boltzmann optimum, which the
+    family contains at nu2 = 0. Among ties the smallest |nu2| wins.
     """
     pu = _grid_power(constellation)
-    lam_star, mb_point = optimize_mb(constellation, model, rule)
+    lam_star, mb_point = mb if mb is not None else optimize_mb(constellation, model, rule)
 
     def neg_mi(v) -> float:
         nu1, nu2 = v[0] / pu, v[1] / (pu * pu)
@@ -299,8 +304,10 @@ def optimize_per_ring(
     def neg_mi(z: np.ndarray) -> float:
         return -point_for(z).mi_4d
 
-    lam_star, _ = optimize_mb(constellation, model, rule)
-    _, _, tailored_point = optimize_tailored(constellation, model, rule)
+    lam_star, mb_point = optimize_mb(constellation, model, rule)
+    _, _, tailored_point = optimize_tailored(
+        constellation, model, rule, mb=(lam_star, mb_point)
+    )
     starts = [
         _logits_from_masses(
             ring_masses(constellation, build_pmf(constellation, tailored_point.params))
@@ -337,29 +344,46 @@ def mi_curve(
     c: float,
     snr_grid_db,
     rule: QuadratureRule | None = None,
-) -> list[tuple[MiCurvePoint, MiCurvePoint, MiCurvePoint]]:
-    """(uniform, MB-optimal, tailored-optimal) triple per grid SNR.
+    families: tuple[Family, ...] = CURVE_FAMILIES,
+) -> list[tuple[MiCurvePoint, ...]]:
+    """Points of the requested ``families`` per grid SNR, ordered as in
+    CURVE_FAMILIES: the (uniform, MB-optimal, tailored-optimal) triple
+    by default.
 
     Successive grid points warm-start the optimizers with the previous
     optimum, which keeps long curves cheap without changing what a
-    single-point call returns.
+    single-point call returns. The tailored search starts from the MB
+    optimum of its grid point, so every family subset gives the same
+    points as the full curve.
     """
     grid = [float(s) for s in snr_grid_db]
     if not grid:
         raise ValueError("SNR grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("SNR grid must be strictly ascending")
+    if not families or not set(families) <= set(CURVE_FAMILIES):
+        names = ", ".join(f.value for f in CURVE_FAMILIES)
+        raise ValueError(f"families must be a non-empty subset of ({names})")
 
     out = []
     prev_lam: float | None = None
     prev_nu: tuple[float, float] | None = None
     for snr_db in grid:
         model = NlChannelModel(c=c, snr_gauss_db=snr_db)
-        uniform_point = evaluate_family(
-            constellation, ShapingParams(Family.UNIFORM), model, rule
-        )
-        prev_lam, mb_point = optimize_mb(constellation, model, rule, initial_lam=prev_lam)
-        nu1, nu2, opt_point = optimize_tailored(constellation, model, rule, initial=prev_nu)
-        prev_nu = (nu1, nu2)
-        out.append((uniform_point, mb_point, opt_point))
+        points = {}
+        if Family.UNIFORM in families:
+            points[Family.UNIFORM] = evaluate_family(
+                constellation, ShapingParams(Family.UNIFORM), model, rule
+            )
+        if Family.MAXWELL_BOLTZMANN in families or Family.KURTOSIS_TAILORED in families:
+            prev_lam, mb_point = optimize_mb(
+                constellation, model, rule, initial_lam=prev_lam
+            )
+            points[Family.MAXWELL_BOLTZMANN] = mb_point
+        if Family.KURTOSIS_TAILORED in families:
+            nu1, nu2, points[Family.KURTOSIS_TAILORED] = optimize_tailored(
+                constellation, model, rule, initial=prev_nu, mb=(prev_lam, mb_point)
+            )
+            prev_nu = (nu1, nu2)
+        out.append(tuple(points[f] for f in CURVE_FAMILIES if f in families))
     return out

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.constants import c as LIGHT_SPEED, h as PLANCK
 
+from .awgn_mi import LN2
 from .constellation import Constellation, normalized
 from .shaping import Pmf, entropy, excess_kurtosis
 
-LN2 = float(np.log(2.0))
 LN10 = float(np.log(10.0))
 
 # estimate_snr reports at most this; a zero-residual input would otherwise

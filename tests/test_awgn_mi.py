@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlshaping import (
@@ -14,11 +16,80 @@ from nlshaping import (
     mi_awgn_2d,
     mi_monte_carlo,
     normalized,
+    ring_pmf,
     square_qam,
     uniform_pmf,
 )
+from nlshaping.awgn_mi import LN2, _is_dihedral
+from nlshaping.shaping import is_ring_constant
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def dense_mi_awgn_2d(constellation, pmf, snr_db, rule=None):
+    """Oracle: the same Gauss-Hermite MI from the dense M x M mixture.
+
+    Sums the mixture over every constellation point for every node pair
+    (in rep-axis chunks), with no use of the Cartesian structure; the
+    orbit reduction is gated on ring-constancy.
+    """
+    rule = rule or gauss_hermite(16)
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    sigma = np.sqrt(sigma2)
+
+    x = constellation.points
+    p = pmf.probs
+    if is_ring_constant(constellation, pmf):
+        reps = constellation.orbit_reps
+        mult = constellation.orbit_sizes.astype(np.float64)
+    else:
+        reps = np.arange(constellation.order)
+        mult = np.ones(constellation.order)
+    keep = p[reps] > 0.0
+    reps, mult = reps[keep], mult[keep]
+
+    t = rule.nodes
+    w2d = np.outer(rule.weights, rule.weights) / np.pi
+    tmax = float(np.abs(t).max())
+
+    acc = 0.0
+    chunk = max(1, 3_000_000 // (rule.order * constellation.order))
+    for lo in range(0, reps.size, chunk):
+        r = reps[lo : lo + chunk]
+        d = x[r][:, None] - x[None, :]                     # (R, M)
+        dr, di = d.real, d.imag
+        # term(a, b, j) = p_j exp(-(|d_j|^2 + 2 Re(d_j conj(n_ab))) / s2)
+        # with n_ab = sigma (t_a + i t_b), split into two rank-one
+        # exponents, each shifted by its maximum over the nodes.
+        mu = (2.0 * tmax / sigma) * np.abs(dr)
+        mv = (2.0 * tmax / sigma) * np.abs(di)
+        base = p[None, :] * np.exp(-(dr * dr + di * di) / sigma2 + mu + mv)
+        u = np.exp((-2.0 / sigma) * dr[:, None, :] * t[None, :, None] - mu[:, None, :])
+        v = np.exp((-2.0 / sigma) * di[:, None, :] * t[None, :, None] - mv[:, None, :])
+        inner = np.matmul(base[:, None, :] * u, np.swapaxes(v, 1, 2))  # (R, A, B)
+        log_mix = np.log(inner)
+        per_rep = np.tensordot(log_mix, w2d, axes=([1, 2], [0, 1]))
+        acc += float((p[r] * mult[lo : lo + chunk] * per_rep).sum())
+
+    return float(np.clip(-acc / LN2, 0.0, entropy(pmf)))
+
+
+def dihedral_sum(grid):
+    """Sum of a square matrix over the eight symmetries of the square."""
+    out = np.zeros_like(grid)
+    for g in (grid, grid.T):
+        out += g + g[::-1] + g[:, ::-1] + g[::-1, ::-1]
+    return out
+
+
+def split_shell_64qam():
+    """Dihedral 64QAM pmf that is not ring-constant: the merged ring
+    |x|^2 = 50 = 1 + 49 = 25 + 25 carries two probabilities."""
+    c = square_qam(64)
+    probs = np.ones(64)
+    probs[np.isclose(c.points, 5 + 5j)] = 3.0   # orbit of (5, 5)
+    grid = dihedral_sum(probs.reshape(8, 8))
+    return c, Pmf(grid.ravel() / grid.sum())
 
 
 def hermite_moment(m: int) -> float:
@@ -160,19 +231,60 @@ class TestMiQuadrature:
         assert abs(a - b) < 1e-4
 
     def test_orbit_reduction_matches_full_path(self):
-        # Defeat ring-constancy with a sum-preserving perturbation big
+        # Defeat dihedral symmetry with a sum-preserving perturbation big
         # enough to force the full-sum path, small enough to keep MI put.
-        c, _ = unit(64)
-        probs = np.full(64, 1 / 64)
-        probs[0] += 5e-12
-        probs[1] -= 5e-12
-        perturbed = Pmf(probs)
-        from nlshaping.shaping import is_ring_constant
+        # The split-shell pmf takes the reduced path although it is not
+        # ring-constant.
+        split_raw, split_pmf = split_shell_64qam()
+        assert not is_ring_constant(split_raw, split_pmf)
+        uniform_raw = square_qam(64)
+        for raw, pmf in ((uniform_raw, uniform_pmf(uniform_raw)), (split_raw, split_pmf)):
+            c = normalized(raw, pmf)
+            probs = pmf.probs.copy()
+            probs[0] += 5e-12
+            probs[1] -= 5e-12
+            perturbed = Pmf(probs)
 
-        assert not is_ring_constant(c, perturbed)
-        fast = mi_awgn_2d(c, uniform_pmf(c), 12.0)
-        slow = mi_awgn_2d(c, perturbed, 12.0)
-        assert fast == pytest.approx(slow, abs=1e-8)
+            assert _is_dihedral(pmf.probs.reshape(8, 8))
+            assert not _is_dihedral(perturbed.probs.reshape(8, 8))
+            fast = mi_awgn_2d(c, pmf, 12.0)
+            slow = mi_awgn_2d(c, perturbed, 12.0)
+            assert fast == pytest.approx(slow, abs=1e-8)
+
+    @given(
+        order=st.sampled_from([16, 64, 256, 1024]),
+        snr_db=st.floats(-5.0, 35.0),
+        kind=st.sampled_from(
+            ["ring_constant", "dihedral", "transpose_only", "flips_only", "asymmetric"]
+        ),
+        spread=st.floats(0.5, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_separable_matches_dense_oracle(self, order, snr_db, kind, spread, seed):
+        # Log-normal weights: spread 8 puts probabilities ~1e-10 apart.
+        rng = np.random.default_rng(seed)
+        raw = square_qam(order)
+        m = int(math.isqrt(order))
+        if kind == "ring_constant":
+            w = np.exp(spread * rng.standard_normal(len(raw.rings)))
+            pmf = ring_pmf(raw, w / w.sum())
+        else:
+            grid = np.exp(spread * rng.standard_normal((m, m)))
+            if kind == "dihedral":
+                grid = dihedral_sum(grid)
+            elif kind == "transpose_only":
+                grid = grid + grid.T
+            elif kind == "flips_only":
+                grid = grid + grid[::-1]
+                grid = grid + grid[:, ::-1]
+            pmf = Pmf(grid.ravel() / grid.sum())
+        dihedral = kind in ("ring_constant", "dihedral")
+        assert _is_dihedral(pmf.probs.reshape(m, m)) == dihedral
+        c = normalized(raw, pmf)
+        assert mi_awgn_2d(c, pmf, snr_db) == pytest.approx(
+            dense_mi_awgn_2d(c, pmf, snr_db), abs=1e-12
+        )
 
 
 class TestMonteCarlo:

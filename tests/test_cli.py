@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nlshaping.cli import format_cell, main
+from nlshaping.cli import _grid, format_cell, main
 
 TINY_CFG = """\
 # single-channel regression link
@@ -66,6 +66,30 @@ class TestExitCodes:
         assert code == 1
         assert "link.cfg:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "10"],
+        ["pmf", "--order", "16", "--snr", "18", "--family", "mb"],
+        ["simulate", "--order", "16", "--families", "mb",
+         "--power-min", "0", "--power-max", "0"],
+        ["estimate-c", "--order", "16"],
+    ])
+    @pytest.mark.parametrize("out", ["missing-dir/x.csv", "."])
+    def test_bad_out_fails_before_compute(self, argv, out, tmp_path, monkeypatch,
+                                          capsys):
+        from nlshaping import cli
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran before --out was checked")
+
+        for name in ("mi_curve", "optimize_mb", "optimize_tailored",
+                     "power_sweep", "estimate_c"):
+            monkeypatch.setattr(cli, name, no_compute)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out", out])
+        assert exc.value.code == 2
+        assert "error: argument --out" in capsys.readouterr().err
+
     def test_success_is_0(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert run_cli(["mi-curve", "--order", "16", "--snr-min", "10",
@@ -77,6 +101,23 @@ class TestExitCodes:
         captured = capsys.readouterr().out
         assert captured.startswith("# tool: nlshaping")
         assert "snr_gauss_db,family," in captured
+
+
+class TestGrid:
+    @pytest.mark.parametrize("lo, hi, step", [
+        (15.0, 20.0, 0.3), (0.0, 0.3, 0.1), (0.0, 1.0, 0.1), (-3.0, 7.0, 0.7),
+        (17.5, 18.0, 0.5), (4.0, 4.0, 1.0),
+    ])
+    def test_never_passes_maximum(self, lo, hi, step):
+        grid = _grid(lo, hi, step)
+        assert grid[0] == lo
+        assert grid[-1] <= hi
+        # the next step would pass hi, beyond rounding
+        assert lo + len(grid) * step > hi + 1e-9 * step
+
+    def test_exact_steps_unchanged(self):
+        assert _grid(17.5, 18.0, 0.5) == [17.5, 18.0]
+        assert _grid(15.0, 20.0, 0.3)[-1] == pytest.approx(19.8)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +208,28 @@ class TestMiCurveCsv:
                         "--snr-max", "11", "--snr-step", "0.5",
                         "--delta-mi", "--out", str(again)]) == 0
         assert payload(first) == payload(again)
+
+    def test_family_subset_matches_full_run_with_one_mb_search(
+        self, curve, tmp_path, monkeypatch
+    ):
+        from nlshaping import nl_model
+
+        calls = []
+        real = nl_model.optimize_mb
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].snr_gauss_db)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nl_model, "optimize_mb", counting)
+        out = tmp_path / "subset.csv"
+        assert run_cli(["mi-curve", "--order", "16", "--snr-min", "10",
+                        "--snr-max", "11", "--snr-step", "0.5",
+                        "--families", "opt,mb", "--out", str(out)]) == 0
+        assert calls == [10.0, 10.5, 11.0]
+        (_, _, full_rows), _ = curve
+        _, _, rows = read_csv(out)
+        assert rows == [r for r in full_rows if r[1] != "uniform"]
 
     def test_uniform_only_with_c_zero_is_plain_awgn(self, tmp_path):
         from nlshaping import mi_awgn_2d, normalized, square_qam, uniform_pmf

@@ -248,6 +248,37 @@ class TestMiCurve:
             assert point.delta_mi_4d <= 0.0
         assert opt.mi_4d - uni.mi_4d < 0.05
 
+    def test_one_mb_search_per_grid_point(self, monkeypatch):
+        # The tailored search reuses the MB optimum of its grid point.
+        from nlshaping import nl_model
+
+        calls = []
+        real = nl_model.optimize_mb
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].snr_gauss_db)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nl_model, "optimize_mb", counting)
+        c = square_qam(16)
+        mi_curve(c, 0.69, [12.0, 13.0], RULE)
+        assert calls == [12.0, 13.0]
+        calls.clear()
+        optimize_per_ring(c, NlChannelModel(c=0.69, snr_gauss_db=18.0), RULE)
+        assert calls == [18.0]
+
+    def test_family_subsets_match_full_curve(self):
+        c = square_qam(16)
+        full = mi_curve(c, 0.69, [12.0, 13.0], RULE)
+        uni, mb, opt = Family.UNIFORM, Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED
+        assert mi_curve(c, 0.69, [12.0, 13.0], RULE, (opt,)) == [(t[2],) for t in full]
+        assert mi_curve(c, 0.69, [12.0, 13.0], RULE, (opt, uni)) == [
+            (t[0], t[2]) for t in full
+        ]
+        assert mi_curve(c, 0.69, [12.0, 13.0], RULE, (mb,)) == [(t[1],) for t in full]
+        with pytest.raises(ValueError, match="subset"):
+            mi_curve(c, 0.69, [12.0], RULE, (Family.PER_RING,))
+
     def test_deterministic_across_calls(self):
         c = square_qam(16)
         a = mi_curve(c, 0.69, [12.0, 13.0], RULE)
