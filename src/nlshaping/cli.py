@@ -112,6 +112,8 @@ def _parse_families(text: str, allowed) -> list[str]:
             )
     if not names:
         raise argparse.ArgumentTypeError("at least one family is required")
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"family listed twice in {text!r}")
     return names
 
 

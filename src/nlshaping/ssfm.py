@@ -5,7 +5,8 @@ on a cyclic grid, frequency comb assembly. Propagation integrates the
 polarization-averaged (Manakov) equation with a symmetrized split-step
 scheme; a single lumped amplifier restores the span loss and adds ASE.
 The receiver applies ideal frequency-domain dispersion compensation,
-matched filtering, and data-aided complex scaling.
+matched filtering, and data-aided complex scaling. All FFTs go through
+``scipy.fft`` with one worker per polarization row.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.constants import c as LIGHT_SPEED, h as PLANCK
+from scipy.fft import fft, fftfreq, ifft
 
 from .awgn_mi import LN2
 from .constellation import Constellation, normalized
@@ -25,6 +27,13 @@ LN10 = float(np.log(10.0))
 # estimate_snr reports at most this; a zero-residual input would otherwise
 # return infinity.
 SNR_CAP_DB = 100.0
+
+# FFT threads: one per polarization row of a (2, n) field.
+FFT_WORKERS = 2
+
+# Largest distance of spacing * symbols / baud from an integer for the
+# WDM comb to count as lying on the FFT grid.
+COMB_GRID_TOL = 1e-9
 
 # NLI extraction refuses to fit when the excess over the linear baseline
 # is below this fraction of the ASE variance.
@@ -73,6 +82,18 @@ class LinkConfig:
             )
         if not 0.0 < self.rrc_rolloff <= 1.0:
             raise ValueError("rrc_rolloff must be in (0, 1]")
+        # Channel offsets are multiples of the spacing; each must be a
+        # whole number of FFT bins (baud / symbols) for the waveform to be
+        # periodic on the grid.
+        bins = self.spacing_ghz * self.symbols_per_channel / self.baud_ghz
+        if self.channels > 1 and abs(bins - round(bins)) > COMB_GRID_TOL:
+            step = self.baud_ghz / self.symbols_per_channel
+            raise ValueError(
+                f"spacing_ghz = {self.spacing_ghz} puts the WDM comb off the FFT "
+                f"grid: spacing * symbols_per_channel / baud_ghz = {bins:.6f} is "
+                f"not an integer; nearest valid spacings are "
+                f"{math.floor(bins) * step:.9g} and {math.ceil(bins) * step:.9g} GHz"
+            )
 
     @classmethod
     def desk_scale(cls, **overrides) -> "LinkConfig":
@@ -191,6 +212,14 @@ def rrc_spectrum(freq_hz: np.ndarray, baud_hz: float, rolloff: float) -> np.ndar
     return np.sqrt(h)
 
 
+def _spectral_filter(x: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """ifft(fft(x) * response) along the last axis, computed in the buffer
+    of ``x``, which is overwritten and returned."""
+    x = fft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+    x *= response
+    return ifft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+
+
 def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) -> np.ndarray:
     if modulation.is_gaussian:
         return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
@@ -220,21 +249,18 @@ def generate_wdm(
     sps = config.samples_per_symbol
     n = nsym * sps
     fs = config.sample_rate_hz
-    freq = np.fft.fftfreq(n, 1.0 / fs)
-    shaping = rrc_spectrum(freq, config.baud_ghz * 1e9, config.rrc_rolloff)
+    shaping = rrc_spectrum(fftfreq(n, 1.0 / fs), config.baud_ghz * 1e9, config.rrc_rolloff)
     p_target = 1e-3 * 10.0 ** (launch_dbm / 10.0)
     t = np.arange(n) / fs
 
     total = np.zeros((2, n), dtype=np.complex128)
     tx_symbols = np.zeros((config.channels, 2, nsym), dtype=np.complex128)
     for ch in range(config.channels):
-        wave = np.empty((2, n), dtype=np.complex128)
         for pol in range(2):
-            symbols = _draw_symbols(modulation, nsym, rng)
-            tx_symbols[ch, pol] = symbols
-            upsampled = np.zeros(n, dtype=np.complex128)
-            upsampled[::sps] = symbols
-            wave[pol] = np.fft.ifft(np.fft.fft(upsampled) * shaping)
+            tx_symbols[ch, pol] = _draw_symbols(modulation, nsym, rng)
+        wave = np.zeros((2, n), dtype=np.complex128)
+        wave[:, ::sps] = tx_symbols[ch]
+        wave = _spectral_filter(wave, shaping)
         measured = float(np.mean(np.abs(wave) ** 2)) * 2.0
         wave *= np.sqrt(p_target / measured)
         total += wave * np.exp(2j * np.pi * config.channel_offset_hz(ch) * t)
@@ -259,7 +285,7 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
             "field contains non-finite samples; increase steps or lower power"
         )
     n = field.samples.shape[1]
-    omega = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / field.sample_rate_hz)
+    omega = 2.0 * np.pi * fftfreq(n, 1.0 / field.sample_rate_hz)
     span_m = config.span_km * 1e3
     dz = span_m / config.steps
     alpha = config.alpha_db_per_km * LN10 / 10.0 / 1e3        # 1/m, power
@@ -268,12 +294,22 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
 
     half = np.exp((-alpha / 2.0 - 0.5j * beta2 * omega**2) * (dz / 2.0))
     full = half * half
-    e = np.fft.ifft(np.fft.fft(field.samples, axis=1) * half, axis=1)
+    # The loop runs in these buffers and allocates nothing per step: the
+    # FFTs overwrite e, and the Kerr phase exp(-i gamma 8/9 |e|^2 dz) is
+    # built as cos + i sin in place.
+    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half)
+    magnitude = np.empty(e.shape)
+    power = np.empty(n)
+    kerr = np.empty(n, dtype=np.complex128)
     for step in range(config.steps):
-        power = np.abs(e[0]) ** 2 + np.abs(e[1]) ** 2
-        e *= np.exp(-1j * gamma89 * power * dz)
-        op = half if step == config.steps - 1 else full
-        e = np.fft.ifft(np.fft.fft(e, axis=1) * op, axis=1)
+        np.abs(e, out=magnitude)
+        np.square(magnitude, out=magnitude)
+        np.add(magnitude[0], magnitude[1], out=power)
+        power *= -gamma89 * dz
+        np.cos(power, out=kerr.real)
+        np.sin(power, out=kerr.imag)
+        e *= kerr
+        e = _spectral_filter(e, half if step == config.steps - 1 else full)
     if not np.all(np.isfinite(e)):
         raise FloatingPointError(
             "field became non-finite during propagation; increase steps"
@@ -312,19 +348,18 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
     ``field.tx_symbols[channel_index]``."""
     n = field.samples.shape[1]
     fs = field.sample_rate_hz
-    omega = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / fs)
+    freq = fftfreq(n, 1.0 / fs)
+    omega = 2.0 * np.pi * freq
     span_m = config.span_km * 1e3
 
-    spectrum = np.fft.fft(field.samples, axis=1)
-    spectrum *= np.exp(+0.5j * config.beta2_s2_per_m * omega**2 * span_m)
-    e = np.fft.ifft(spectrum, axis=1)
+    cdc = np.exp(+0.5j * config.beta2_s2_per_m * omega**2 * span_m)
+    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), cdc)
 
     t = np.arange(n) / fs
-    e = e * np.exp(-2j * np.pi * config.channel_offset_hz(channel_index) * t)
+    e *= np.exp(-2j * np.pi * config.channel_offset_hz(channel_index) * t)
 
-    freq = np.fft.fftfreq(n, 1.0 / fs)
     matched = rrc_spectrum(freq, config.baud_ghz * 1e9, config.rrc_rolloff)
-    e = np.fft.ifft(np.fft.fft(e, axis=1) * matched, axis=1)
+    e = _spectral_filter(e, matched)
     symbols = e[:, :: config.samples_per_symbol]
 
     reference = field.tx_symbols[channel_index]
@@ -390,23 +425,43 @@ def mi_from_samples(
     logp = np.where(pmf.probs > 0.0, np.log(np.maximum(pmf.probs, 1e-320)), -np.inf)
     xq = np.vstack([x.real, x.imag])
     x2 = np.abs(x) ** 2
+    idx = _nearest_indices(constellation, tx)
     total = 0.0
     chunk = 1 << 15
+    # a = logp + (2 <y, x> - |x|^2) / sigma2 per chunk, built in one buffer
+    buffer = np.empty((min(chunk, rx.size), x.size))
     for lo in range(0, rx.size, chunk):
         y = rx[lo : lo + chunk]
-        xt = tx[lo : lo + chunk]
-        idx = np.argmin(np.abs(xt[:, None] - x[None, :]), axis=1)
         yq = np.empty((y.size, 2))
         yq[:, 0], yq[:, 1] = y.real, y.imag
-        a = logp[None, :] + (2.0 * (yq @ xq) - x2[None, :]) / sigma2
+        a = np.matmul(yq, xq, out=buffer[: y.size])
+        a *= 2.0
+        a -= x2
+        a /= sigma2
+        a += logp
         a_max = a.max(axis=1)
-        a_true = a[np.arange(y.size), idx]
+        a_true = a[np.arange(y.size), idx[lo : lo + chunk]]
         np.subtract(a, a_max[:, None], out=a)
         np.maximum(a, -700.0, out=a)
-        lse = a_max + np.log(np.exp(a).sum(axis=1))
+        lse = a_max + np.log(np.exp(a, out=a).sum(axis=1))
         total += float((lse - a_true).sum())
     mi = h_bits - total / rx.size / LN2
     return float(np.clip(mi, 0.0, h_bits))
+
+
+def _nearest_indices(constellation: Constellation, values: np.ndarray) -> np.ndarray:
+    """Index of the constellation point nearest to each value.
+
+    Square QAM points are row-major over equally spaced (I, Q) levels, so
+    the nearest point is the nearest level on each axis: one rounding per
+    axis instead of a distance to each of the M points.
+    """
+    m = math.isqrt(constellation.order)
+    levels = constellation.points[::m].real
+    lo, step = levels[0], (levels[-1] - levels[0]) / (m - 1)
+    i = np.clip(np.rint((values.real - lo) / step), 0, m - 1).astype(np.intp)
+    q = np.clip(np.rint((values.imag - lo) / step), 0, m - 1).astype(np.intp)
+    return i * m + q
 
 
 def analytic_ase_snr_db(config: LinkConfig, launch_dbm: float) -> float:
@@ -461,18 +516,33 @@ def power_sweep(
 ) -> list[SweepResult]:
     """Full pipeline per (launch power, modulation) on the center channel.
 
-    Seeds for each run derive from ``config.seed`` hashed with the grid
-    and modulation indices, so distinct points are independent and the
-    whole sweep is reproducible. Gaussian-modulated runs report the
-    Gaussian-input MI 2 log2(1 + SNR).
+    Seeds for each run derive from ``config.seed`` with the launch power
+    (in whole milli-dBm) and the modulation's name, so a point draws the
+    same symbols and noise whatever else the sweep holds: sweeps can be
+    split, extended or resumed point by point. Gaussian-modulated runs
+    report the Gaussian-input MI 2 log2(1 + SNR).
     """
     powers = [float(p) for p in power_grid_dbm]
+    modulations = list(modulations)
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise ValueError("power grid must be strictly ascending")
+    names = [m.name for m in modulations]
+    if len(set(names)) != len(names):
+        raise ValueError(f"modulation names must be distinct, got {names}")
+    millis = [round(p * 1000.0) for p in powers]
+    for i in range(1, len(powers)):
+        if millis[i] == millis[i - 1]:
+            raise ValueError(
+                f"launch powers {powers[i - 1]} and {powers[i]} dBm round to the "
+                "same milli-dBm seed key; space the grid by at least 0.001 dB"
+            )
     results = []
-    for p_idx, launch_dbm in enumerate(powers):
-        for m_idx, modulation in enumerate(modulations):
-            tx_seed, amp_seed = _run_seed(config.seed, p_idx, m_idx)
+    for launch_dbm, milli in zip(powers, millis):
+        for modulation in modulations:
+            # SeedSequence takes non-negative words: the power as a 32-bit
+            # two's complement, the name as its UTF-8 bytes after their count.
+            name = modulation.name.encode("utf-8")
+            tx_seed, amp_seed = _run_seed(config.seed, milli % (1 << 32), len(name), *name)
             rx, tx = transmission_run(config, modulation, launch_dbm, tx_seed, amp_seed)
             snr_db = estimate_snr(rx, tx)
             if modulation.is_gaussian:

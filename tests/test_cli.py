@@ -51,6 +51,15 @@ class TestExitCodes:
                      "--snr-max", "10", "--families", "bogus"])
         assert exc.value.code == 2
 
+    def test_repeated_family_is_2(self, capsys):
+        # power_sweep seeds each run by family name, so a repeat is refused
+        # before any compute.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate", "--order", "16", "--families", "opt,gaussian,opt",
+                     "--power-min", "0", "--power-max", "0"])
+        assert exc.value.code == 2
+        assert "listed twice" in capsys.readouterr().err
+
     def test_numerical_failure_is_1(self, tmp_path, capsys):
         cfg = tmp_path / "link.cfg"
         cfg.write_text(TINY_CFG + "gamma_per_w_km = 0\n", encoding="utf-8")

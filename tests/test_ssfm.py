@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nlshaping import (
     LinkConfig,
@@ -27,6 +29,8 @@ from nlshaping import (
     uniform_pmf,
 )
 from nlshaping.ssfm import (
+    LN10,
+    _nearest_indices,
     analytic_ase_snr_db,
     ase_psd_w_per_hz,
     linear_crosstalk_fraction,
@@ -45,6 +49,25 @@ def tiny_config(**overrides) -> LinkConfig:
 def uniform_mod(order=16) -> Modulation:
     c = square_qam(order)
     return Modulation("uniform", c, uniform_pmf(c))
+
+
+def reference_propagate(field, config: LinkConfig) -> np.ndarray:
+    """The symmetrized split-step written plainly, with fresh arrays each
+    step: the oracle for the in-place loop of ``propagate``."""
+    n = field.samples.shape[1]
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / field.sample_rate_hz)
+    dz = config.span_km * 1e3 / config.steps
+    alpha = config.alpha_db_per_km * LN10 / 10.0 / 1e3
+    gamma89 = config.gamma_per_w_km * 1e-3 * (8.0 / 9.0)
+    half = np.exp((-alpha / 2.0 - 0.5j * config.beta2_s2_per_m * omega**2) * (dz / 2.0))
+    full = half * half
+    e = np.fft.ifft(np.fft.fft(field.samples, axis=1) * half, axis=1)
+    for step in range(config.steps):
+        power = np.abs(e[0]) ** 2 + np.abs(e[1]) ** 2
+        e *= np.exp(-1j * gamma89 * power * dz)
+        op = half if step == config.steps - 1 else full
+        e = np.fft.ifft(np.fft.fft(e, axis=1) * op, axis=1)
+    return e
 
 
 class TestLinkConfig:
@@ -67,6 +90,27 @@ class TestLinkConfig:
         full = LinkConfig.full_scale()
         assert (full.channels, full.samples_per_symbol, full.steps) == (5, 16, 2000)
         assert full.symbols_per_channel == 1 << 16
+
+    @pytest.mark.parametrize("spacing", [37.5, 50.0])
+    def test_off_grid_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="off the FFT grid.*nearest valid"):
+            LinkConfig.desk_scale(spacing_ghz=spacing)
+
+    @pytest.mark.parametrize("spacing", [33.0, 66.0])
+    def test_on_grid_spacing_accepted(self, spacing):
+        assert LinkConfig.desk_scale(spacing_ghz=spacing).spacing_ghz == spacing
+
+    @pytest.mark.parametrize("spacing", [33.0, 37.5, 50.0, 12.345])
+    def test_any_spacing_with_one_channel(self, spacing):
+        assert tiny_config(spacing_ghz=spacing).spacing_ghz == spacing
+
+    def test_off_grid_message_names_valid_neighbours(self):
+        with pytest.raises(ValueError) as info:
+            LinkConfig.desk_scale(spacing_ghz=37.5)
+        step = 33.0 / (1 << 14)
+        for bins in (18618, 18619):
+            assert f"{bins * step:.9g}" in str(info.value)
+            LinkConfig.desk_scale(spacing_ghz=bins * step)
 
     def test_beta2_sign_and_magnitude(self):
         cfg = tiny_config()
@@ -209,6 +253,32 @@ class TestPropagate:
         e_out = float(np.sum(np.abs(out.samples) ** 2))
         assert abs(e_out - e_in) / e_in < 1e-10
 
+    def test_matches_reference_loop_in_nonlinear_regime(self):
+        cfg = tiny_config(channels=3, samples_per_symbol=8)
+        field = generate_wdm(cfg, uniform_mod(), 6.0, seed=24)
+        got = propagate(field, cfg).samples
+        want = reference_propagate(field, cfg)
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
+
+    def test_cyclic_shift_commutes(self):
+        cfg = tiny_config(channels=3, samples_per_symbol=8)
+        field = generate_wdm(cfg, uniform_mod(), 6.0, seed=25)
+        shift = 12345
+        shifted = replace(field, samples=np.roll(field.samples, shift, axis=1))
+        a = np.roll(propagate(field, cfg).samples, shift, axis=1)
+        b = propagate(shifted, cfg).samples
+        assert np.abs(a - b).max() / np.abs(a).max() < 1e-12
+
+    def test_input_untouched_and_calls_independent(self):
+        cfg = tiny_config()
+        field = generate_wdm(cfg, uniform_mod(), 6.0, seed=26)
+        before = field.samples.copy()
+        first = propagate(field, cfg)
+        second = propagate(field, cfg)
+        np.testing.assert_array_equal(field.samples, before)
+        np.testing.assert_array_equal(first.samples, second.samples)
+        assert not np.shares_memory(first.samples, field.samples)
+
     def test_sample_rate_mismatch(self):
         cfg = tiny_config()
         field = generate_wdm(cfg, uniform_mod(), 0.0, seed=10)
@@ -280,11 +350,11 @@ class DummyFieldFactory:
 
 class TestReceive:
     def test_noiseless_linear_loopback(self):
+        # One channel, no Kerr term: the symbols come back to rounding.
         cfg = tiny_config(gamma_per_w_km=0.0)
         rx, tx = transmission_run(cfg, uniform_mod(), 0.0, tx_seed=16, amp_seed=0,
                                   noiseless=True)
-        err = np.sqrt(np.mean(np.abs(rx - tx) ** 2) / np.mean(np.abs(tx) ** 2))
-        assert err < 1e-4
+        np.testing.assert_allclose(rx, tx, rtol=0.0, atol=1e-11)
 
     def test_ase_only_matches_analytic_budget(self):
         cfg = tiny_config(gamma_per_w_km=0.0)
@@ -385,6 +455,38 @@ class TestMiFromSamples:
             mi_from_samples(y, x, self.c, self.pmf)
 
 
+@st.composite
+def grid_inputs(draw):
+    """A square QAM constellation (raw or unit-power) and complex values:
+    grid points, points moved by up to a few level spacings, and
+    arbitrary values, with the index of the nearest point by brute force.
+    Values equidistant from two points are dropped."""
+    order = draw(st.sampled_from([16, 64, 256, 1024, 4096]))
+    c = square_qam(order)
+    if draw(st.booleans()):
+        c = normalized(c, uniform_pmf(c))
+    spacing = abs(c.points[1] - c.points[0])
+    offset = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+    moved = draw(st.lists(st.tuples(st.integers(0, order - 1), offset, offset),
+                          min_size=1, max_size=30))
+    loose = draw(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                             allow_infinity=False), max_size=10))
+    values = np.array([c.points[i] + spacing * complex(dx, dy) for i, dx, dy in moved]
+                      + loose, dtype=np.complex128)
+    dist = np.abs(values[:, None] - c.points[None, :])
+    two = np.sort(dist, axis=1)[:, :2]
+    keep = two[:, 1] - two[:, 0] > 1e-9 * spacing
+    assume(keep.any())
+    return c, values[keep], np.argmin(dist[keep], axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_inputs())
+def test_nearest_indices_match_argmin(case):
+    c, values, want = case
+    np.testing.assert_array_equal(_nearest_indices(c, values), want)
+
+
 class TestPowerSweep:
     def test_single_point_single_row_per_family(self):
         cfg = tiny_config(seed=100)
@@ -412,6 +514,30 @@ class TestPowerSweep:
         cfg = tiny_config()
         with pytest.raises(ValueError, match="ascending"):
             power_sweep(cfg, [uniform_mod()], [3.0, 1.0])
+
+    def test_point_does_not_depend_on_lower_grid_points(self):
+        cfg = tiny_config(seed=107)
+        mods = [uniform_mod(), gaussian_modulation()]
+        alone = power_sweep(cfg, mods, [4.0])
+        extended = power_sweep(cfg, mods, [2.0, 4.0])
+        assert extended[2:] == alone
+
+    def test_family_subset_gives_rows_of_full_sweep(self):
+        cfg = tiny_config(seed=108)
+        mods = [uniform_mod(), gaussian_modulation()]
+        full = power_sweep(cfg, mods, [0.0, 2.0])
+        subset = power_sweep(cfg, mods[1:], [0.0, 2.0])
+        assert subset == [r for r in full if r.family == "gaussian"]
+
+    def test_duplicate_names_rejected(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="distinct"):
+            power_sweep(cfg, [uniform_mod(), uniform_mod(64)], [0.0])
+
+    def test_powers_sharing_a_seed_key_rejected(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match="milli-dBm"):
+            power_sweep(cfg, [uniform_mod()], [4.0001, 4.0004])
 
 
 class TestEstimateC:
