@@ -4,14 +4,17 @@ The production path is tensor-product Gauss-Hermite quadrature over the
 two noise quadratures; a seeded Monte-Carlo estimator with the exact
 conditional densities serves as its independent check.
 
-The quadrature never forms the M x M mixture. Square QAM points lie on a
+No estimator forms the M x M mixture. Square QAM points lie on a
 Cartesian grid of I and Q levels and circular Gaussian noise factorizes
 over I and Q, so the mixture sum_j p_j k(y - x_j) is the bilinear form
 k_I^T P k_Q of two 1-D kernels over the sqrt(M) levels and the pmf
 reshaped to the level grid. This holds for every pmf, product over I and
-Q or not. When that grid is dihedrally symmetric (P = P^T = P[::-1] =
-P[:, ::-1]), every point of a symmetry orbit contributes the same term,
-and the outer expectation runs over one representative per orbit.
+Q or not. The quadrature evaluates it at the node pairs; when the grid is
+dihedrally symmetric (P = P^T = P[::-1] = P[:, ::-1]), every point of a
+symmetry orbit contributes the same term, and the outer expectation runs
+over one representative per orbit. The sample-based estimators, the
+Monte-Carlo check here and ``ssfm.mi_from_samples``, evaluate it per
+received sample through one posterior kernel, ``_neg_log_posterior``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ UNIT_POWER_TOL = 1e-6
 EXP_UNDERFLOW = -700.0
 
 PROB_TINY = 1e-320
+
+# Samples per chunk of the sample-based estimators.
+POSTERIOR_CHUNK = 1 << 15
 
 # Largest entry-wise asymmetry of the pmf grid that still counts as
 # dihedral symmetry for the orbit reduction.
@@ -156,6 +162,37 @@ def mi_awgn_2d(
     return float(np.clip(mi, 0.0, entropy(pmf)))
 
 
+def _neg_log_posterior(y, i, q, levels, grid, sigma2):
+    """-log P(x_sent | y) in nats per sample, noise circular Gaussian of
+    variance ``sigma2``.
+
+    Sample s was sent from level indices (i[s], q[s]) of the square grid
+    with ``levels`` on both axes and pmf ``grid``. The mixture is
+    k_I^T P k_Q (see the module docstring) with per-sample 1-D kernels
+    exp(-(y - level)^2 / sigma2), each divided by its largest entry. The
+    divisors cancel against the sent point's term, taken in logs. They are
+    at most 1, so the mixture is at least P[i, q] exp(-|y - x_sent|^2 /
+    sigma2); while that term is well above exp(EXP_UNDERFLOW), neither
+    underflow nor the flushing of smaller kernel entries moves the result.
+    """
+    samples = np.arange(y.size)
+    log_p = np.where(grid > 0.0, np.log(np.maximum(grid, PROB_TINY)), -np.inf)
+    neg = -log_p[i, q]
+    kernels = []
+    for coord, sent in ((y.real, i), (y.imag, q)):
+        # Levels along the first axis: the reductions over levels are then
+        # elementwise passes over contiguous rows of samples.
+        ell = levels[:, None] - coord                      # (sqrt(M), chunk)
+        np.square(ell, out=ell)
+        ell /= -sigma2
+        ell -= ell.max(axis=0)
+        neg -= ell[sent, samples]
+        np.maximum(ell, EXP_UNDERFLOW, out=ell)
+        kernels.append(np.exp(ell, out=ell))
+    k_i, k_q = kernels
+    return neg + np.log(np.einsum("js,js->s", grid.T @ k_i, k_q))
+
+
 def mi_monte_carlo(
     constellation: Constellation,
     pmf: Pmf,
@@ -169,6 +206,8 @@ def mi_monte_carlo(
     Gaussian conditional densities and subtracts it from the analytic
     entropy. Deterministic for a given seed.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer count, got {samples!r}")
     if samples < 10_000:
         raise ValueError(f"need at least 1e4 samples for a stable estimate, got {samples}")
     _require_unit_power(constellation, pmf)
@@ -177,31 +216,22 @@ def mi_monte_carlo(
     rng = np.random.default_rng(seed)
     x = constellation.points
     p = pmf.probs
-    logp = np.where(p > 0.0, np.log(np.maximum(p, PROB_TINY)), -np.inf)
-    xq = np.vstack([x.real, x.imag])                      # (2, M)
-    x2 = np.abs(x) ** 2
+    m = int(round(np.sqrt(constellation.order)))
+    levels = x.real[::m]
+    grid = p.reshape(m, m)
 
     total = 0.0
     total_sq = 0.0
     done = 0
-    chunk = 1 << 15
     while done < samples:
-        k = min(chunk, samples - done)
+        k = min(POSTERIOR_CHUNK, samples - done)
         idx = rng.choice(x.size, size=k, p=p)
         noise = np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(k) + 1j * rng.standard_normal(k)
         )
         y = x[idx] + noise
-        yq = np.empty((k, 2))
-        yq[:, 0], yq[:, 1] = y.real, y.imag
-        # a_j = log p_j - |y - x_j|^2 / s2, dropping the |y|^2 term common to all j
-        a = logp[None, :] + (2.0 * (yq @ xq) - x2[None, :]) / sigma2
-        a_max = a.max(axis=1)
-        a_true = a[np.arange(k), idx]
-        np.subtract(a, a_max[:, None], out=a)
-        np.maximum(a, EXP_UNDERFLOW, out=a)
-        lse = a_max + np.log(np.exp(a).sum(axis=1))
-        neg_log_post = (lse - a_true) / LN2
+        i, q = np.divmod(idx, m)
+        neg_log_post = _neg_log_posterior(y, i, q, levels, grid, sigma2) / LN2
         total += float(neg_log_post.sum())
         total_sq += float((neg_log_post**2).sum())
         done += k

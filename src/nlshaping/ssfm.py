@@ -18,7 +18,7 @@ import numpy as np
 from scipy.constants import c as LIGHT_SPEED, h as PLANCK
 from scipy.fft import fft, fftfreq, ifft
 
-from .awgn_mi import LN2
+from .awgn_mi import LN2, POSTERIOR_CHUNK, _neg_log_posterior, _require_unit_power
 from .constellation import Constellation, normalized
 from .shaping import Pmf, entropy, excess_kurtosis
 
@@ -412,39 +412,22 @@ def mi_from_samples(
         raise ValueError(f"shape mismatch: rx {rx.shape} vs tx {tx.shape}")
     if rx.size < 10_000:
         raise ValueError(f"need at least 1e4 symbols, got {rx.size}")
-    power = float(pmf.probs @ constellation.sq_magnitudes)
-    if abs(power - 1.0) > 1e-6:
-        raise ValueError("constellation must be normalized to unit power")
+    _require_unit_power(constellation, pmf)
 
-    x = constellation.points
     sigma2 = float(np.mean(np.abs(rx - tx) ** 2))
     h_bits = entropy(pmf)
     if sigma2 == 0.0:
         return h_bits
 
-    logp = np.where(pmf.probs > 0.0, np.log(np.maximum(pmf.probs, 1e-320)), -np.inf)
-    xq = np.vstack([x.real, x.imag])
-    x2 = np.abs(x) ** 2
-    idx = _nearest_indices(constellation, tx)
+    m = math.isqrt(constellation.order)
+    levels = constellation.points[::m].real
+    grid = pmf.probs.reshape(m, m)
+    i, q = np.divmod(_nearest_indices(constellation, tx), m)
     total = 0.0
-    chunk = 1 << 15
-    # a = logp + (2 <y, x> - |x|^2) / sigma2 per chunk, built in one buffer
-    buffer = np.empty((min(chunk, rx.size), x.size))
-    for lo in range(0, rx.size, chunk):
-        y = rx[lo : lo + chunk]
-        yq = np.empty((y.size, 2))
-        yq[:, 0], yq[:, 1] = y.real, y.imag
-        a = np.matmul(yq, xq, out=buffer[: y.size])
-        a *= 2.0
-        a -= x2
-        a /= sigma2
-        a += logp
-        a_max = a.max(axis=1)
-        a_true = a[np.arange(y.size), idx[lo : lo + chunk]]
-        np.subtract(a, a_max[:, None], out=a)
-        np.maximum(a, -700.0, out=a)
-        lse = a_max + np.log(np.exp(a, out=a).sum(axis=1))
-        total += float((lse - a_true).sum())
+    for lo in range(0, rx.size, POSTERIOR_CHUNK):
+        part = slice(lo, lo + POSTERIOR_CHUNK)
+        neg_log_post = _neg_log_posterior(rx[part], i[part], q[part], levels, grid, sigma2)
+        total += float(neg_log_post.sum())
     mi = h_bits - total / rx.size / LN2
     return float(np.clip(mi, 0.0, h_bits))
 

@@ -18,9 +18,10 @@ from nlshaping import (
     normalized,
     ring_pmf,
     square_qam,
+    tailored_pmf,
     uniform_pmf,
 )
-from nlshaping.awgn_mi import LN2, _is_dihedral
+from nlshaping.awgn_mi import EXP_UNDERFLOW, LN2, PROB_TINY, _is_dihedral, _neg_log_posterior
 from nlshaping.shaping import is_ring_constant
 
 SQRT_PI = math.sqrt(math.pi)
@@ -72,6 +73,82 @@ def dense_mi_awgn_2d(constellation, pmf, snr_db, rule=None):
         acc += float((p[r] * mult[lo : lo + chunk] * per_rep).sum())
 
     return float(np.clip(-acc / LN2, 0.0, entropy(pmf)))
+
+
+def dense_neg_log_posterior(y, idx, x, logp, sigma2):
+    """Oracle: -log P(x_idx | y) in nats from the dense (samples, M)
+    log-sum-exp over every constellation point."""
+    k = y.size
+    xq = np.vstack([x.real, x.imag])                      # (2, M)
+    x2 = np.abs(x) ** 2
+    yq = np.empty((k, 2))
+    yq[:, 0], yq[:, 1] = y.real, y.imag
+    # a_j = log p_j - |y - x_j|^2 / s2, dropping the |y|^2 term common to all j
+    a = logp[None, :] + (2.0 * (yq @ xq) - x2[None, :]) / sigma2
+    a_max = a.max(axis=1)
+    a_true = a[np.arange(k), idx]
+    np.subtract(a, a_max[:, None], out=a)
+    np.maximum(a, EXP_UNDERFLOW, out=a)
+    lse = a_max + np.log(np.exp(a).sum(axis=1))
+    return lse - a_true
+
+
+def dense_mi_monte_carlo(constellation, pmf, snr_db, samples, seed):
+    """Oracle: the Monte-Carlo estimator with the dense posterior, drawing
+    the same symbols and noise in the same order as ``mi_monte_carlo``."""
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+
+    rng = np.random.default_rng(seed)
+    x = constellation.points
+    p = pmf.probs
+    logp = np.where(p > 0.0, np.log(np.maximum(p, PROB_TINY)), -np.inf)
+
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    chunk = 1 << 15
+    while done < samples:
+        k = min(chunk, samples - done)
+        idx = rng.choice(x.size, size=k, p=p)
+        noise = np.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        )
+        y = x[idx] + noise
+        neg_log_post = dense_neg_log_posterior(y, idx, x, logp, sigma2) / LN2
+        total += float(neg_log_post.sum())
+        total_sq += float((neg_log_post**2).sum())
+        done += k
+
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    mi = entropy(pmf) - mean
+    return float(np.clip(mi, 0.0, entropy(pmf))), float(np.sqrt(var / samples))
+
+
+PMF_KINDS = ("ring_constant", "dihedral", "transpose_only", "flips_only", "asymmetric")
+
+
+def random_pmf(raw, kind, spread, rng):
+    """A pmf on ``raw`` with log-normal weights of the given spread and
+    the symmetry named by ``kind``; "tiny" gives log-uniform weights
+    from 1 down to 1e-250."""
+    m = int(math.isqrt(raw.order))
+    if kind == "ring_constant":
+        w = np.exp(spread * rng.standard_normal(len(raw.rings)))
+        return ring_pmf(raw, w / w.sum())
+    if kind == "tiny":
+        grid = 10.0 ** rng.uniform(-250.0, 0.0, (m, m))
+        grid.flat[rng.integers(raw.order)] = 1e-250
+        return Pmf(grid.ravel() / grid.sum())
+    grid = np.exp(spread * rng.standard_normal((m, m)))
+    if kind == "dihedral":
+        grid = dihedral_sum(grid)
+    elif kind == "transpose_only":
+        grid = grid + grid.T
+    elif kind == "flips_only":
+        grid = grid + grid[::-1]
+        grid = grid + grid[:, ::-1]
+    return Pmf(grid.ravel() / grid.sum())
 
 
 def dihedral_sum(grid):
@@ -254,31 +331,16 @@ class TestMiQuadrature:
     @given(
         order=st.sampled_from([16, 64, 256, 1024]),
         snr_db=st.floats(-5.0, 35.0),
-        kind=st.sampled_from(
-            ["ring_constant", "dihedral", "transpose_only", "flips_only", "asymmetric"]
-        ),
+        kind=st.sampled_from(PMF_KINDS),
         spread=st.floats(0.5, 8.0),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
     def test_separable_matches_dense_oracle(self, order, snr_db, kind, spread, seed):
         # Log-normal weights: spread 8 puts probabilities ~1e-10 apart.
-        rng = np.random.default_rng(seed)
         raw = square_qam(order)
         m = int(math.isqrt(order))
-        if kind == "ring_constant":
-            w = np.exp(spread * rng.standard_normal(len(raw.rings)))
-            pmf = ring_pmf(raw, w / w.sum())
-        else:
-            grid = np.exp(spread * rng.standard_normal((m, m)))
-            if kind == "dihedral":
-                grid = dihedral_sum(grid)
-            elif kind == "transpose_only":
-                grid = grid + grid.T
-            elif kind == "flips_only":
-                grid = grid + grid[::-1]
-                grid = grid + grid[:, ::-1]
-            pmf = Pmf(grid.ravel() / grid.sum())
+        pmf = random_pmf(raw, kind, spread, np.random.default_rng(seed))
         dihedral = kind in ("ring_constant", "dihedral")
         assert _is_dihedral(pmf.probs.reshape(m, m)) == dihedral
         c = normalized(raw, pmf)
@@ -318,3 +380,64 @@ class TestMonteCarlo:
         mc, se = mi_monte_carlo(c, pmf, snr_db, 50_000, seed=5)
         gh = mi_awgn_2d(c, pmf, snr_db)
         assert abs(mc - gh) < max(3 * se, 1e-3)
+
+    @pytest.mark.parametrize("samples", [1e5, 50000.5, True])
+    def test_rejects_non_integer_samples(self, samples):
+        c, pmf = unit(16)
+        with pytest.raises(ValueError, match="integer"):
+            mi_monte_carlo(c, pmf, 10.0, samples, seed=1)
+
+    def test_accepts_numpy_integer_samples(self):
+        c, pmf = unit(16)
+        assert mi_monte_carlo(c, pmf, 10.0, np.int64(20_000), seed=6) == mi_monte_carlo(
+            c, pmf, 10.0, 20_000, seed=6
+        )
+
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    @pytest.mark.parametrize("family", ["uniform", "mb", "tailored"])
+    def test_seeded_draws_match_dense_estimator(self, order, family):
+        # Same draws in the same order: only the posterior's rounding moves.
+        # 40,000 samples cross one chunk boundary.
+        c = square_qam(order)
+        pu = float(np.mean(c.sq_magnitudes))
+        pmf = {
+            "uniform": uniform_pmf(c),
+            "mb": mb_pmf(c, 1.0 / pu),
+            "tailored": tailored_pmf(c, -1e-3 * 170.0 / pu, 4.4e-5 * (170.0 / pu) ** 2),
+        }[family]
+        cn = normalized(c, pmf)
+        for snr_db in (5.0, 18.0):
+            got = mi_monte_carlo(cn, pmf, snr_db, 40_000, seed=order + int(snr_db))
+            want = dense_mi_monte_carlo(cn, pmf, snr_db, 40_000, seed=order + int(snr_db))
+            assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestPosterior:
+    @given(
+        order=st.sampled_from([16, 64, 256, 1024, 4096]),
+        snr_db=st.floats(-60.0, 60.0),
+        kind=st.sampled_from(PMF_KINDS + ("tiny",)),
+        spread=st.floats(0.5, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_separable_matches_dense_oracle(self, order, snr_db, kind, spread, seed):
+        # Sent points are drawn uniformly, so points of probability down to
+        # 1e-250 are sent too.
+        rng = np.random.default_rng(seed)
+        raw = square_qam(order)
+        pmf = random_pmf(raw, kind, spread, rng)
+        c = normalized(raw, pmf)
+        m = int(math.isqrt(order))
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        n = 2_000
+        idx = rng.integers(0, order, n)
+        y = c.points[idx] + np.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        )
+        i, q = np.divmod(idx, m)
+        got = _neg_log_posterior(y, i, q, c.points[::m].real, pmf.probs.reshape(m, m), sigma2)
+        logp = np.log(np.maximum(pmf.probs, PROB_TINY))
+        want = dense_neg_log_posterior(y, idx, c.points, logp, sigma2)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got / LN2, want / LN2, rtol=0.0, atol=1e-9)

@@ -26,8 +26,11 @@ from nlshaping import (
     read_config,
     receive,
     square_qam,
+    tailored_pmf,
     uniform_pmf,
 )
+from nlshaping.awgn_mi import LN2
+from nlshaping.shaping import entropy
 from nlshaping.ssfm import (
     LN10,
     _nearest_indices,
@@ -414,6 +417,49 @@ class TestEstimateSnr:
             estimate_snr(x[:100], x[:100])
 
 
+def dense_mi_from_samples(rx, tx, constellation, pmf):
+    """Oracle: the auxiliary-channel MI with the dense (samples, M)
+    log-sum-exp posterior over every constellation point."""
+    x = constellation.points
+    sigma2 = float(np.mean(np.abs(rx - tx) ** 2))
+    h_bits = entropy(pmf)
+    logp = np.where(pmf.probs > 0.0, np.log(np.maximum(pmf.probs, 1e-320)), -np.inf)
+    xq = np.vstack([x.real, x.imag])
+    x2 = np.abs(x) ** 2
+    idx = _nearest_indices(constellation, tx)
+    total = 0.0
+    chunk = 1 << 15
+    buffer = np.empty((min(chunk, rx.size), x.size))
+    for lo in range(0, rx.size, chunk):
+        y = rx[lo : lo + chunk]
+        yq = np.empty((y.size, 2))
+        yq[:, 0], yq[:, 1] = y.real, y.imag
+        a = np.matmul(yq, xq, out=buffer[: y.size])
+        a *= 2.0
+        a -= x2
+        a /= sigma2
+        a += logp
+        a_max = a.max(axis=1)
+        a_true = a[np.arange(y.size), idx[lo : lo + chunk]]
+        np.subtract(a, a_max[:, None], out=a)
+        np.maximum(a, -700.0, out=a)
+        lse = a_max + np.log(np.exp(a, out=a).sum(axis=1))
+        total += float((lse - a_true).sum())
+    mi = h_bits - total / rx.size / LN2
+    return float(np.clip(mi, 0.0, h_bits))
+
+
+def shaped_symbols(order, n, seed):
+    """A tailored pmf on ``order``-QAM, its unit-power constellation and
+    ``n`` symbols drawn from it."""
+    c = square_qam(order)
+    scale = 170.0 / float(np.mean(c.sq_magnitudes))
+    pmf = tailored_pmf(c, -1e-3 * scale, 4.4e-5 * scale**2)
+    unit = normalized(c, pmf)
+    rng = np.random.default_rng(seed)
+    return unit, pmf, unit.points[rng.choice(order, size=n, p=pmf.probs)], rng
+
+
 class TestMiFromSamples:
     def setup_method(self):
         self.c = square_qam(256)
@@ -453,6 +499,27 @@ class TestMiFromSamples:
         y, x = self.synthetic(18.0)
         with pytest.raises(ValueError, match="unit power"):
             mi_from_samples(y, x, self.c, self.pmf)
+
+    @pytest.mark.parametrize("order", [256, 1024])
+    def test_matches_dense_oracle(self, order):
+        # AWGN; a distorted channel (gain, phase rotation, AWGN), to which
+        # the auxiliary channel is mismatched; and weak AWGN with one sample
+        # far beyond a corner, hundreds of residual deviations from every
+        # level. 66,536 samples cross two chunk boundaries.
+        unit, pmf, x, rng = shaped_symbols(order, 66_536, seed=order)
+        noise = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+        outlier = x + 1e-3 * noise
+        outlier[0] = 3.0 * unit.points[0]
+        for y in (x + 0.05 * noise, 0.97 * np.exp(0.02j) * x + 0.03 * noise, outlier):
+            got = mi_from_samples(y, x, unit, pmf)
+            assert got == pytest.approx(dense_mi_from_samples(y, x, unit, pmf), abs=1e-12)
+
+    def test_matches_quadrature_on_awgn_4096(self):
+        unit, pmf, x, rng = shaped_symbols(4096, 200_000, seed=7)
+        sigma2 = 10 ** (-22.0 / 10)
+        y = x + np.sqrt(sigma2 / 2) * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+        got = mi_from_samples(y, x, unit, pmf)
+        assert got == pytest.approx(mi_awgn_2d(unit, pmf, 22.0), abs=0.02)
 
 
 @st.composite
