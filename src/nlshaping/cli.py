@@ -349,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-max", type=float, required=True)
     p.add_argument("--snr-step", type=float, default=0.5)
     p.add_argument("--families", type=shaped, default=list(SHAPED_FAMILIES))
-    p.add_argument("--delta-mi", action="store_true",
-                   help="ΔMI column is always emitted; flag kept for scripts")
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_mi_curve)
 

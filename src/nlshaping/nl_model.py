@@ -10,7 +10,7 @@ effective-SNR AWGN channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -143,13 +143,13 @@ def optimize_mb(
     constellation: Constellation,
     model: NlChannelModel,
     rule: QuadratureRule | None = None,
-    initial_lam: float | None = None,
 ) -> tuple[float, MiCurvePoint]:
     """Best Maxwell-Boltzmann rate for this model.
 
-    Coarse scan over a fixed log-spaced rate grid followed by bounded
-    derivative-free refinement of the best bracket. ``initial_lam`` seeds
-    an extra local refinement (useful when walking an SNR grid).
+    One cold search per call: a coarse scan over a fixed log-spaced rate
+    grid, then bounded derivative-free refinement between the neighbours
+    of the best coarse rate. The result depends only on the
+    constellation, the model and the rule.
     """
     pu = _grid_power(constellation)
 
@@ -162,27 +162,18 @@ def optimize_mb(
 
     values = [neg_mi(u) for u in _COARSE_U]
     best_i = int(np.argmin(values))
-    candidates = [(_COARSE_U[best_i], values[best_i])]
-
     lo = _COARSE_U[max(best_i - 1, 0)]
     hi = _COARSE_U[min(best_i + 1, _COARSE_U.size - 1)]
-    brackets = [(lo, hi)]
-    if initial_lam is not None and initial_lam >= 0.0:
-        u0 = min(initial_lam * pu, _U_MAX)
-        brackets.append((max(u0 - 0.5, 0.0), min(u0 + 0.5, _U_MAX)))
-    for blo, bhi in brackets:
-        res = optimize.minimize_scalar(
-            neg_mi, bounds=(blo, bhi), method="bounded",
-            options={"xatol": 1e-6, "maxiter": 200},
+    res = optimize.minimize_scalar(
+        neg_mi, bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-6, "maxiter": 200},
+    )
+    if not res.success:
+        raise OptimizationError(
+            f"Maxwell-Boltzmann rate search did not converge: {res.message}",
+            best=(res.x / pu, -res.fun),
         )
-        if not res.success:
-            raise OptimizationError(
-                f"Maxwell-Boltzmann rate search did not converge: {res.message}",
-                best=(res.x / pu, -res.fun),
-            )
-        candidates.append((float(res.x), float(res.fun)))
-
-    u_star, _ = min(candidates, key=lambda t: t[1])
+    u_star = float(res.x) if res.fun < values[best_i] else float(_COARSE_U[best_i])
     lam_star = u_star / pu
     point = evaluate_family(
         constellation, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=lam_star), model, rule
@@ -194,19 +185,17 @@ def optimize_tailored(
     constellation: Constellation,
     model: NlChannelModel,
     rule: QuadratureRule | None = None,
-    initial: tuple[float, float] | None = None,
     mb: tuple[float, MiCurvePoint] | None = None,
 ) -> tuple[float, float, MiCurvePoint]:
     """Best (nu1, nu2) of the kurtosis-tailored family.
 
-    Simplex searches are multi-started from the Maxwell-Boltzmann
-    optimum, from the origin, and from the best cell of a coarse 2-D
-    grid; with ``initial`` given (continuation along an SNR grid) the
-    origin and grid starts are replaced by that point. ``mb`` is the
-    ``optimize_mb`` result for the same constellation, model and rule,
-    when the caller has it; otherwise it is searched here. The returned
-    MI never falls below that Maxwell-Boltzmann optimum, which the
-    family contains at nu2 = 0. Among ties the smallest |nu2| wins.
+    One cold search per call: simplex searches start from the
+    Maxwell-Boltzmann optimum and from the best cell of a coarse 2-D
+    grid. ``mb`` is the ``optimize_mb`` result for the same
+    constellation, model and rule, when the caller has it; otherwise it
+    is searched here. That optimum is itself a candidate, at its exact
+    rate and nu2 = 0 (the family contains MB there), so the returned MI
+    never falls below it. Among ties the smallest |nu2| wins.
     """
     pu = _grid_power(constellation)
     lam_star, mb_point = mb if mb is not None else optimize_mb(constellation, model, rule)
@@ -219,19 +208,12 @@ def optimize_tailored(
             ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2), model, rule,
         ).mi_4d
 
-    starts = [np.array([lam_star * pu, 0.0])]
-    if initial is not None:
-        starts.append(np.array([initial[0] * pu, initial[1] * pu * pu]))
-    else:
-        starts.append(np.zeros(2))
-        grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
-        grid_vals = [neg_mi(np.array(g)) for g in grid]
-        starts.append(np.array(grid[int(np.argmin(grid_vals))]))
+    grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
+    grid_vals = [neg_mi(np.array(g)) for g in grid]
+    starts = [np.array([lam_star * pu, 0.0]), np.array(grid[int(np.argmin(grid_vals))])]
 
-    # (neg MI, |nu2| in scaled units, point) per candidate
-    candidates: list[tuple[float, float, np.ndarray]] = [
-        (-mb_point.mi_4d, 0.0, np.array([lam_star * pu, 0.0]))
-    ]
+    # (neg MI, nu1, nu2) per candidate
+    candidates = [(-mb_point.mi_4d, lam_star, 0.0)]
     for start in starts:
         res = optimize.minimize(
             neg_mi, start, method="Nelder-Mead",
@@ -242,29 +224,17 @@ def optimize_tailored(
                 f"tailored-family search did not converge: {res.message}",
                 best=(res.x[0] / pu, res.x[1] / (pu * pu), -res.fun),
             )
-        candidates.append((float(res.fun), abs(float(res.x[1])), res.x))
+        candidates.append((float(res.fun), float(res.x[0] / pu), float(res.x[1] / (pu * pu))))
 
     best_fun = min(c[0] for c in candidates)
     # Deterministic tie-break: among MI-equal optima prefer small |nu2|.
     eligible = [c for c in candidates if c[0] <= best_fun + _MI_TIE_TOL]
-    _, _, v = min(eligible, key=lambda c: c[1])
-    nu1_star, nu2_star = float(v[0] / pu), float(v[1] / (pu * pu))
+    _, nu1_star, nu2_star = min(eligible, key=lambda c: abs(c[2]))
     point = evaluate_family(
         constellation,
         ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1_star, nu2=nu2_star),
         model, rule,
     )
-    if point.mi_4d < mb_point.mi_4d:
-        # The family contains MB; never report worse than it.
-        nu1_star, nu2_star = lam_star, 0.0
-        point = replace(
-            point,
-            params=ShapingParams(Family.KURTOSIS_TAILORED, nu1=lam_star, nu2=0.0),
-            kurtosis=mb_point.kurtosis,
-            effective_snr_db=mb_point.effective_snr_db,
-            mi_4d=mb_point.mi_4d,
-            delta_mi_4d=mb_point.delta_mi_4d,
-        )
     return nu1_star, nu2_star, point
 
 
@@ -330,10 +300,10 @@ def optimize_per_ring(
                 f"per-ring search did not converge: {res.message}",
                 best=(masses_from_logits(res.x), -res.fun),
             )
-        start_fun = neg_mi(start)
-        fun, z = (res.fun, res.x) if res.fun <= start_fun else (start_fun, start)
-        if fun < best_fun:
-            best_fun, best_z = fun, z
+        # Nelder-Mead keeps its start as a simplex vertex, so res.fun is
+        # never above the start's value.
+        if res.fun < best_fun:
+            best_fun, best_z = res.fun, res.x
 
     ring_probs = masses_from_logits(best_z)
     return ring_probs, point_for(best_z)
@@ -350,11 +320,10 @@ def mi_curve(
     CURVE_FAMILIES: the (uniform, MB-optimal, tailored-optimal) triple
     by default.
 
-    Successive grid points warm-start the optimizers with the previous
-    optimum, which keeps long curves cheap without changing what a
-    single-point call returns. The tailored search starts from the MB
-    optimum of its grid point, so every family subset gives the same
-    points as the full curve.
+    Each grid point is searched on its own, cold, so a point equals the
+    single-point call at its SNR whatever the rest of the grid is. The
+    tailored search reuses the MB optimum of its grid point, so every
+    family subset gives the same points as the full curve.
     """
     grid = [float(s) for s in snr_grid_db]
     if not grid:
@@ -366,8 +335,6 @@ def mi_curve(
         raise ValueError(f"families must be a non-empty subset of ({names})")
 
     out = []
-    prev_lam: float | None = None
-    prev_nu: tuple[float, float] | None = None
     for snr_db in grid:
         model = NlChannelModel(c=c, snr_gauss_db=snr_db)
         points = {}
@@ -376,14 +343,11 @@ def mi_curve(
                 constellation, ShapingParams(Family.UNIFORM), model, rule
             )
         if Family.MAXWELL_BOLTZMANN in families or Family.KURTOSIS_TAILORED in families:
-            prev_lam, mb_point = optimize_mb(
-                constellation, model, rule, initial_lam=prev_lam
-            )
+            lam, mb_point = optimize_mb(constellation, model, rule)
             points[Family.MAXWELL_BOLTZMANN] = mb_point
         if Family.KURTOSIS_TAILORED in families:
-            nu1, nu2, points[Family.KURTOSIS_TAILORED] = optimize_tailored(
-                constellation, model, rule, initial=prev_nu, mb=(prev_lam, mb_point)
+            _, _, points[Family.KURTOSIS_TAILORED] = optimize_tailored(
+                constellation, model, rule, mb=(lam, mb_point)
             )
-            prev_nu = (nu1, nu2)
         out.append(tuple(points[f] for f in CURVE_FAMILIES if f in families))
     return out

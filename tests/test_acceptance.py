@@ -13,7 +13,6 @@ import pytest
 
 from nlshaping import (
     LinkConfig,
-    Modulation,
     NlChannelModel,
     effective_snr_db,
     estimate_c,
@@ -34,31 +33,11 @@ from nlshaping import (
     square_qam,
     uniform_pmf,
 )
-from nlshaping.cli import main as cli_main
+from nlshaping.cli import default_probes, main as cli_main
 from nlshaping.ssfm import analytic_ase_snr_db, linear_crosstalk_fraction, transmission_run
 
 RULE = gauss_hermite(16)
 MODEL_18 = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-
-
-def deep_mb_probe(order=64, target_kurtosis=-0.9) -> Modulation:
-    from scipy.optimize import brentq
-
-    c = square_qam(order)
-    pu = float(np.mean(c.sq_magnitudes))
-    u = brentq(
-        lambda v: excess_kurtosis(c, mb_pmf(c, v / pu)) - target_kurtosis, 10.0, 60.0
-    )
-    return Modulation("mb_deep", c, mb_pmf(c, u / pu))
-
-
-def standard_probes(order=64):
-    c = square_qam(order)
-    return [
-        Modulation("uniform", c, uniform_pmf(c)),
-        gaussian_modulation(),
-        deep_mb_probe(order),
-    ]
 
 
 def test_criterion_1_kurtosis_closed_forms():
@@ -191,7 +170,7 @@ class TestCriterion7SsfmPhysics:
         print(f"ACCEPTANCE 7a PASS: NLI power-law slope {slope:.3f}")
 
     def test_b_lower_kurtosis_gives_higher_snr(self):
-        fit = estimate_c(self.CONFIG, standard_probes(), probe_power_dbm=6.0)
+        fit = estimate_c(self.CONFIG, default_probes(), probe_power_dbm=6.0)
         by_kurt = sorted(fit.probes, key=lambda p: p.kurtosis)
         snrs = [p.snr_db for p in by_kurt]
         assert all(a > b for a, b in zip(snrs, snrs[1:]))
@@ -201,7 +180,7 @@ class TestCriterion7SsfmPhysics:
               f"(c {fit.c:.3f}, R^2 {fit.r_squared:.4f})")
 
     def test_c_step_doubling(self):
-        mod = standard_probes()[0]
+        mod = default_probes()[0]
         snrs = []
         for steps in (400, 800):
             cfg = LinkConfig.desk_scale(seed=1234, steps=steps)
@@ -243,7 +222,7 @@ class TestCriterion8FullScale:
     def test_b_c_estimate_confidence_interval(self):
         from scipy import stats
 
-        fit = estimate_c(self.CONFIG, standard_probes(), probe_power_dbm=6.0)
+        fit = estimate_c(self.CONFIG, default_probes(), probe_power_dbm=6.0)
         kurt = np.array([p.kurtosis for p in fit.probes])
         p_w = 1e-3 * 10 ** (6.0 / 10)
         y = np.array([p.nli_variance_w for p in fit.probes]) / p_w**3

@@ -134,7 +134,7 @@ def curve(tmp_path_factory):
     out = tmp_path_factory.mktemp("curve") / "c.csv"
     assert run_cli(["mi-curve", "--order", "16", "--snr-min", "10",
                     "--snr-max", "11", "--snr-step", "0.5",
-                    "--delta-mi", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
     return read_csv(out), out
 
 
@@ -215,7 +215,7 @@ class TestMiCurveCsv:
         again = tmp_path / "again.csv"
         assert run_cli(["mi-curve", "--order", "16", "--snr-min", "10",
                         "--snr-max", "11", "--snr-step", "0.5",
-                        "--delta-mi", "--out", str(again)]) == 0
+                        "--out", str(again)]) == 0
         assert payload(first) == payload(again)
 
     def test_family_subset_matches_full_run_with_one_mb_search(

@@ -95,10 +95,12 @@ class TestMaxwellBoltzmann:
 
 class TestTailored:
     def test_nu2_zero_reduces_to_mb(self):
+        # Bit for bit: optimize_tailored reports the MB optimum through
+        # this family without a tolerance.
         c = square_qam(256)
         a = tailored_pmf(c, 0.013, 0.0)
         b = mb_pmf(c, 0.013)
-        np.testing.assert_allclose(a.probs, b.probs, atol=1e-14)
+        np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_origin_is_uniform(self):
         c = square_qam(64)
