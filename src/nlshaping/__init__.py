@@ -9,7 +9,7 @@ simulator, and export plot-ready CSV through the ``nlshaping`` CLI.
 __version__ = "0.1.0"
 
 from .awgn_mi import QuadratureRule, gauss_hermite, mi_awgn_2d, mi_monte_carlo
-from .constellation import Constellation, Ring, mean_power, normalized, square_qam
+from .constellation import Constellation, mean_power, normalized, square_qam
 from .nl_model import (
     MiCurvePoint,
     NlChannelModel,
@@ -64,7 +64,6 @@ __all__ = [
     "OptimizationError",
     "Pmf",
     "QuadratureRule",
-    "Ring",
     "ShapingParams",
     "SweepResult",
     "__version__",

@@ -42,6 +42,11 @@ EXP_UNDERFLOW = -700.0
 
 PROB_TINY = 1e-320
 
+# Flushing kernel entries at exp(EXP_UNDERFLOW) adds at most that much to
+# a shifted mixture (entries are at most 1, the pmf sums to 1): below this
+# floor, the flush may move the mixture by more than one rounding.
+MIX_FLOOR = float(np.exp(EXP_UNDERFLOW) / np.finfo(np.float64).eps)
+
 # Samples per chunk of the sample-based estimators.
 POSTERIOR_CHUNK = 1 << 15
 
@@ -134,9 +139,8 @@ def mi_awgn_2d(
     _require_unit_power(constellation, pmf)
     sigma = np.sqrt(_snr_to_sigma2(snr_db))
 
-    x = constellation.points
     p = pmf.probs
-    m = int(round(np.sqrt(constellation.order)))
+    m = constellation.levels.size
     grid = p.reshape(m, m)
     if _is_dihedral(grid):
         reps = constellation.orbit_reps
@@ -147,14 +151,13 @@ def mi_awgn_2d(
     keep = p[reps] > 0.0
     reps, mult = reps[keep], mult[keep]
 
-    # A sent point enters the kernels only through its I and Q levels:
-    # build them per level, then pick each representative's pair.
-    t = rule.nodes
-    k_i, s_i = _log_kernel(x.real[::m], sigma, t)        # (m, A, m)
-    k_q, s_q = _log_kernel(x.imag[:m], sigma, t)
+    # A sent point enters the kernels only through its I and Q levels,
+    # which are the same on both axes: build the kernel once per level,
+    # then pick each representative's pair.
+    k, shift = _log_kernel(constellation.levels, sigma, rule.nodes)  # (m, A, m)
     ri, rq = np.divmod(reps, m)
-    mix = (k_i @ grid)[ri] @ np.swapaxes(k_q, 1, 2)[rq]  # (R, A, B)
-    log_mix = np.log(mix) + s_i[ri][:, :, None] + s_q[rq][:, None, :]
+    mix = (k @ grid)[ri] @ np.swapaxes(k, 1, 2)[rq]                  # (R, A, B)
+    log_mix = np.log(mix) + shift[ri][:, :, None] + shift[rq][:, None, :]
     w2d = np.outer(rule.weights, rule.weights) / np.pi
     per_rep = np.tensordot(log_mix, w2d, axes=([1, 2], [0, 1]))
 
@@ -170,10 +173,12 @@ def _neg_log_posterior(y, i, q, levels, grid, sigma2):
     with ``levels`` on both axes and pmf ``grid``. The mixture is
     k_I^T P k_Q (see the module docstring) with per-sample 1-D kernels
     exp(-(y - level)^2 / sigma2), each divided by its largest entry. The
-    divisors cancel against the sent point's term, taken in logs. They are
-    at most 1, so the mixture is at least P[i, q] exp(-|y - x_sent|^2 /
-    sigma2); while that term is well above exp(EXP_UNDERFLOW), neither
-    underflow nor the flushing of smaller kernel entries moves the result.
+    divisors cancel against the sent point's term, taken in logs. Wherever
+    the shifted mixture is at least ``MIX_FLOOR``, flushing the kernel
+    entries below exp(EXP_UNDERFLOW) moves it by at most one rounding.
+    Below the floor, for a sample far from all mass whose nearest cells
+    carry none, the sample is recomputed exactly by a dense log-sum-exp
+    over the support.
     """
     samples = np.arange(y.size)
     log_p = np.where(grid > 0.0, np.log(np.maximum(grid, PROB_TINY)), -np.inf)
@@ -190,7 +195,21 @@ def _neg_log_posterior(y, i, q, levels, grid, sigma2):
         np.maximum(ell, EXP_UNDERFLOW, out=ell)
         kernels.append(np.exp(ell, out=ell))
     k_i, k_q = kernels
-    return neg + np.log(np.einsum("js,js->s", grid.T @ k_i, k_q))
+    mix = np.einsum("js,js->s", grid.T @ k_i, k_q)
+    if mix.min() >= MIX_FLOOR:
+        return neg + np.log(mix)
+
+    tail = np.flatnonzero(mix < MIX_FLOOR)
+    mix[tail] = 1.0  # a placeholder: these samples are recomputed below
+    neg += np.log(mix)
+    y, i, q = y[tail], i[tail], q[tail]
+    si, sq = np.nonzero(grid > 0.0)
+    a = log_p[si, sq] - ((y.real[:, None] - levels[si]) ** 2
+                         + (y.imag[:, None] - levels[sq]) ** 2) / sigma2
+    a_max = a.max(axis=1)
+    a_sent = log_p[i, q] - ((y.real - levels[i]) ** 2 + (y.imag - levels[q]) ** 2) / sigma2
+    neg[tail] = a_max + np.log(np.exp(a - a_max[:, None]).sum(axis=1)) - a_sent
+    return neg
 
 
 def mi_monte_carlo(
@@ -216,8 +235,7 @@ def mi_monte_carlo(
     rng = np.random.default_rng(seed)
     x = constellation.points
     p = pmf.probs
-    m = int(round(np.sqrt(constellation.order)))
-    levels = x.real[::m]
+    m = constellation.levels.size
     grid = p.reshape(m, m)
 
     total = 0.0
@@ -231,7 +249,7 @@ def mi_monte_carlo(
         )
         y = x[idx] + noise
         i, q = np.divmod(idx, m)
-        neg_log_post = _neg_log_posterior(y, i, q, levels, grid, sigma2) / LN2
+        neg_log_post = _neg_log_posterior(y, i, q, constellation.levels, grid, sigma2) / LN2
         total += float(neg_log_post.sum())
         total_sq += float((neg_log_post**2).sum())
         done += k

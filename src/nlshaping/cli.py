@@ -187,11 +187,8 @@ def cmd_pmf(args) -> int:
         return 1
 
     unit = normalized(constellation, pmf)
-    ring_sq = np.empty(unit.order)
-    for ring in unit.rings:
-        ring_sq[ring.indices] = ring.sq_magnitude
     rows = [
-        [i, unit.points[i].real, unit.points[i].imag, ring_sq[i], pmf.probs[i]]
+        [i, unit.points[i].real, unit.points[i].imag, unit.sq_magnitudes[i], pmf.probs[i]]
         for i in range(unit.order)
     ]
     stream, close = _open_out(args)

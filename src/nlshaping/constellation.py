@@ -1,99 +1,105 @@
-"""Square QAM constellations: geometry, power moments, amplitude rings."""
+"""Square QAM constellations: a level grid and what derives from it.
+
+A constellation is its sqrt(M) one-dimensional levels, the odd integers
+{+-1, +-3, ..., +-(sqrt(M)-1)} times a positive scale; its points are
+row-major over the (I, Q) level pairs. The scale-free structure, which
+amplitude ring and which symmetry orbit each point belongs to, comes
+once per side from the integer level indices, so rescaling never
+rebuilds it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 SUPPORTED_ORDERS = (16, 64, 256, 1024, 4096)
 
-# Absolute tolerance for grouping |x|^2 into rings on the integer grid.
-RING_ATOL = 1e-9
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-@dataclass(frozen=True)
-class Ring:
-    """One amplitude ring: all points sharing a squared magnitude."""
+@functools.lru_cache(maxsize=None)
+def _grid_structure(side: int):
+    """Rings and dihedral orbits of the side x side odd-integer grid.
 
-    sq_magnitude: float
-    indices: np.ndarray  # point indices, ascending
+    Rings group points of equal squared magnitude, in ascending order,
+    even when they come from different geometric shells (50 = 1 + 49 =
+    25 + 25 in 64QAM). Orbits group points that map onto each other by a
+    90-degree rotation or a reflection of the square; each is keyed by
+    its larger and smaller absolute level and represented by its
+    lowest-index point. All values are exact integers.
+
+    Returns (ring_index, ring_sizes, ring_sq, orbit_reps, orbit_sizes).
+    """
+    k = np.arange(-(side - 1), side, 2)
+    i, q = np.meshgrid(k, k, indexing="ij")
+    ring_sq, ring_index, ring_sizes = np.unique(
+        (i * i + q * q).ravel(), return_inverse=True, return_counts=True
+    )
+    a = np.maximum(np.abs(i), np.abs(q)).ravel()
+    b = np.minimum(np.abs(i), np.abs(q)).ravel()
+    _, orbit_reps, orbit_sizes = np.unique(
+        a * (side + 1) + b, return_index=True, return_counts=True
+    )
+    return _read_only(ring_index, ring_sizes, ring_sq, orbit_reps, orbit_sizes)
 
 
 @dataclass(frozen=True)
 class Constellation:
-    """Ordered complex symbol set with its amplitude-ring decomposition.
+    """Square QAM constellation held as its 1-D levels.
 
-    Points are row-major over (I, Q) levels of the odd-integer grid
-    {+-1, +-3, ..., +-(sqrt(M)-1)}^2, possibly rescaled by a positive
-    factor (see :func:`normalized`). Instances are immutable and safe
-    to share across workers.
+    ``levels`` (ascending, length sqrt(M)) are the odd integers times a
+    positive scale, on both axes. Derived once per instance: ``order``,
+    the row-major ``points`` and their ``sq_magnitudes``. Shared by every
+    instance of a side, from the integer level indices: ``ring_index``
+    (point -> ring), ``ring_sizes``, ``ring_sq`` (ring squared magnitudes
+    on the integer grid), and one representative index per dihedral
+    orbit with the orbit sizes. Arrays are read-only, so instances are
+    safe to share across workers.
     """
 
-    points: np.ndarray          # complex128, shape (M,)
-    order: int
-    rings: tuple[Ring, ...]
-    orbit_reps: np.ndarray      # one index per 8-fold dihedral orbit
-    orbit_sizes: np.ndarray     # orbit multiplicities, same length
+    levels: np.ndarray
+    order: int = field(init=False)
+    points: np.ndarray = field(init=False, repr=False)
+    sq_magnitudes: np.ndarray = field(init=False, repr=False)
+    ring_index: np.ndarray = field(init=False, repr=False)
+    ring_sizes: np.ndarray = field(init=False, repr=False)
+    ring_sq: np.ndarray = field(init=False, repr=False)
+    orbit_reps: np.ndarray = field(init=False, repr=False)
+    orbit_sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.points.setflags(write=False)
-        self.orbit_reps.setflags(write=False)
-        self.orbit_sizes.setflags(write=False)
-
-    @property
-    def sq_magnitudes(self) -> np.ndarray:
+        levels = np.array(self.levels, dtype=np.float64)
+        if levels.ndim != 1 or levels.size < 2:
+            raise ValueError(f"levels must be a 1-D array of at least 2, got shape {levels.shape}")
+        m = levels.size
+        points = np.empty((m, m), dtype=np.complex128)
+        points.real = levels[:, None]
+        points.imag = levels
         # re^2 + im^2 rather than |x|^2: exact on the integer grid.
-        return self.points.real**2 + self.points.imag**2
-
-
-def _build_rings(points: np.ndarray, atol: float) -> tuple[Ring, ...]:
-    r2 = points.real**2 + points.imag**2
-    order = np.argsort(r2, kind="stable")
-    rings: list[Ring] = []
-    start = 0
-    sorted_r2 = r2[order]
-    for i in range(1, points.size + 1):
-        if i == points.size or sorted_r2[i] - sorted_r2[start] > atol:
-            idx = np.sort(order[start:i])
-            rings.append(Ring(float(r2[idx[0]]), idx))
-            start = i
-    return tuple(rings)
-
-
-def dihedral_orbits(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group points into orbits of the square's symmetry group.
-
-    Two points are in the same orbit when one maps onto the other by a
-    90-degree rotation, a reflection, or any composition of the two. For
-    ring-constant probability assignments every orbit carries a single
-    probability value, which lets downstream quadrature sum over one
-    representative per orbit instead of all M points.
-
-    Returns (representative indices, orbit sizes).
-    """
-    a = np.maximum(np.abs(points.real), np.abs(points.imag))
-    b = np.minimum(np.abs(points.real), np.abs(points.imag))
-    scale = float(a.max())
-    if scale == 0.0:
-        raise ValueError("degenerate constellation: all points at the origin")
-    ka = np.round(a / scale * 1e9).astype(np.int64)
-    kb = np.round(b / scale * 1e9).astype(np.int64)
-    keys = ka << 31 | kb
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    reps = np.full(uniq.size, -1, dtype=np.int64)
-    for i in range(points.size - 1, -1, -1):
-        reps[inverse[i]] = i
-    return reps, counts.astype(np.int64)
+        sq = levels * levels
+        derived = dict(
+            levels=levels,
+            order=m * m,
+            points=points.ravel(),
+            sq_magnitudes=(sq[:, None] + sq).ravel(),
+        )
+        _read_only(levels, derived["points"], derived["sq_magnitudes"])
+        names = ("ring_index", "ring_sizes", "ring_sq", "orbit_reps", "orbit_sizes")
+        derived.update(zip(names, _grid_structure(m)))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def square_qam(order: int, *, min_order: int = 16) -> Constellation:
-    """Build the square QAM constellation of the given order.
-
-    Points lie on the odd-integer grid and are ordered row-major over
-    the (I, Q) levels, so output is deterministic. Rings merge points of
-    equal squared magnitude even when they come from different geometric
-    shells (e.g. 50 = 1+49 = 25+25 in 64QAM).
+    """Build the square QAM constellation of the given order on the
+    odd-integer grid.
 
     ``min_order`` relaxes the default lower bound of 16, admitting the
     4-point constellation for degenerate single-ring testing.
@@ -111,11 +117,7 @@ def square_qam(order: int, *, min_order: int = 16) -> Constellation:
         raise ValueError(
             f"order {order} outside the supported range [{min_order}, 4096]"
         )
-    levels = np.arange(-(m - 1), m, 2, dtype=np.float64)
-    re, im = np.meshgrid(levels, levels, indexing="ij")
-    points = (re + 1j * im).ravel()
-    reps, sizes = dihedral_orbits(points)
-    return Constellation(points, order, _build_rings(points, RING_ATOL), reps, sizes)
+    return Constellation(np.arange(-(m - 1), m, 2, dtype=np.float64))
 
 
 def _check_pmf_length(constellation: Constellation, probs: np.ndarray) -> None:
@@ -137,19 +139,7 @@ def mean_power(constellation: Constellation, pmf) -> float:
 
 
 def normalized(constellation: Constellation, pmf) -> Constellation:
-    """Rescale so the constellation has unit mean power under ``pmf``.
-
-    Ring structure and point ordering are preserved; only magnitudes
-    change. Normalizing an already-normalized constellation is the
-    identity to within floating-point roundoff.
-    """
-    power = mean_power(constellation, pmf)
-    scale = 1.0 / np.sqrt(power)
-    points = constellation.points * scale
-    rings = tuple(
-        Ring(r.sq_magnitude * scale * scale, r.indices) for r in constellation.rings
-    )
-    return Constellation(
-        points, constellation.order, rings,
-        constellation.orbit_reps, constellation.orbit_sizes,
-    )
+    """Rescale the levels so the constellation has unit mean power under
+    ``pmf``. Rings, orbits and point ordering are unchanged."""
+    scale = 1.0 / np.sqrt(mean_power(constellation, pmf))
+    return Constellation(constellation.levels * scale)

@@ -149,16 +149,19 @@ def optimize_mb(
     One cold search per call: a coarse scan over a fixed log-spaced rate
     grid, then bounded derivative-free refinement between the neighbours
     of the best coarse rate. The result depends only on the
-    constellation, the model and the rule.
+    constellation, the model and the rule; the returned point is the one
+    the search scored.
     """
     pu = _grid_power(constellation)
+    scored = {}
 
     def neg_mi(u: float) -> float:
         pmf = mb_pmf(constellation, u / pu)
-        return -_evaluate_pmf(
+        point = scored[float(u)] = _evaluate_pmf(
             constellation, pmf, Family.MAXWELL_BOLTZMANN,
             ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu), model, rule,
-        ).mi_4d
+        )
+        return -point.mi_4d
 
     values = [neg_mi(u) for u in _COARSE_U]
     best_i = int(np.argmin(values))
@@ -174,11 +177,7 @@ def optimize_mb(
             best=(res.x / pu, -res.fun),
         )
     u_star = float(res.x) if res.fun < values[best_i] else float(_COARSE_U[best_i])
-    lam_star = u_star / pu
-    point = evaluate_family(
-        constellation, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=lam_star), model, rule
-    )
-    return lam_star, point
+    return u_star / pu, scored[u_star]
 
 
 def optimize_tailored(
@@ -195,18 +194,22 @@ def optimize_tailored(
     constellation, model and rule, when the caller has it; otherwise it
     is searched here. That optimum is itself a candidate, at its exact
     rate and nu2 = 0 (the family contains MB there), so the returned MI
-    never falls below it. Among ties the smallest |nu2| wins.
+    never falls below it. Among ties the smallest |nu2| wins. A winning
+    search point is returned as scored; only the MB candidate, which is
+    not a point of this family, is evaluated once more.
     """
     pu = _grid_power(constellation)
     lam_star, mb_point = mb if mb is not None else optimize_mb(constellation, model, rule)
+    scored = {}
 
     def neg_mi(v) -> float:
         nu1, nu2 = v[0] / pu, v[1] / (pu * pu)
         pmf = tailored_pmf(constellation, nu1, nu2)
-        return -_evaluate_pmf(
+        point = scored[float(nu1), float(nu2)] = _evaluate_pmf(
             constellation, pmf, Family.KURTOSIS_TAILORED,
             ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2), model, rule,
-        ).mi_4d
+        )
+        return -point.mi_4d
 
     grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
     grid_vals = [neg_mi(np.array(g)) for g in grid]
@@ -230,11 +233,13 @@ def optimize_tailored(
     # Deterministic tie-break: among MI-equal optima prefer small |nu2|.
     eligible = [c for c in candidates if c[0] <= best_fun + _MI_TIE_TOL]
     _, nu1_star, nu2_star = min(eligible, key=lambda c: abs(c[2]))
-    point = evaluate_family(
-        constellation,
-        ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1_star, nu2=nu2_star),
-        model, rule,
-    )
+    point = scored.get((nu1_star, nu2_star))
+    if point is None:
+        point = evaluate_family(
+            constellation,
+            ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1_star, nu2=nu2_star),
+            model, rule,
+        )
     return nu1_star, nu2_star, point
 
 
@@ -255,7 +260,7 @@ def optimize_per_ring(
     start from the tailored optimum, the Maxwell-Boltzmann optimum, and
     uniform; the best point is never worse than its starts.
     """
-    n_rings = len(constellation.rings)
+    n_rings = constellation.ring_sizes.size
     if n_rings == 1:
         ring_probs = np.array([1.0])
         params = ShapingParams(Family.PER_RING, ring_probs=(1.0,))
@@ -266,13 +271,13 @@ def optimize_per_ring(
         e = np.exp(full - full.max())
         return e / e.sum()
 
-    def point_for(z: np.ndarray) -> MiCurvePoint:
-        masses = masses_from_logits(z)
-        params = ShapingParams(Family.PER_RING, ring_probs=tuple(masses))
-        return evaluate_family(constellation, params, model, rule)
+    scored = {}
 
     def neg_mi(z: np.ndarray) -> float:
-        return -point_for(z).mi_4d
+        masses = masses_from_logits(z)
+        params = ShapingParams(Family.PER_RING, ring_probs=tuple(masses))
+        point = scored[tuple(z)] = evaluate_family(constellation, params, model, rule)
+        return -point.mi_4d
 
     lam_star, mb_point = optimize_mb(constellation, model, rule)
     _, _, tailored_point = optimize_tailored(
@@ -305,8 +310,7 @@ def optimize_per_ring(
         if res.fun < best_fun:
             best_fun, best_z = res.fun, res.x
 
-    ring_probs = masses_from_logits(best_z)
-    return ring_probs, point_for(best_z)
+    return masses_from_logits(best_z), scored[tuple(best_z)]
 
 
 def mi_curve(

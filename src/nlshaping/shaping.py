@@ -102,16 +102,12 @@ def tailored_pmf(constellation: Constellation, nu1: float, nu2: float) -> Pmf:
 def ring_pmf(constellation: Constellation, ring_probs) -> Pmf:
     """Pmf from total per-ring masses, split equally inside each ring."""
     q = np.asarray(ring_probs, dtype=np.float64)
-    if q.shape != (len(constellation.rings),):
-        raise ValueError(
-            f"expected {len(constellation.rings)} ring probabilities, got {q.shape}"
-        )
+    sizes = constellation.ring_sizes
+    if q.shape != sizes.shape:
+        raise ValueError(f"expected {sizes.size} ring probabilities, got {q.shape}")
     if np.any(q < 0.0) or abs(q.sum() - 1.0) > PMF_SUM_TOL:
         raise ValueError("ring probabilities must be non-negative and sum to 1")
-    probs = np.zeros(constellation.order)
-    for ring, mass in zip(constellation.rings, q):
-        probs[ring.indices] = mass / ring.indices.size
-    return Pmf(probs)
+    return Pmf((q / sizes)[constellation.ring_index])
 
 
 def build_pmf(constellation: Constellation, params: ShapingParams) -> Pmf:
@@ -132,17 +128,8 @@ def build_pmf(constellation: Constellation, params: ShapingParams) -> Pmf:
 def ring_masses(constellation: Constellation, pmf: Pmf) -> np.ndarray:
     """Total probability carried by each ring."""
     _check_pmf_length(constellation, pmf.probs)
-    return np.array([pmf.probs[r.indices].sum() for r in constellation.rings])
-
-
-def is_ring_constant(constellation: Constellation, pmf: Pmf, tol: float = 1e-13) -> bool:
-    """True when equal-magnitude points carry equal probability."""
-    _check_pmf_length(constellation, pmf.probs)
-    for ring in constellation.rings:
-        vals = pmf.probs[ring.indices]
-        if vals.max() - vals.min() > tol:
-            return False
-    return True
+    return np.bincount(constellation.ring_index, weights=pmf.probs,
+                       minlength=constellation.ring_sizes.size)
 
 
 def excess_kurtosis(constellation: Constellation, pmf: Pmf) -> float:

@@ -223,11 +223,8 @@ def _spectral_filter(x: np.ndarray, response: np.ndarray) -> np.ndarray:
 def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) -> np.ndarray:
     if modulation.is_gaussian:
         return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
-    pmf = modulation.pmf
-    points = modulation.constellation.points
-    scale = 1.0 / np.sqrt(float(pmf.probs @ modulation.constellation.sq_magnitudes))
-    idx = rng.choice(points.size, size=count, p=pmf.probs)
-    return points[idx] * scale
+    unit = normalized(modulation.constellation, modulation.pmf)
+    return unit.points[rng.choice(unit.order, size=count, p=modulation.pmf.probs)]
 
 
 def generate_wdm(
@@ -419,10 +416,9 @@ def mi_from_samples(
     if sigma2 == 0.0:
         return h_bits
 
-    m = math.isqrt(constellation.order)
-    levels = constellation.points[::m].real
-    grid = pmf.probs.reshape(m, m)
-    i, q = np.divmod(_nearest_indices(constellation, tx), m)
+    levels = constellation.levels
+    grid = pmf.probs.reshape(levels.size, levels.size)
+    i, q = np.divmod(_nearest_indices(constellation, tx), levels.size)
     total = 0.0
     for lo in range(0, rx.size, POSTERIOR_CHUNK):
         part = slice(lo, lo + POSTERIOR_CHUNK)
@@ -439,8 +435,8 @@ def _nearest_indices(constellation: Constellation, values: np.ndarray) -> np.nda
     the nearest point is the nearest level on each axis: one rounding per
     axis instead of a distance to each of the M points.
     """
-    m = math.isqrt(constellation.order)
-    levels = constellation.points[::m].real
+    levels = constellation.levels
+    m = levels.size
     lo, step = levels[0], (levels[-1] - levels[0]) / (m - 1)
     i = np.clip(np.rint((values.real - lo) / step), 0, m - 1).astype(np.intp)
     q = np.clip(np.rint((values.imag - lo) / step), 0, m - 1).astype(np.intp)

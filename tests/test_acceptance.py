@@ -279,4 +279,7 @@ def test_criterion_9_deterministic_csv(tmp_path):
     curve_args = ["mi-curve", "--order", "16", "--snr-min", "12",
                   "--snr-max", "12"]
     assert run(curve_args, tmp_path / "c.csv") == run(curve_args, tmp_path / "d.csv")
+
+    pmf_args = ["pmf", "--order", "16", "--snr", "12", "--family", "opt"]
+    assert run(pmf_args, tmp_path / "e.csv") == run(pmf_args, tmp_path / "f.csv")
     print("ACCEPTANCE 9 PASS: seeded commands reproduce byte-identical payloads")

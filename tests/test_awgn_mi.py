@@ -22,9 +22,18 @@ from nlshaping import (
     uniform_pmf,
 )
 from nlshaping.awgn_mi import EXP_UNDERFLOW, LN2, PROB_TINY, _is_dihedral, _neg_log_posterior
-from nlshaping.shaping import is_ring_constant
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def is_ring_constant(constellation, pmf, tol=1e-13):
+    """Oracle: True when points of equal squared magnitude carry equal
+    probability. Groups the magnitudes themselves (equal to one part in
+    1e9 of the largest), not the constellation's ring arrays."""
+    r2 = constellation.sq_magnitudes
+    order = np.argsort(r2, kind="stable")
+    breaks = np.flatnonzero(np.diff(r2[order]) > 1e-9 * r2.max()) + 1
+    return all(np.ptp(pmf.probs[ring]) <= tol for ring in np.split(order, breaks))
 
 
 def dense_mi_awgn_2d(constellation, pmf, snr_db, rule=None):
@@ -134,7 +143,7 @@ def random_pmf(raw, kind, spread, rng):
     from 1 down to 1e-250."""
     m = int(math.isqrt(raw.order))
     if kind == "ring_constant":
-        w = np.exp(spread * rng.standard_normal(len(raw.rings)))
+        w = np.exp(spread * rng.standard_normal(raw.ring_sizes.size))
         return ring_pmf(raw, w / w.sum())
     if kind == "tiny":
         grid = 10.0 ** rng.uniform(-250.0, 0.0, (m, m))

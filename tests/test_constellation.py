@@ -5,8 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nlshaping import Pmf, mean_power, normalized, square_qam, uniform_pmf
-from nlshaping.constellation import dihedral_orbits
+from nlshaping import Constellation, Pmf, mb_pmf, mean_power, normalized, square_qam, uniform_pmf
 
 ALL_ORDERS = [16, 64, 256, 1024, 4096]
 
@@ -27,28 +26,28 @@ class TestSquareQam:
         c = square_qam(16)
         assert c.order == 16
         assert len(c.points) == 16
-        got = {r.sq_magnitude: len(r.indices) for r in c.rings}
-        assert got == {2.0: 4, 10.0: 8, 18.0: 4}
-        assert got == {float(k): v for k, v in enumerate_rings(16).items()}
+        got = dict(zip(c.ring_sq.tolist(), c.ring_sizes.tolist()))
+        assert got == {2: 4, 10: 8, 18: 4}
+        assert got == enumerate_rings(16)
 
     def test_64qam_merged_shell(self):
         c = square_qam(64)
-        magnitudes = [r.sq_magnitude for r in c.rings]
-        assert len(magnitudes) == 9
+        assert c.ring_sq.size == 9
         # 50 = 1 + 49 = 25 + 25: two geometric shells, one ring of 12 points
-        ring50 = next(r for r in c.rings if r.sq_magnitude == 50.0)
-        assert len(ring50.indices) == 12
-        assert {r.sq_magnitude: len(r.indices) for r in c.rings} == {
-            float(k): v for k, v in enumerate_rings(64).items()
-        }
+        ring50 = np.flatnonzero(c.ring_index == np.flatnonzero(c.ring_sq == 50)[0])
+        assert ring50.size == 12
+        np.testing.assert_array_equal(ring50, np.flatnonzero(c.sq_magnitudes == 50.0))
+        shells = {tuple(sorted((abs(x.real), abs(x.imag)))) for x in c.points[ring50]}
+        assert shells == {(1.0, 7.0), (5.0, 5.0)}
+        assert dict(zip(c.ring_sq.tolist(), c.ring_sizes.tolist())) == enumerate_rings(64)
 
     def test_order_4_needs_relaxed_bound(self):
         with pytest.raises(ValueError, match="outside the supported range"):
             square_qam(4)
         c = square_qam(4, min_order=4)
         assert c.order == 4
-        assert len(c.rings) == 1
-        assert len(c.rings[0].indices) == 4
+        np.testing.assert_array_equal(c.ring_sizes, [4])
+        np.testing.assert_array_equal(c.ring_index, np.zeros(4))
 
     @pytest.mark.parametrize("bad", [32, 15, 100, 8192, 2])
     def test_invalid_orders_rejected(self, bad):
@@ -67,12 +66,11 @@ class TestSquareQam:
     @pytest.mark.parametrize("order", ALL_ORDERS)
     def test_ring_partition_covers_all_points(self, order):
         c = square_qam(order)
-        counted = np.concatenate([r.indices for r in c.rings])
-        assert counted.size == order
-        assert np.array_equal(np.sort(counted), np.arange(order))
-        for ring in c.rings:
-            r2 = c.sq_magnitudes[ring.indices]
-            assert np.ptp(r2) <= 1e-12 * max(ring.sq_magnitude, 1.0)
+        assert c.ring_index.shape == (order,)
+        np.testing.assert_array_equal(np.bincount(c.ring_index), c.ring_sizes)
+        assert np.all(np.diff(c.ring_sq) > 0)
+        # Exact on the integer grid: every point sits on its ring.
+        np.testing.assert_array_equal(c.sq_magnitudes, c.ring_sq[c.ring_index])
 
     @pytest.mark.parametrize("order", ALL_ORDERS)
     def test_quadrant_symmetry(self, order):
@@ -86,11 +84,9 @@ class TestSquareQam:
     def test_dihedral_orbits_partition(self, order):
         c = square_qam(order)
         assert int(c.orbit_sizes.sum()) == order
-        reps, sizes = dihedral_orbits(c.points)
-        np.testing.assert_array_equal(reps, c.orbit_reps)
-        np.testing.assert_array_equal(sizes, c.orbit_sizes)
         r2 = c.sq_magnitudes
-        for rep, size in zip(reps, sizes):
+        covered = np.zeros(order, dtype=int)
+        for rep, size in zip(c.orbit_reps, c.orbit_sizes):
             mask = np.isclose(
                 np.maximum(np.abs(c.points.real), np.abs(c.points.imag)),
                 max(abs(c.points[rep].real), abs(c.points[rep].imag)),
@@ -99,7 +95,10 @@ class TestSquareQam:
                 min(abs(c.points[rep].real), abs(c.points[rep].imag)),
             )
             assert mask.sum() == size
+            assert np.flatnonzero(mask)[0] == rep
             assert np.allclose(r2[mask], r2[rep])
+            covered += mask
+        np.testing.assert_array_equal(covered, 1)
 
 
 class TestMeanPower:
@@ -141,22 +140,33 @@ class TestNormalized:
         np.testing.assert_allclose(twice.points, once.points, rtol=1e-12)
 
     def test_mb_shaped_64qam(self):
-        from nlshaping import mb_pmf
-
         c = square_qam(64)
         pmf = mb_pmf(c, 0.02)
         n = normalized(c, pmf)
         assert mean_power(n, pmf) == pytest.approx(1.0, abs=1e-12)
-        # ring structure preserved: same index sets, scaled magnitudes
-        for before, after in zip(c.rings, n.rings):
-            np.testing.assert_array_equal(before.indices, after.indices)
+        np.testing.assert_allclose(n.sq_magnitudes, c.sq_magnitudes / mean_power(c, pmf),
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_shares_structure_and_rescales_levels_only(self, order):
+        raw = square_qam(order)
+        pmf = mb_pmf(raw, 1.0 / order)
+        n = normalized(raw, pmf)
+        for name in ("ring_index", "ring_sizes", "ring_sq", "orbit_reps", "orbit_sizes"):
+            assert getattr(n, name) is getattr(raw, name), name
+        scale = 1.0 / np.sqrt(mean_power(raw, pmf))
+        np.testing.assert_array_equal(n.levels, raw.levels * scale)
+        # The points are the raw points rescaled, to the bit.
+        np.testing.assert_array_equal(n.points, raw.points * scale)
+
+    def test_structure_is_read_only(self):
+        c = square_qam(16)
+        for name in ("levels", "points", "sq_magnitudes", "ring_index", "ring_sizes",
+                     "ring_sq", "orbit_reps", "orbit_sizes"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(c, name)[0] = 0
 
     def test_rejects_zero_power(self):
-        c = square_qam(4, min_order=4)
-        pmf = uniform_pmf(c)
-        zeroed = c.__class__(
-            points=np.zeros(4, dtype=complex), order=4, rings=c.rings,
-            orbit_reps=c.orbit_reps, orbit_sizes=c.orbit_sizes,
-        )
+        pmf = uniform_pmf(square_qam(4, min_order=4))
         with pytest.raises(ValueError, match="not positive"):
-            normalized(zeroed, pmf)
+            normalized(Constellation(levels=np.zeros(2)), pmf)

@@ -24,7 +24,8 @@ from nlshaping import (
     tailored_pmf,
     uniform_pmf,
 )
-from nlshaping.shaping import is_ring_constant, ring_masses
+from nlshaping.shaping import ring_masses
+from test_awgn_mi import is_ring_constant
 
 
 def exact_uniform_kurtosis(order):
@@ -66,7 +67,7 @@ class TestMaxwellBoltzmann:
         c = square_qam(16)
         unit = normalized(c, uniform_pmf(c))
         pmf = mb_pmf(unit, 100.0)
-        inner = unit.rings[0].indices
+        inner = unit.sq_magnitudes == unit.sq_magnitudes.min()
         np.testing.assert_allclose(pmf.probs[inner], 0.25, atol=1e-12)
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -74,8 +75,8 @@ class TestMaxwellBoltzmann:
         # On the raw integer grid: p(r2=2)/p(r2=18) = exp(0.05 * 16)
         c = square_qam(16)
         pmf = mb_pmf(c, 0.05)
-        p_inner = pmf.probs[c.rings[0].indices[0]]
-        p_outer = pmf.probs[c.rings[-1].indices[0]]
+        p_inner = pmf.probs[np.argmin(c.sq_magnitudes)]
+        p_outer = pmf.probs[np.argmax(c.sq_magnitudes)]
         assert p_inner / p_outer == pytest.approx(math.exp(0.8), rel=1e-13)
 
     def test_extreme_rate_is_overflow_safe(self):
@@ -135,16 +136,16 @@ class TestRingConstantProperty:
         pu = float(np.mean(c.sq_magnitudes))
         for pmf in (mb_pmf(c, 1.3 / pu), tailored_pmf(c, 0.4 / pu, 0.8 / pu**2)):
             assert is_ring_constant(c, pmf, tol=1e-14)
-            for ring in c.rings:
-                vals = pmf.probs[ring.indices]
-                assert np.ptp(vals) <= 1e-14
+            for ring in range(c.ring_sizes.size):
+                assert np.ptp(pmf.probs[c.ring_index == ring]) <= 1e-14
 
     def test_merged_shell_gets_single_probability(self):
         # ring at 50 in 64QAM mixes (1,7)- and (5,5)-type points
         c = square_qam(64)
         pmf = tailored_pmf(c, 0.01, 1e-4)
-        ring50 = next(r for r in c.rings if r.sq_magnitude == 50.0)
-        assert np.ptp(pmf.probs[ring50.indices]) == 0.0
+        ring50 = c.sq_magnitudes == 50.0
+        assert ring50.sum() == 12
+        assert np.ptp(pmf.probs[ring50]) == 0.0
 
 
 class TestExcessKurtosis:
@@ -188,7 +189,7 @@ class TestExcessKurtosis:
     def test_scale_invariance(self, scale):
         c = square_qam(64)
         pmf = mb_pmf(c, 0.01)
-        scaled = replace(c, points=c.points * scale)
+        scaled = replace(c, levels=c.levels * scale)
         assert excess_kurtosis(scaled, pmf) == pytest.approx(
             excess_kurtosis(c, pmf), abs=1e-10
         )
@@ -201,7 +202,7 @@ class TestExcessKurtosis:
     def test_scale_invariance_property(self, lam_scaled, scale):
         c = square_qam(16)
         pmf = mb_pmf(c, lam_scaled / 10.0)
-        scaled = replace(c, points=c.points * scale)
+        scaled = replace(c, levels=c.levels * scale)
         assert excess_kurtosis(scaled, pmf) == pytest.approx(
             excess_kurtosis(c, pmf), abs=1e-9
         )
@@ -237,10 +238,33 @@ class TestRingPmf:
     def test_masses_split_equally(self):
         c = square_qam(16)
         pmf = ring_pmf(c, [0.5, 0.3, 0.2])
-        np.testing.assert_allclose(pmf.probs[c.rings[0].indices], 0.5 / 4)
-        np.testing.assert_allclose(pmf.probs[c.rings[1].indices], 0.3 / 8)
-        np.testing.assert_allclose(pmf.probs[c.rings[2].indices], 0.2 / 4)
+        for r2, mass, size in ((2.0, 0.5, 4), (10.0, 0.3, 8), (18.0, 0.2, 4)):
+            ring = c.sq_magnitudes == r2
+            assert ring.sum() == size
+            np.testing.assert_allclose(pmf.probs[ring], mass / size)
         np.testing.assert_allclose(ring_masses(c, pmf), [0.5, 0.3, 0.2], atol=1e-15)
+
+    @pytest.mark.parametrize("order", [16, 64, 256, 1024])
+    def test_matches_loop_over_rings(self, order):
+        # Reference: one ring at a time, each ring the points of one exact
+        # squared magnitude of the integer grid. The split is the same
+        # division; the masses are summed in another order.
+        c = square_qam(order)
+        rng = np.random.default_rng(order)
+        shells = np.unique(c.sq_magnitudes)
+        masses = rng.random(shells.size)
+        masses /= masses.sum()
+        want = np.zeros(order)
+        for shell, mass in zip(shells, masses):
+            ring = c.sq_magnitudes == shell
+            want[ring] = mass / ring.sum()
+        np.testing.assert_array_equal(ring_pmf(c, masses).probs, Pmf(want).probs)
+
+        probs = rng.random(order)
+        pmf = Pmf(probs / probs.sum())
+        loop = [pmf.probs[c.sq_magnitudes == shell].sum() for shell in shells]
+        np.testing.assert_allclose(ring_masses(c, pmf), loop, rtol=0.0,
+                                   atol=4 * np.finfo(np.float64).eps)
 
     def test_wrong_length_rejected(self):
         c = square_qam(16)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nlshaping import (
     LinkConfig,
     Modulation,
+    Pmf,
     amplify,
     estimate_c,
     estimate_snr,
@@ -25,6 +26,7 @@ from nlshaping import (
     propagate,
     read_config,
     receive,
+    ring_pmf,
     square_qam,
     tailored_pmf,
     uniform_pmf,
@@ -513,6 +515,49 @@ class TestMiFromSamples:
         for y in (x + 0.05 * noise, 0.97 * np.exp(0.02j) * x + 0.03 * noise, outlier):
             got = mi_from_samples(y, x, unit, pmf)
             assert got == pytest.approx(dense_mi_from_samples(y, x, unit, pmf), abs=1e-12)
+
+    def test_far_outlier_beside_an_empty_corner(self):
+        # Corners empty: a sample beyond a corner is nearest a zero cell and
+        # hundreds of residual deviations from all mass, so every term of
+        # its separable mixture sits under the exp() flush.
+        c = square_qam(16)
+        pmf = ring_pmf(c, [0.5, 0.5, 0.0])
+        unit = normalized(c, pmf)
+        rng = np.random.default_rng(0)
+        x = unit.points[rng.choice(16, size=20_000, p=pmf.probs)]
+        y = x + 1e-3 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+        y[0] = 1.5 * unit.points[0]
+        got = mi_from_samples(y, x, unit, pmf)
+        assert got == pytest.approx(dense_mi_from_samples(y, x, unit, pmf), abs=1e-9)
+
+    @given(
+        order=st.sampled_from([16, 64, 256]),
+        snr_db=st.floats(5.0, 50.0),
+        empty=st.floats(0.0, 0.9),
+        outliers=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                          min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_empty_cells_and_outliers_match_dense_oracle(
+        self, order, snr_db, empty, outliers, seed
+    ):
+        # Log-normal cell weights with a random share of the cells empty;
+        # a few received samples moved anywhere up to three times the
+        # largest level along each axis.
+        rng = np.random.default_rng(seed)
+        c = square_qam(order)
+        weights = np.exp(2.0 * rng.standard_normal(order))
+        weights[rng.random(order) < empty] = 0.0
+        weights[rng.integers(order)] = 1.0
+        pmf = Pmf(weights / weights.sum())
+        unit = normalized(c, pmf)
+        x = unit.points[rng.choice(order, size=10_000, p=pmf.probs)]
+        sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
+        y = x + sigma * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+        y[: len(outliers)] = [unit.levels[-1] * complex(a, b) for a, b in outliers]
+        got = mi_from_samples(y, x, unit, pmf)
+        assert got == pytest.approx(dense_mi_from_samples(y, x, unit, pmf), abs=1e-9)
 
     def test_matches_quadrature_on_awgn_4096(self):
         unit, pmf, x, rng = shaped_symbols(4096, 200_000, seed=7)
