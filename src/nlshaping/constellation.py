@@ -50,7 +50,7 @@ def _grid_structure(side: int):
     return _read_only(ring_index, ring_sizes, ring_sq, orbit_reps, orbit_sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Square QAM constellation held as its 1-D levels.
 
@@ -61,7 +61,8 @@ class Constellation:
     (point -> ring), ``ring_sizes``, ``ring_sq`` (ring squared magnitudes
     on the integer grid), and one representative index per dihedral
     orbit with the orbit sizes. Arrays are read-only, so instances are
-    safe to share across workers.
+    safe to share across workers. Equality and hash go by ``levels``,
+    from which every other field derives.
     """
 
     levels: np.ndarray
@@ -95,6 +96,14 @@ class Constellation:
         derived.update(zip(names, _grid_structure(m)))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Constellation):
+            return NotImplemented
+        return np.array_equal(self.levels, other.levels)
+
+    def __hash__(self):
+        return hash(self.levels.tobytes())
 
 
 def square_qam(order: int, *, min_order: int = 16) -> Constellation:

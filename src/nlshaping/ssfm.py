@@ -6,12 +6,17 @@ polarization-averaged (Manakov) equation with a symmetrized split-step
 scheme; a single lumped amplifier restores the span loss and adds ASE.
 The receiver applies ideal frequency-domain dispersion compensation,
 matched filtering, and data-aided complex scaling. All FFTs go through
-``scipy.fft`` with one worker per polarization row.
+``scipy.fft`` with one worker per polarization row. Each split-step's
+Kerr phase runs over blocks of the sample axis on as many threads: the
+calling thread and one helper per extra worker, from a pool opened for
+each ``propagate`` call, which join before the step's FFT pair. The
+output does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -28,8 +33,13 @@ LN10 = float(np.log(10.0))
 # return infinity.
 SNR_CAP_DB = 100.0
 
-# FFT threads: one per polarization row of a (2, n) field.
+# Threads per split-step: the FFT workers, one per polarization row of a
+# (2, n) field, and the threads sharing each step's Kerr phase.
 FFT_WORKERS = 2
+
+# Samples per block of the Kerr phase: a thread's two block buffers take
+# 192 KiB, so they stay in cache.
+KERR_BLOCK = 1 << 13
 
 # Largest distance of spacing * symbols / baud from an integer for the
 # WDM comb to count as lying on the FFT grid.
@@ -122,6 +132,16 @@ class LinkConfig:
         d = self.dispersion_ps_nm_km * 1e-6  # s/m^2
         lam = self.center_wavelength_nm * 1e-9
         return -d * lam * lam / (2.0 * math.pi * LIGHT_SPEED)
+
+    @property
+    def edge_dispersive_phase_rad(self) -> float:
+        """Dispersive phase per split-step at the edge of the WDM comb,
+        |beta2| * omega_edge^2 * dz / 2 with omega_edge = 2 pi * channels *
+        spacing / 2. The step error of the split-step jumps once it
+        passes about 0.8-1 rad."""
+        omega_edge = 2.0 * math.pi * self.channels * self.spacing_ghz * 1e9 / 2.0
+        dz = self.span_km * 1e3 / self.steps
+        return abs(self.beta2_s2_per_m) * omega_edge**2 * dz / 2.0
 
     def channel_offset_hz(self, channel_index: int) -> float:
         if not 0 <= channel_index < self.channels:
@@ -252,17 +272,50 @@ def generate_wdm(
 
     total = np.zeros((2, n), dtype=np.complex128)
     tx_symbols = np.zeros((config.channels, 2, nsym), dtype=np.complex128)
+    # One wave and one carrier buffer serve every channel; the carrier's
+    # float view, shaped like the (2, n) field, first holds |wave|^2 for
+    # the measured power.
+    wave = np.empty((2, n), dtype=np.complex128)
+    carrier = np.empty(n, dtype=np.complex128)
+    wave_power = carrier.view(np.float64).reshape(2, n)
     for ch in range(config.channels):
         for pol in range(2):
             tx_symbols[ch, pol] = _draw_symbols(modulation, nsym, rng)
-        wave = np.zeros((2, n), dtype=np.complex128)
+        wave[...] = 0.0
         wave[:, ::sps] = tx_symbols[ch]
         wave = _spectral_filter(wave, shaping)
-        measured = float(np.mean(np.abs(wave) ** 2)) * 2.0
+        np.abs(wave, out=wave_power)
+        np.square(wave_power, out=wave_power)
+        measured = float(np.mean(wave_power)) * 2.0
         wave *= np.sqrt(p_target / measured)
-        total += wave * np.exp(2j * np.pi * config.channel_offset_hz(ch) * t)
+        np.multiply(2j * np.pi * config.channel_offset_hz(ch), t, out=carrier)
+        np.exp(carrier, out=carrier)
+        wave *= carrier
+        total += wave
 
     return DualPolField(total, fs, config.center_wavelength_nm, tx_symbols)
+
+
+def _kerr_phase(e, scale, lo, hi, power, kerr):
+    """Multiply the samples lo:hi of the (2, n) field ``e`` in place by
+    exp(i scale (|e_0|^2 + |e_1|^2)), one block of at most KERR_BLOCK
+    samples at a time, in the block buffers ``power`` (float) and
+    ``kerr`` (complex), whose bytes also hold the block's two magnitude
+    rows. Each sample meets the same ufuncs in the same order as in a
+    whole-field pass, so the result does not depend on the blocking.
+    Runs only numpy code, which releases the interpreter lock."""
+    for start in range(lo, hi, KERR_BLOCK):
+        block = e[:, start:min(start + KERR_BLOCK, hi)]
+        width = block.shape[1]
+        p, k = power[:width], kerr[:width]
+        magnitude = k.view(np.float64).reshape(2, width)
+        np.abs(block, out=magnitude)
+        np.square(magnitude, out=magnitude)
+        np.add(magnitude[0], magnitude[1], out=p)
+        p *= scale
+        np.cos(p, out=k.real)
+        np.sin(p, out=k.imag)
+        block *= k
 
 
 def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
@@ -270,7 +323,11 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
 
     Linear half-steps carry attenuation and dispersion in the frequency
     domain; the nonlinear step applies the polarization-averaged Kerr
-    phase (8/9 factor) from the instantaneous local power. Deterministic.
+    phase (8/9 factor) from the instantaneous local power. Deterministic,
+    and bit-identical to a single-threaded whole-field loop: the Kerr
+    phase is split over ``FFT_WORKERS`` threads (the caller and helpers
+    from a pool opened for this call) by contiguous runs of blocks, and
+    every thread joins before the FFT pair.
     """
     if not math.isclose(field.sample_rate_hz, config.sample_rate_hz, rel_tol=1e-12):
         raise ValueError(
@@ -292,21 +349,22 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
     half = np.exp((-alpha / 2.0 - 0.5j * beta2 * omega**2) * (dz / 2.0))
     full = half * half
     # The loop runs in these buffers and allocates nothing per step: the
-    # FFTs overwrite e, and the Kerr phase exp(-i gamma 8/9 |e|^2 dz) is
-    # built as cos + i sin in place.
+    # FFTs overwrite e, and each thread builds the Kerr phase of its
+    # contiguous share of blocks in its own pair of block buffers.
     e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half)
-    magnitude = np.empty(e.shape)
-    power = np.empty(n)
-    kerr = np.empty(n, dtype=np.complex128)
-    for step in range(config.steps):
-        np.abs(e, out=magnitude)
-        np.square(magnitude, out=magnitude)
-        np.add(magnitude[0], magnitude[1], out=power)
-        power *= -gamma89 * dz
-        np.cos(power, out=kerr.real)
-        np.sin(power, out=kerr.imag)
-        e *= kerr
-        e = _spectral_filter(e, half if step == config.steps - 1 else full)
+    blocks = -(-n // KERR_BLOCK)
+    edges = [min(n, blocks * part // FFT_WORKERS * KERR_BLOCK)
+             for part in range(FFT_WORKERS + 1)]
+    shares = [(lo, hi, np.empty(KERR_BLOCK), np.empty(KERR_BLOCK, dtype=np.complex128))
+              for lo, hi in zip(edges, edges[1:])]
+    scale = -gamma89 * dz
+    with ThreadPoolExecutor(max_workers=FFT_WORKERS - 1) as pool:
+        for step in range(config.steps):
+            helpers = [pool.submit(_kerr_phase, e, scale, *share) for share in shares[1:]]
+            _kerr_phase(e, scale, *shares[0])
+            for helper in helpers:
+                helper.result()
+            e = _spectral_filter(e, half if step == config.steps - 1 else full)
     if not np.all(np.isfinite(e)):
         raise FloatingPointError(
             "field became non-finite during propagation; increase steps"
@@ -329,11 +387,16 @@ def amplify(field: DualPolField, gain_db: float, nf_db: float, seed: int) -> Dua
     rng = np.random.default_rng(seed)
     psd = ase_psd_w_per_hz(gain_db, nf_db, field.center_wavelength_nm)
     var = psd * field.sample_rate_hz
-    noise = np.sqrt(var / 2.0) * (
-        rng.standard_normal(field.samples.shape)
-        + 1j * rng.standard_normal(field.samples.shape)
-    )
-    out = field.samples * 10.0 ** (gain_db / 20.0) + noise
+    scale = np.sqrt(var / 2.0)
+    out = field.samples * 10.0 ** (gain_db / 20.0)
+    # The real parts of the noise are drawn first, then the imaginary
+    # parts, through one float buffer.
+    noise = rng.standard_normal(out.shape)
+    noise *= scale
+    out.real += noise
+    rng.standard_normal(out=noise)
+    noise *= scale
+    out.imag += noise
     return replace(field, samples=out)
 
 
@@ -349,11 +412,17 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
     omega = 2.0 * np.pi * freq
     span_m = config.span_km * 1e3
 
-    cdc = np.exp(+0.5j * config.beta2_s2_per_m * omega**2 * span_m)
-    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), cdc)
+    # Each phase factor is built in one buffer and freed after use.
+    cdc = np.multiply(+0.5j * config.beta2_s2_per_m, omega**2)
+    cdc *= span_m
+    e = _spectral_filter(np.array(field.samples, dtype=np.complex128),
+                         np.exp(cdc, out=cdc))
+    del cdc, omega
 
-    t = np.arange(n) / fs
-    e *= np.exp(-2j * np.pi * config.channel_offset_hz(channel_index) * t)
+    carrier = np.multiply(-2j * np.pi * config.channel_offset_hz(channel_index),
+                          np.arange(n) / fs)
+    e *= np.exp(carrier, out=carrier)
+    del carrier
 
     matched = rrc_spectrum(freq, config.baud_ghz * 1e9, config.rrc_rolloff)
     e = _spectral_filter(e, matched)

@@ -101,6 +101,27 @@ class TestSquareQam:
         np.testing.assert_array_equal(covered, 1)
 
 
+class TestEquality:
+    def test_same_order_and_scale_are_equal(self):
+        assert square_qam(16) == square_qam(16)
+        assert hash(square_qam(16)) == hash(square_qam(16))
+        c = square_qam(64)
+        assert normalized(c, uniform_pmf(c)) == normalized(square_qam(64), uniform_pmf(c))
+
+    def test_scale_and_order_tell_apart(self):
+        raw = square_qam(16)
+        assert raw != normalized(raw, uniform_pmf(raw))
+        assert raw != square_qam(64)
+
+    def test_usable_as_dict_key(self):
+        raw = square_qam(16)
+        unit = normalized(raw, uniform_pmf(raw))
+        table = {raw: "raw", unit: "unit"}
+        assert len(table) == 2
+        assert table[square_qam(16)] == "raw"
+        assert table[normalized(square_qam(16), uniform_pmf(raw))] == "unit"
+
+
 class TestMeanPower:
     def test_uniform_16qam(self):
         c = square_qam(16)

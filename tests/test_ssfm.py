@@ -1,6 +1,7 @@
 """Link-simulation tests: waveform generation, propagation, receiver DSP."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -31,11 +32,14 @@ from nlshaping import (
     tailored_pmf,
     uniform_pmf,
 )
+from nlshaping import ssfm
 from nlshaping.awgn_mi import LN2
 from nlshaping.shaping import entropy
 from nlshaping.ssfm import (
+    KERR_BLOCK,
     LN10,
     _nearest_indices,
+    _spectral_filter,
     analytic_ase_snr_db,
     ase_psd_w_per_hz,
     linear_crosstalk_fraction,
@@ -72,6 +76,33 @@ def reference_propagate(field, config: LinkConfig) -> np.ndarray:
         e *= np.exp(-1j * gamma89 * power * dz)
         op = half if step == config.steps - 1 else full
         e = np.fft.ifft(np.fft.fft(e, axis=1) * op, axis=1)
+    return e
+
+
+def whole_field_propagate(field, config: LinkConfig) -> np.ndarray:
+    """The in-place split-step with each step's Kerr phase built in one
+    pass over the whole field on the calling thread: the bit-exact
+    oracle for the blocked, threaded Kerr phase of ``propagate``."""
+    n = field.samples.shape[1]
+    omega = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / field.sample_rate_hz)
+    dz = config.span_km * 1e3 / config.steps
+    alpha = config.alpha_db_per_km * LN10 / 10.0 / 1e3
+    gamma89 = config.gamma_per_w_km * 1e-3 * (8.0 / 9.0)
+    half = np.exp((-alpha / 2.0 - 0.5j * config.beta2_s2_per_m * omega**2) * (dz / 2.0))
+    full = half * half
+    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half)
+    magnitude = np.empty(e.shape)
+    power = np.empty(n)
+    kerr = np.empty(n, dtype=np.complex128)
+    for step in range(config.steps):
+        np.abs(e, out=magnitude)
+        np.square(magnitude, out=magnitude)
+        np.add(magnitude[0], magnitude[1], out=power)
+        power *= -gamma89 * dz
+        np.cos(power, out=kerr.real)
+        np.sin(power, out=kerr.imag)
+        e *= kerr
+        e = _spectral_filter(e, half if step == config.steps - 1 else full)
     return e
 
 
@@ -121,6 +152,21 @@ class TestLinkConfig:
         cfg = tiny_config()
         # 16.3 ps/nm/km at 1550 nm is about -20.8 ps^2/km
         assert cfg.beta2_s2_per_m * 1e27 == pytest.approx(-20.79, abs=0.05)
+
+    @pytest.mark.parametrize("cfg, rad", [
+        (LinkConfig.desk_scale(), 0.502),
+        (LinkConfig.full_scale(steps=1000), 0.558),
+        (LinkConfig.full_scale(), 0.279),
+    ])
+    def test_edge_dispersive_phase_per_step(self, cfg, rad):
+        # |beta2| = D lambda^2 / (2 pi c), in SI units
+        beta2 = (cfg.dispersion_ps_nm_km * 1e-6 * (cfg.center_wavelength_nm * 1e-9) ** 2
+                 / (2 * math.pi * 299_792_458.0))
+        omega_edge = math.pi * cfg.channels * cfg.spacing_ghz * 1e9
+        dz = cfg.span_km * 1e3 / cfg.steps
+        assert cfg.edge_dispersive_phase_rad == pytest.approx(
+            beta2 * omega_edge**2 * dz / 2, rel=1e-12)
+        assert cfg.edge_dispersive_phase_rad == pytest.approx(rad, abs=1e-3)
 
 
 class TestReadConfig:
@@ -265,6 +311,26 @@ class TestPropagate:
         want = reference_propagate(field, cfg)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_equals_whole_field_loop_bit_for_bit(self, workers, monkeypatch):
+        # 40,000 samples: four full Kerr blocks and a partial one, split
+        # unevenly between the threads, while the interpreter switches
+        # threads every microsecond. A lost or doubled block, or two
+        # threads in one buffer, would change the field.
+        cfg = tiny_config(channels=3, samples_per_symbol=8, symbols_per_channel=5000)
+        field = generate_wdm(cfg, uniform_mod(), 6.0, seed=27)
+        n = field.samples.shape[1]
+        assert n % KERR_BLOCK != 0 and (-(-n // KERR_BLOCK)) % workers != 0
+        want = whole_field_propagate(field, cfg)
+        monkeypatch.setattr(ssfm, "FFT_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = propagate(field, cfg).samples
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
     def test_cyclic_shift_commutes(self):
         cfg = tiny_config(channels=3, samples_per_symbol=8)
         field = generate_wdm(cfg, uniform_mod(), 6.0, seed=25)
@@ -360,6 +426,25 @@ class TestReceive:
         rx, tx = transmission_run(cfg, uniform_mod(), 0.0, tx_seed=16, amp_seed=0,
                                   noiseless=True)
         np.testing.assert_allclose(rx, tx, rtol=0.0, atol=1e-11)
+
+    def test_noiseless_linear_loopback_every_channel(self):
+        # Three channels on the FFT grid, spaced by (1 + roll-off) * baud or
+        # more, so the matched filter sees no neighbour: every channel's
+        # symbols come back to rounding too. Here rounding is set by the
+        # channel carriers exp(2 pi i f t), whose phase reaches 1e5 rad
+        # and is rounded to eps times that at the transmitter and again
+        # at the receiver (1.8e-11 measured, 8.6e-14 with one channel).
+        cfg = tiny_config(channels=3, samples_per_symbol=8, spacing_ghz=66.0,
+                          gamma_per_w_km=0.0)
+        assert cfg.spacing_ghz >= (1.0 + cfg.rrc_rolloff) * cfg.baud_ghz
+        field = propagate(generate_wdm(cfg, uniform_mod(), 0.0, seed=28), cfg)
+        field = replace(field, samples=field.samples * 10.0 ** (cfg.span_loss_db / 20.0))
+        n = field.samples.shape[1]
+        max_phase = 2 * np.pi * cfg.spacing_ghz * 1e9 * n / cfg.sample_rate_hz
+        carrier_rounding = 2 * np.finfo(float).eps * max_phase
+        for ch in range(cfg.channels):
+            np.testing.assert_allclose(receive(field, cfg, ch), field.tx_symbols[ch],
+                                       rtol=0.0, atol=carrier_rounding)
 
     def test_ase_only_matches_analytic_budget(self):
         cfg = tiny_config(gamma_per_w_km=0.0)
