@@ -23,7 +23,8 @@ import numpy as np
 from scipy.constants import c as LIGHT_SPEED, h as PLANCK
 from scipy.fft import fft, fftfreq, ifft
 
-from .awgn_mi import LN2, POSTERIOR_CHUNK, _neg_log_posterior, _require_unit_power
+from .awgn_mi import (LN2, POSTERIOR_CHUNK, _neg_log_posterior, _posterior_work,
+                      _require_unit_power)
 from .constellation import Constellation, normalized
 from .shaping import Pmf, entropy, excess_kurtosis
 
@@ -488,10 +489,11 @@ def mi_from_samples(
     levels = constellation.levels
     grid = pmf.probs.reshape(levels.size, levels.size)
     i, q = np.divmod(_nearest_indices(constellation, tx), levels.size)
+    work = _posterior_work(levels.size, rx.size)
     total = 0.0
     for lo in range(0, rx.size, POSTERIOR_CHUNK):
         part = slice(lo, lo + POSTERIOR_CHUNK)
-        neg_log_post = _neg_log_posterior(rx[part], i[part], q[part], levels, grid, sigma2)
+        neg_log_post = _neg_log_posterior(rx[part], i[part], q[part], levels, grid, sigma2, work)
         total += float(neg_log_post.sum())
     mi = h_bits - total / rx.size / LN2
     return float(np.clip(mi, 0.0, h_bits))

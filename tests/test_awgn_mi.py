@@ -1,6 +1,9 @@
 """Quadrature and Monte-Carlo MI tests with independent oracles."""
 
 import math
+import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +24,18 @@ from nlshaping import (
     tailored_pmf,
     uniform_pmf,
 )
-from nlshaping.awgn_mi import EXP_UNDERFLOW, LN2, PROB_TINY, _is_dihedral, _neg_log_posterior
+from nlshaping.awgn_mi import (
+    EXP_UNDERFLOW,
+    LN2,
+    MIX_FLOOR,
+    POSTERIOR_CHUNK,
+    PROB_TINY,
+    _is_dihedral,
+    _neg_log_posterior,
+    _posterior_work,
+    _require_unit_power,
+    _snr_to_sigma2,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -132,6 +146,74 @@ def dense_mi_monte_carlo(constellation, pmf, snr_db, samples, seed):
     var = max(total_sq / samples - mean * mean, 0.0)
     mi = entropy(pmf) - mean
     return float(np.clip(mi, 0.0, entropy(pmf))), float(np.sqrt(var / samples))
+
+
+def allocating_mi_awgn_2d(constellation, pmf, snr_db, rule=None):
+    """Oracle: ``mi_awgn_2d`` with fresh temporaries for every array, the
+    one-line quadrature the work arrays replaced. Same operations on the
+    same operand layouts, so the results must agree bit for bit."""
+    rule = rule or gauss_hermite(16)
+    _require_unit_power(constellation, pmf)
+    sigma = np.sqrt(_snr_to_sigma2(snr_db))
+
+    p = pmf.probs
+    m = constellation.levels.size
+    grid = p.reshape(m, m)
+    if _is_dihedral(grid):
+        reps = constellation.orbit_reps
+        mult = constellation.orbit_sizes.astype(np.float64)
+    else:
+        reps = np.arange(constellation.order)
+        mult = np.ones(constellation.order)
+    keep = p[reps] > 0.0
+    reps, mult = reps[keep], mult[keep]
+
+    levels, t = constellation.levels, rule.nodes
+    d = (levels[:, None] - levels[None, :])[:, None, :]
+    ell = -(d * d) / (sigma * sigma) - (2.0 / sigma) * d * t[None, :, None]
+    shift = ell.max(axis=2)
+    k = np.exp(ell - shift[:, :, None])
+    ri, rq = np.divmod(reps, m)
+    mix = (k @ grid)[ri] @ np.swapaxes(k, 1, 2)[rq]
+    log_mix = np.log(mix) + shift[ri][:, :, None] + shift[rq][:, None, :]
+    w2d = np.outer(rule.weights, rule.weights) / np.pi
+    per_rep = np.tensordot(log_mix, w2d, axes=([1, 2], [0, 1]))
+
+    mi = -float((p[reps] * mult * per_rep).sum()) / LN2
+    return float(np.clip(mi, 0.0, entropy(pmf)))
+
+
+def allocating_neg_log_posterior(y, i, q, levels, grid, sigma2):
+    """Oracle: ``_neg_log_posterior`` with fresh (sqrt(M), chunk) kernels
+    for every call, the body the work arrays replaced; bit for bit."""
+    samples = np.arange(y.size)
+    log_p = np.where(grid > 0.0, np.log(np.maximum(grid, PROB_TINY)), -np.inf)
+    neg = -log_p[i, q]
+    kernels = []
+    for coord, sent in ((y.real, i), (y.imag, q)):
+        ell = levels[:, None] - coord
+        np.square(ell, out=ell)
+        ell /= -sigma2
+        ell -= ell.max(axis=0)
+        neg -= ell[sent, samples]
+        np.maximum(ell, EXP_UNDERFLOW, out=ell)
+        kernels.append(np.exp(ell, out=ell))
+    k_i, k_q = kernels
+    mix = np.einsum("js,js->s", grid.T @ k_i, k_q)
+    if mix.min() >= MIX_FLOOR:
+        return neg + np.log(mix)
+
+    tail = np.flatnonzero(mix < MIX_FLOOR)
+    mix[tail] = 1.0
+    neg += np.log(mix)
+    y, i, q = y[tail], i[tail], q[tail]
+    si, sq = np.nonzero(grid > 0.0)
+    a = log_p[si, sq] - ((y.real[:, None] - levels[si]) ** 2
+                         + (y.imag[:, None] - levels[sq]) ** 2) / sigma2
+    a_max = a.max(axis=1)
+    a_sent = log_p[i, q] - ((y.real - levels[i]) ** 2 + (y.imag - levels[q]) ** 2) / sigma2
+    neg[tail] = a_max + np.log(np.exp(a - a_max[:, None]).sum(axis=1)) - a_sent
+    return neg
 
 
 PMF_KINDS = ("ring_constant", "dihedral", "transpose_only", "flips_only", "asymmetric")
@@ -445,8 +527,143 @@ class TestPosterior:
             rng.standard_normal(n) + 1j * rng.standard_normal(n)
         )
         i, q = np.divmod(idx, m)
-        got = _neg_log_posterior(y, i, q, c.points[::m].real, pmf.probs.reshape(m, m), sigma2)
+        got = _neg_log_posterior(y, i, q, c.points[::m].real, pmf.probs.reshape(m, m), sigma2,
+                                 _posterior_work(m, n))
         logp = np.log(np.maximum(pmf.probs, PROB_TINY))
         want = dense_neg_log_posterior(y, idx, c.points, logp, sigma2)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got / LN2, want / LN2, rtol=0.0, atol=1e-9)
+
+
+class TestWorkArrays:
+    """The kernels reuse their work arrays; the bits must not move."""
+
+    SNRS_DB = (-5.0, 0.0, 6.0, 12.0, 18.0, 24.0, 30.0)
+
+    @pytest.mark.parametrize("rule", [16, 32])
+    @pytest.mark.parametrize("kind", ["ring_constant", "dihedral", "asymmetric"])
+    @pytest.mark.parametrize("order", [16, 64, 256, 1024, 4096])
+    def test_quadrature_bits_match_allocating_oracle(self, order, kind, rule):
+        raw = square_qam(order)
+        pmf = random_pmf(raw, kind, 1.5, np.random.default_rng(order + rule))
+        m = int(math.isqrt(order))
+        assert _is_dihedral(pmf.probs.reshape(m, m)) == (kind != "asymmetric")
+        c = normalized(raw, pmf)
+        gh = gauss_hermite(rule)
+        got = [mi_awgn_2d(c, pmf, snr_db, gh) for snr_db in self.SNRS_DB]
+        want = [allocating_mi_awgn_2d(c, pmf, snr_db, gh) for snr_db in self.SNRS_DB]
+        assert np.array_equal(got, want)
+
+    def test_alternating_calls_match_fresh_calls(self):
+        # Each call changes the shapes of the work arrays, or keeps them
+        # with another pmf and SNR; a second pass meets the arrays the
+        # first pass left behind.
+        rng = np.random.default_rng(17)
+        cases = []
+        for order, kind, rule in ((64, "dihedral", 16), (1024, "asymmetric", 16),
+                                  (256, "ring_constant", 32), (64, "asymmetric", 32),
+                                  (1024, "ring_constant", 16), (256, "transpose_only", 16),
+                                  (16, "flips_only", 32), (1024, "dihedral", 32)):
+            raw = square_qam(order)
+            pmf = random_pmf(raw, kind, 1.0, rng)
+            cases.append((normalized(raw, pmf), pmf, gauss_hermite(rule)))
+        want = [allocating_mi_awgn_2d(c, pmf, 14.0, rule) for c, pmf, rule in cases]
+        for _ in range(2):
+            got = [mi_awgn_2d(c, pmf, 14.0, rule) for c, pmf, rule in cases]
+            assert np.array_equal(got, want)
+        c, pmf, rule = cases[1]
+        same_shapes = [mi_awgn_2d(c, pmf, snr_db, rule) for snr_db in self.SNRS_DB]
+        assert np.array_equal(
+            same_shapes, [allocating_mi_awgn_2d(c, pmf, snr_db, rule) for snr_db in self.SNRS_DB]
+        )
+
+    def test_threads_match_serial_results(self):
+        # Four threads, more than a two-core host has, switching every
+        # microsecond: two on 1024QAM (dihedral path) and two on 256QAM
+        # (full path), each pair with the same shapes and other pmfs, so
+        # arrays shared between threads would be written by both.
+        rng = np.random.default_rng(23)
+        cases = []
+        for order, kind in ((1024, "dihedral"), (256, "asymmetric")) * 2:
+            raw = square_qam(order)
+            pmf = random_pmf(raw, kind, 1.0, rng)
+            cases.append((normalized(raw, pmf), pmf, gauss_hermite(16)))
+        want = [mi_awgn_2d(c, pmf, 16.0, rule) for c, pmf, rule in cases]
+        got = [[] for _ in cases]
+
+        def worker(n):
+            c, pmf, rule = cases[n]
+            for _ in range(20):
+                got[n].append(mi_awgn_2d(c, pmf, 16.0, rule))
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for n, values in enumerate(got):
+            assert np.array_equal(values, [want[n]] * 20)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page fault counts are read on Linux")
+    def test_quadrature_adds_no_page_faults(self):
+        # Fresh temporaries cost about 240 minor faults per 1024QAM call,
+        # as the allocator hands the memory back between calls.
+        c = square_qam(1024)
+        scale = 170.0 / float(np.mean(c.sq_magnitudes))
+        pmf = tailored_pmf(c, -1e-3 * scale, 4.4e-5 * scale**2)
+        cn = normalized(c, pmf)
+        mi_awgn_2d(cn, pmf, 18.0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for n in range(100):
+            mi_awgn_2d(cn, pmf, 17.0 + 0.01 * n)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+    def test_posterior_short_last_chunk_matches_allocating_oracle(self):
+        # 70,001 samples: two full chunks and a short last one, which reads
+        # a contiguous prefix of the work arrays the full chunks filled.
+        raw = square_qam(256)
+        scale = 170.0 / float(np.mean(raw.sq_magnitudes))
+        pmf = tailored_pmf(raw, -1e-3 * scale, 4.4e-5 * scale**2)
+        c = normalized(raw, pmf)
+        rng = np.random.default_rng(9)
+        n, sigma2 = 70_001, 0.1
+        idx = rng.choice(256, size=n, p=pmf.probs)
+        y = c.points[idx] + np.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        )
+        i, q = np.divmod(idx, 16)
+        grid = pmf.probs.reshape(16, 16)
+        work = _posterior_work(16, n)
+        for buf in work:
+            buf.fill(np.nan)
+        for lo in range(0, n, POSTERIOR_CHUNK):
+            part = slice(lo, lo + POSTERIOR_CHUNK)
+            got = _neg_log_posterior(y[part], i[part], q[part], c.levels, grid, sigma2, work)
+            want = allocating_neg_log_posterior(y[part], i[part], q[part], c.levels, grid, sigma2)
+            assert np.array_equal(got, want)
+        assert n - lo < POSTERIOR_CHUNK
+
+    def test_posterior_far_tail_matches_allocating_oracle(self):
+        # The far-outlier case of mi_from_samples: corners empty, one sample
+        # beyond a corner, so that sample takes the dense log-sum-exp.
+        raw = square_qam(16)
+        pmf = ring_pmf(raw, [0.5, 0.5, 0.0])
+        c = normalized(raw, pmf)
+        rng = np.random.default_rng(0)
+        idx = rng.choice(16, size=20_000, p=pmf.probs)
+        x = c.points[idx]
+        y = x + 1e-3 * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+        y[0] = 1.5 * c.points[0]
+        sigma2 = float(np.mean(np.abs(y - x) ** 2))
+        i, q = np.divmod(idx, 4)
+        grid = pmf.probs.reshape(4, 4)
+        got = _neg_log_posterior(y, i, q, c.levels, grid, sigma2, _posterior_work(4, y.size))
+        want = allocating_neg_log_posterior(y, i, q, c.levels, grid, sigma2)
+        assert np.array_equal(got, want)
