@@ -21,7 +21,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import __version__
 from .awgn_mi import DEFAULT_ORDER, gauss_hermite
@@ -46,6 +45,12 @@ from .ssfm import (
 )
 
 SHAPED_FAMILIES = ("uniform", "mb", "opt")
+
+# Excess kurtosis of estimate-c's deep Maxwell-Boltzmann probe, and the
+# largest scaled rate lam * P_u searched for it (four times what 4096QAM
+# needs).
+DEEP_PROBE_KURTOSIS = -0.9
+DEEP_PROBE_U_CAP = 15360.0
 
 # Relative slack, in steps, for a grid maximum that the steps reach up
 # to floating-point rounding (e.g. 0.1 * 3 > 0.3).
@@ -276,15 +281,32 @@ def cmd_simulate(args) -> int:
 
 def default_probes(order: int = 64):
     """Uniform, Gaussian, and a deep Maxwell-Boltzmann probe: three
-    well-separated kurtosis values for the NLI fit."""
+    well-separated kurtosis values for the NLI fit.
+
+    The deep probe's rate is the root of kurtosis = DEEP_PROBE_KURTOSIS
+    on u = lam * P_u in [1e-3, hi]: hi starts at 60 and doubles until it
+    brackets the root (60 up to 64QAM, 240 at 256QAM, 960 at 1024QAM,
+    3840 at 4096QAM). Past DEEP_PROBE_U_CAP it raises ValueError.
+    """
+    # scipy.optimize costs about 0.6 s to import; only this command needs it.
+    from scipy.optimize import brentq
+
     constellation = square_qam(order)
     pu = float(np.mean(constellation.sq_magnitudes))
 
-    def kurt_at(u: float) -> float:
-        return excess_kurtosis(constellation, mb_pmf(constellation, u / pu))
+    def excess(u: float) -> float:
+        pmf = mb_pmf(constellation, u / pu)
+        return excess_kurtosis(constellation, pmf) - DEEP_PROBE_KURTOSIS
 
-    # Rate chosen so the deep probe sits at excess kurtosis -0.9.
-    u_deep = brentq(lambda u: kurt_at(u) + 0.9, 1e-3, 60.0)
+    hi = 60.0
+    while excess(hi) >= 0.0:
+        hi *= 2.0
+        if hi > DEEP_PROBE_U_CAP:
+            raise ValueError(
+                f"no Maxwell-Boltzmann rate up to lam * P_u = {DEEP_PROBE_U_CAP:g} "
+                f"gives excess kurtosis {DEEP_PROBE_KURTOSIS} at {order}QAM"
+            )
+    u_deep = brentq(excess, 1e-3, hi)
     return [
         Modulation("uniform", constellation, uniform_pmf(constellation)),
         gaussian_modulation(),

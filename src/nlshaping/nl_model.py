@@ -4,7 +4,9 @@ The nonlinear interference power of a launch-power-optimized link is
 modeled as (eta1 + eta2 * kurtosis) * P^3, which makes the achievable
 SNR at optimum power a one-third-power function of the modulation's
 excess kurtosis. Shaping families are optimized against the resulting
-effective-SNR AWGN channel.
+effective-SNR AWGN channel. The searches are the package's own
+Nelder-Mead and bounded Brent (``search``), so this module and every
+design command run on numpy alone, without importing scipy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .awgn_mi import QuadratureRule, mi_awgn_2d
 from .constellation import Constellation, normalized
+from .search import bounded_brent, nelder_mead
 from .shaping import (
     Family,
     Pmf,
@@ -42,6 +44,11 @@ _COARSE_NU1 = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
 _COARSE_NU2 = np.array([-0.5, -0.2, 0.0, 0.2, 0.5, 1.0, 2.0])
 
 _MI_TIE_TOL = 1e-9
+
+# Evaluation caps of the MB, tailored and per-ring searches.
+_MB_MAXFEV = 200
+_TAILORED_MAXFEV = 600
+_PER_RING_MAXFEV = 4000
 
 CURVE_FAMILIES = (Family.UNIFORM, Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED)
 
@@ -167,16 +174,14 @@ def optimize_mb(
     best_i = int(np.argmin(values))
     lo = _COARSE_U[max(best_i - 1, 0)]
     hi = _COARSE_U[min(best_i + 1, _COARSE_U.size - 1)]
-    res = optimize.minimize_scalar(
-        neg_mi, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-6, "maxiter": 200},
-    )
-    if not res.success:
+    u, fun, _, status = bounded_brent(neg_mi, lo, hi, xatol=1e-6, maxiter=_MB_MAXFEV)
+    if status != 0:
+        reason = f"hit its cap of {_MB_MAXFEV} evaluations" if status == 1 else "met a NaN MI"
         raise OptimizationError(
-            f"Maxwell-Boltzmann rate search did not converge: {res.message}",
-            best=(res.x / pu, -res.fun),
+            f"Maxwell-Boltzmann rate search did not converge: it {reason}",
+            best=(u / pu, -fun),
         )
-    u_star = float(res.x) if res.fun < values[best_i] else float(_COARSE_U[best_i])
+    u_star = float(u) if fun < values[best_i] else float(_COARSE_U[best_i])
     return u_star / pu, scored[u_star]
 
 
@@ -218,16 +223,16 @@ def optimize_tailored(
     # (neg MI, nu1, nu2) per candidate
     candidates = [(-mb_point.mi_4d, lam_star, 0.0)]
     for start in starts:
-        res = optimize.minimize(
-            neg_mi, start, method="Nelder-Mead",
-            options={"xatol": 2e-4, "fatol": 1e-10, "maxfev": 600},
+        x, fun, _, status = nelder_mead(
+            neg_mi, start, xatol=2e-4, fatol=1e-10, maxfev=_TAILORED_MAXFEV
         )
-        if res.status != 0:
+        if status != 0:
             raise OptimizationError(
-                f"tailored-family search did not converge: {res.message}",
-                best=(res.x[0] / pu, res.x[1] / (pu * pu), -res.fun),
+                "tailored-family search did not converge: it hit its cap of "
+                f"{_TAILORED_MAXFEV} evaluations",
+                best=(x[0] / pu, x[1] / (pu * pu), -fun),
             )
-        candidates.append((float(res.fun), float(res.x[0] / pu), float(res.x[1] / (pu * pu))))
+        candidates.append((float(fun), float(x[0] / pu), float(x[1] / (pu * pu))))
 
     best_fun = min(c[0] for c in candidates)
     # Deterministic tie-break: among MI-equal optima prefer small |nu2|.
@@ -293,22 +298,20 @@ def optimize_per_ring(
 
     best_z, best_fun = None, np.inf
     for start in starts:
-        res = optimize.minimize(
-            neg_mi, start, method="Nelder-Mead",
-            options={
-                "xatol": 1e-5, "fatol": 1e-11,
-                "maxfev": 4000, "adaptive": n_rings > 5,
-            },
+        z, fun, _, status = nelder_mead(
+            neg_mi, start, xatol=1e-5, fatol=1e-11, maxfev=_PER_RING_MAXFEV,
+            adaptive=n_rings > 5,
         )
-        if res.status != 0:
+        if status != 0:
             raise OptimizationError(
-                f"per-ring search did not converge: {res.message}",
-                best=(masses_from_logits(res.x), -res.fun),
+                "per-ring search did not converge: it hit its cap of "
+                f"{_PER_RING_MAXFEV} evaluations",
+                best=(masses_from_logits(z), -fun),
             )
-        # Nelder-Mead keeps its start as a simplex vertex, so res.fun is
-        # never above the start's value.
-        if res.fun < best_fun:
-            best_fun, best_z = res.fun, res.x
+        # Nelder-Mead keeps its start as a simplex vertex, so fun is never
+        # above the start's value.
+        if fun < best_fun:
+            best_fun, best_z = fun, z
 
     return masses_from_logits(best_z), scored[tuple(best_z)]
 

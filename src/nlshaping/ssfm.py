@@ -6,11 +6,13 @@ polarization-averaged (Manakov) equation with a symmetrized split-step
 scheme; a single lumped amplifier restores the span loss and adds ASE.
 The receiver applies ideal frequency-domain dispersion compensation,
 matched filtering, and data-aided complex scaling. All FFTs go through
-``scipy.fft`` with one worker per polarization row. Each split-step's
-Kerr phase runs over blocks of the sample axis on as many threads: the
-calling thread and one helper per extra worker, from a pool opened for
-each ``propagate`` call, which join before the step's FFT pair. The
-output does not depend on the thread count.
+``scipy.fft`` with one worker per polarization row. It is the only part
+of scipy the link uses and is imported at the first spectral filter, so
+importing this module, as every design command does, loads no scipy.
+Each split-step's Kerr phase runs over blocks of the sample axis on as
+many threads: the calling thread and one helper per extra worker, from
+a pool opened for each ``propagate`` call, which join before the step's
+FFT pair. The output does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.constants import c as LIGHT_SPEED, h as PLANCK
-from scipy.fft import fft, fftfreq, ifft
+from numpy.fft import fftfreq
 
 from .awgn_mi import (LN2, POSTERIOR_CHUNK, _neg_log_posterior, _posterior_work,
                       _require_unit_power)
@@ -29,6 +30,10 @@ from .constellation import Constellation, normalized
 from .shaping import Pmf, entropy, excess_kurtosis
 
 LN10 = float(np.log(10.0))
+
+# Exact SI values (m/s and J s), equal to scipy.constants.c and .h.
+LIGHT_SPEED = 299792458.0
+PLANCK = 6.62607015e-34
 
 # estimate_snr reports at most this; a zero-residual input would otherwise
 # return infinity.
@@ -236,6 +241,9 @@ def rrc_spectrum(freq_hz: np.ndarray, baud_hz: float, rolloff: float) -> np.ndar
 def _spectral_filter(x: np.ndarray, response: np.ndarray) -> np.ndarray:
     """ifft(fft(x) * response) along the last axis, computed in the buffer
     of ``x``, which is overwritten and returned."""
+    # Imported here so that the design commands never load scipy.
+    from scipy.fft import fft, ifft
+
     x = fft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
     x *= response
     return ifft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)

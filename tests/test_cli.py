@@ -1,11 +1,18 @@
 """Black-box CLI tests: CSV schemas, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlshaping.cli import _grid, format_cell, main
+import nlshaping
+from nlshaping import cli
+from nlshaping.cli import _grid, default_probes, format_cell, main
+from nlshaping.shaping import excess_kurtosis, mb_pmf
 
 TINY_CFG = """\
 # single-channel regression link
@@ -341,3 +348,90 @@ class TestEstimateCCsv:
         assert 0.0 <= r2 <= 1.0
         for row in probe_rows:
             assert float(row[4]) > 0.0
+
+
+def scipy_modules_after(code: str) -> set[str]:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(nlshaping.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (code + "\nimport sys\nprint('SCIPY:' + ' '.join(sorted("
+              "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600, check=True)
+    line = next(x for x in proc.stdout.splitlines() if x.startswith("SCIPY:"))
+    return set(line[len("SCIPY:"):].split())
+
+
+class TestImportBudget:
+    """scipy.optimize takes about 0.6 s to import and scipy.fft about 0.3 s;
+    the design commands need neither."""
+
+    def test_package_import_loads_no_scipy(self):
+        assert scipy_modules_after("import nlshaping, nlshaping.cli") == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "10"],
+        ["pmf", "--order", "16", "--snr", "12", "--family", "opt"],
+    ])
+    def test_design_commands_load_no_scipy(self, argv, tmp_path):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+        loaded = scipy_modules_after(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0")
+        assert loaded == set()
+
+    def test_simulate_loads_fft_but_not_optimize(self, tmp_path):
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text(TINY_CFG, encoding="utf-8")
+        argv = ["simulate", "--config", str(cfg), "--order", "16", "--families", "opt",
+                "--power-min", "0", "--power-max", "0", "--out", str(tmp_path / "sim.csv")]
+        loaded = scipy_modules_after(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0")
+        assert "scipy.fft" in loaded
+        assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)
+
+    def test_physical_constants_equal_scipy(self):
+        from scipy import constants
+
+        from nlshaping import ssfm
+
+        assert ssfm.LIGHT_SPEED == constants.c
+        assert ssfm.PLANCK == constants.h
+
+
+class TestDefaultProbes:
+    @pytest.mark.parametrize("order", [256, 1024, 4096])
+    def test_deep_probe_kurtosis(self, order):
+        # 60 does not bracket the root here: the MB kurtosis at u = 60 is
+        # -0.172 at 256QAM and -0.000 at 1024QAM.
+        probe = default_probes(order)[2]
+        assert probe.name == "mb_deep"
+        kurt = excess_kurtosis(probe.constellation, probe.pmf)
+        assert kurt == pytest.approx(-0.9, abs=1e-9)
+
+    @pytest.mark.parametrize("order", [16, 64])
+    def test_small_orders_keep_their_bits(self, order):
+        # Oracle: the search before the bracket could grow, on [1e-3, 60].
+        from scipy.optimize import brentq
+
+        probe = default_probes(order)[2]
+        pu = float(np.mean(probe.constellation.sq_magnitudes))
+
+        def kurt_at(u):
+            return excess_kurtosis(probe.constellation, mb_pmf(probe.constellation, u / pu))
+
+        u_deep = brentq(lambda u: kurt_at(u) + 0.9, 1e-3, 60.0)
+        assert np.array_equal(probe.pmf.probs, mb_pmf(probe.constellation, u_deep / pu).probs)
+
+    def test_cap_names_the_order(self, monkeypatch):
+        monkeypatch.setattr(cli, "DEEP_PROBE_U_CAP", 100.0)
+        with pytest.raises(ValueError, match="256QAM"):
+            default_probes(256)
+
+    def test_estimate_c_runs_at_256qam(self, tmp_path):
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text(TINY_CFG + "gamma_per_w_km = 4.8\n", encoding="utf-8")
+        out = tmp_path / "fit.csv"
+        assert run_cli(["estimate-c", "--config", str(cfg), "--order", "256",
+                        "--probe-power", "9", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        kurtoses = [float(r[2]) for r in rows if r[0] == "probe"]
+        assert kurtoses[2] == pytest.approx(-0.9, abs=1e-9)

@@ -213,6 +213,21 @@ class TestOptimizePerRing:
         assert ring_probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestSearchCaps:
+    @pytest.mark.parametrize("search, cap_name, text", [
+        (optimize_mb, "_MB_MAXFEV", "Maxwell-Boltzmann rate search"),
+        (optimize_tailored, "_TAILORED_MAXFEV", "tailored-family search"),
+        (optimize_per_ring, "_PER_RING_MAXFEV", "per-ring search"),
+    ])
+    def test_error_names_search_and_cap(self, search, cap_name, text, monkeypatch):
+        from nlshaping import OptimizationError, nl_model
+
+        monkeypatch.setattr(nl_model, cap_name, 3)
+        with pytest.raises(OptimizationError, match=f"{text} .* cap of 3 evaluations") as exc:
+            search(square_qam(16), NlChannelModel(c=0.69, snr_gauss_db=12.0), RULE)
+        assert math.isfinite(exc.value.best[-1])
+
+
 class TestMiCurve:
     def test_dominance_chain_and_delta_identity(self):
         c = square_qam(16)
