@@ -87,12 +87,6 @@ def base_metadata(**extra) -> dict:
     return md
 
 
-def _open_out(args):
-    if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8"), True
-
-
 def _out_path(text: str) -> str:
     """Validate ``--out`` at parse time, so a bad path fails before any
     compute: it must not be a directory, and its directory must exist
@@ -144,75 +138,54 @@ def _point_row(point: MiCurvePoint) -> list:
     ]
 
 
-def cmd_mi_curve(args) -> int:
-    try:
-        constellation = square_qam(args.order)
-        grid = _grid(args.snr_min, args.snr_max, args.snr_step)
-        rule = gauss_hermite(DEFAULT_ORDER)
-        families = tuple(Family(name) for name in args.families)
-        rows = [
-            _point_row(point)
-            for points in mi_curve(constellation, args.c, grid, rule, families)
-            for point in points
-        ]
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: mi-curve failed: {exc}", file=sys.stderr)
-        return 1
-
-    stream, close = _open_out(args)
-    try:
-        write_csv(
-            stream,
-            base_metadata(order=args.order, c=args.c,
-                          snr_grid_db=f"{args.snr_min}:{args.snr_max}:{args.snr_step}",
-                          families=",".join(args.families),
-                          optimizer="coarse-grid + bounded/simplex refinement"),
-            ["snr_gauss_db", "family", "lambda", "nu1", "nu2", "kurtosis",
-             "effective_snr_db", "mi_4d", "delta_mi_4d"],
-            rows,
-        )
-    finally:
-        if close:
-            stream.close()
-    return 0
+def cmd_mi_curve(args):
+    constellation = square_qam(args.order)
+    grid = _grid(args.snr_min, args.snr_max, args.snr_step)
+    rule = gauss_hermite(DEFAULT_ORDER)
+    families = tuple(Family(name) for name in args.families)
+    rows = [
+        _point_row(point)
+        for points in mi_curve(constellation, args.c, grid, rule, families)
+        for point in points
+    ]
+    metadata = base_metadata(order=args.order, c=args.c,
+                             snr_grid_db=f"{args.snr_min}:{args.snr_max}:{args.snr_step}",
+                             families=",".join(args.families),
+                             optimizer="coarse-grid + bounded/simplex refinement")
+    header = ["snr_gauss_db", "family", "lambda", "nu1", "nu2", "kurtosis",
+              "effective_snr_db", "mi_4d", "delta_mi_4d"]
+    return metadata, header, rows
 
 
-def cmd_pmf(args) -> int:
-    try:
-        constellation = square_qam(args.order)
-        model = NlChannelModel(c=args.c, snr_gauss_db=args.snr)
-        rule = gauss_hermite(DEFAULT_ORDER)
-        if args.family == "mb":
-            _, point = optimize_mb(constellation, model, rule)
-        else:
-            _, _, point = optimize_tailored(constellation, model, rule)
-        pmf = build_pmf(constellation, point.params)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: pmf optimization failed: {exc}", file=sys.stderr)
-        return 1
+def cmd_pmf(args):
+    constellation = square_qam(args.order)
+    model = NlChannelModel(c=args.c, snr_gauss_db=args.snr)
+    rule = gauss_hermite(DEFAULT_ORDER)
+    if args.family == "mb":
+        _, point = optimize_mb(constellation, model, rule)
+    else:
+        _, _, point = optimize_tailored(constellation, model, rule)
+    pmf = build_pmf(constellation, point.params)
 
     unit = normalized(constellation, pmf)
     rows = [
         [i, unit.points[i].real, unit.points[i].imag, unit.sq_magnitudes[i], pmf.probs[i]]
         for i in range(unit.order)
     ]
-    stream, close = _open_out(args)
-    try:
-        write_csv(
-            stream,
-            base_metadata(order=args.order, c=args.c, snr_gauss_db=args.snr,
-                          family=args.family,
-                          lam=format_cell(point.params.lam),
-                          nu1=format_cell(point.params.nu1),
-                          nu2=format_cell(point.params.nu2),
-                          kurtosis=format_cell(point.kurtosis)),
-            ["point_index", "re", "im", "ring_sq_magnitude", "probability"],
-            rows,
-        )
-    finally:
-        if close:
-            stream.close()
-    return 0
+    metadata = base_metadata(order=args.order, c=args.c, snr_gauss_db=args.snr,
+                             family=args.family,
+                             lam=format_cell(point.params.lam),
+                             nu1=format_cell(point.params.nu1),
+                             nu2=format_cell(point.params.nu2),
+                             kurtosis=format_cell(point.kurtosis))
+    return metadata, ["point_index", "re", "im", "ring_sq_magnitude", "probability"], rows
+
+
+def _link_config(args) -> LinkConfig:
+    """The ``--config`` file's link, or the desk-scale defaults, with
+    ``--seed`` applied."""
+    config = read_config(args.config) if args.config else LinkConfig()
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _config_metadata(config: LinkConfig) -> dict:
@@ -246,37 +219,24 @@ def build_modulations(names, order: int, c: float, cal_snr_db: float):
     return out
 
 
-def cmd_simulate(args) -> int:
-    try:
-        config = read_config(args.config) if args.config else LinkConfig.desk_scale()
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        powers = _grid(args.power_min, args.power_max, args.power_step)
-        modulations = build_modulations(args.families, args.order, args.c, args.cal_snr)
-        results = power_sweep(config, modulations, powers)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: simulate failed: {exc}", file=sys.stderr)
-        return 1
+def cmd_simulate(args):
+    config = _link_config(args)
+    powers = _grid(args.power_min, args.power_max, args.power_step)
+    modulations = build_modulations(args.families, args.order, args.c, args.cal_snr)
+    results = power_sweep(config, modulations, powers)
 
     rows = [
         [r.launch_dbm_per_channel, r.family, r.snr_db, r.mi_4d, r.kurtosis]
         for r in results
     ]
-    stream, close = _open_out(args)
-    try:
-        metadata = base_metadata(
-            order=args.order, c=args.c, cal_snr_db=args.cal_snr,
-            families=",".join(args.families), seed=config.seed,
-            propagation="symmetrized split-step Manakov, 8/9 Kerr factor",
-            receiver="full-band CDC, matched RRC, data-aided MMSE scaling",
-        )
-        metadata.update(_config_metadata(config))
-        write_csv(stream, metadata,
-                  ["launch_dbm", "family", "snr_db", "mi_4d", "kurtosis"], rows)
-    finally:
-        if close:
-            stream.close()
-    return 0
+    metadata = base_metadata(
+        order=args.order, c=args.c, cal_snr_db=args.cal_snr,
+        families=",".join(args.families), seed=config.seed,
+        propagation="symmetrized split-step Manakov, 8/9 Kerr factor",
+        receiver="full-band CDC, matched RRC, data-aided MMSE scaling",
+    )
+    metadata.update(_config_metadata(config))
+    return metadata, ["launch_dbm", "family", "snr_db", "mi_4d", "kurtosis"], rows
 
 
 def default_probes(order: int = 64):
@@ -314,16 +274,10 @@ def default_probes(order: int = 64):
     ]
 
 
-def cmd_estimate_c(args) -> int:
-    try:
-        config = read_config(args.config) if args.config else LinkConfig.desk_scale()
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        probes = default_probes(args.order)
-        fit = estimate_c(config, probes, args.probe_power)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: estimate-c failed: {exc}", file=sys.stderr)
-        return 1
+def cmd_estimate_c(args):
+    config = _link_config(args)
+    probes = default_probes(args.order)
+    fit = estimate_c(config, probes, args.probe_power)
 
     rows = [
         ["probe", p.family, p.kurtosis, p.snr_db, p.nli_variance_w,
@@ -332,20 +286,13 @@ def cmd_estimate_c(args) -> int:
     ]
     rows.append(["summary", None, None, None, None,
                  fit.eta1, fit.eta2, fit.c, fit.r_squared])
-    stream, close = _open_out(args)
-    try:
-        metadata = base_metadata(
-            probe_power_dbm=args.probe_power, order=args.order, seed=config.seed,
-        )
-        metadata.update(_config_metadata(config))
-        write_csv(stream, metadata,
-                  ["row", "family", "kurtosis", "snr_db", "nli_variance_w",
-                   "eta1", "eta2", "c", "r_squared"],
-                  rows)
-    finally:
-        if close:
-            stream.close()
-    return 0
+    metadata = base_metadata(
+        probe_power_dbm=args.probe_power, order=args.order, seed=config.seed,
+    )
+    metadata.update(_config_metadata(config))
+    header = ["row", "family", "kurtosis", "snr_db", "nli_variance_w",
+              "eta1", "eta2", "c", "r_squared"]
+    return metadata, header, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,9 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command: its CSV goes to ``--out`` or standard output, and
+    a numerical failure prints one error line and returns 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        metadata, header, rows = args.func(args)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        print(f"error: {args.command} failed: {exc}", file=sys.stderr)
+        return 1
+    if args.out is None:
+        write_csv(sys.stdout, metadata, header, rows)
+    else:
+        with open(args.out, "w", encoding="utf-8") as stream:
+            write_csv(stream, metadata, header, rows)
+    return 0
 
 
 if __name__ == "__main__":

@@ -150,7 +150,7 @@ def test_criterion_6_snr_ratio_arithmetic():
 
 @pytest.mark.slow
 class TestCriterion7SsfmPhysics:
-    CONFIG = LinkConfig.desk_scale(seed=1234)
+    CONFIG = LinkConfig(seed=1234)
 
     def test_a_nli_power_law_slope(self):
         cfg = self.CONFIG
@@ -183,7 +183,7 @@ class TestCriterion7SsfmPhysics:
         mod = default_probes()[0]
         snrs = []
         for steps in (400, 800):
-            cfg = LinkConfig.desk_scale(seed=1234, steps=steps)
+            cfg = LinkConfig(seed=1234, steps=steps)
             rx, tx = transmission_run(cfg, mod, 6.0, tx_seed=777, amp_seed=778)
             snrs.append(estimate_snr(rx, tx))
         assert abs(snrs[0] - snrs[1]) < 0.05
@@ -191,7 +191,7 @@ class TestCriterion7SsfmPhysics:
               f"{abs(snrs[0] - snrs[1]):.4f} dB")
 
     def test_d_ase_only_budget(self):
-        cfg = LinkConfig.desk_scale(seed=1234, gamma_per_w_km=0.0)
+        cfg = LinkConfig(seed=1234, gamma_per_w_km=0.0)
         launch_dbm = -6.0  # ASE-dominated: linear crosstalk is 20 dB down
         rx, tx = transmission_run(cfg, gaussian_modulation(), launch_dbm,
                                   tx_seed=31, amp_seed=32)

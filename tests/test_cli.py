@@ -106,6 +106,24 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "error: argument --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "10"],
+        ["pmf", "--order", "16", "--snr", "18", "--family", "mb"],
+        ["simulate", "--order", "16", "--families", "mb",
+         "--power-min", "0", "--power-max", "0"],
+        ["estimate-c", "--order", "16"],
+    ])
+    def test_compute_error_is_1(self, argv, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ValueError("no optimum")
+
+        for name in ("mi_curve", "optimize_mb", "power_sweep", "estimate_c"):
+            monkeypatch.setattr(cli, name, fail)
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {argv[0]} failed: no optimum\n"
+        assert captured.out == ""
+
     def test_success_is_0(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert run_cli(["mi-curve", "--order", "16", "--snr-min", "10",
