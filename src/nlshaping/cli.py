@@ -13,6 +13,7 @@ reproduce byte-identical payloads.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -23,18 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .awgn_mi import DEFAULT_ORDER, gauss_hermite
-from .constellation import normalized, square_qam
-from .nl_model import (
-    DEFAULT_C,
-    Family,
-    MiCurvePoint,
-    NlChannelModel,
-    mi_curve,
-    optimize_mb,
-    optimize_tailored,
-)
-from .shaping import build_pmf, excess_kurtosis, mb_pmf, uniform_pmf
+from .awgn_mi import DEFAULT_ORDER
+from .constellation import SUPPORTED_ORDERS, normalized, square_qam
+from .nl_model import CURVE_FAMILIES, DEFAULT_C, Family, MiCurvePoint, mi_curve
+from .shaping import ShapingParams, build_pmf, excess_kurtosis, mb_pmf, uniform_pmf
 from .ssfm import (
     LinkConfig,
     Modulation,
@@ -44,7 +37,7 @@ from .ssfm import (
     read_config,
 )
 
-SHAPED_FAMILIES = ("uniform", "mb", "opt")
+SHAPED_FAMILIES = tuple(f.value for f in CURVE_FAMILIES)
 
 # Excess kurtosis of estimate-c's deep Maxwell-Boltzmann probe, and the
 # largest scaled rate lam * P_u searched for it (four times what 4096QAM
@@ -102,6 +95,18 @@ def _out_path(text: str) -> str:
     return text
 
 
+def _finite(text: str) -> float:
+    """A float argument that must be finite: nan and inf fail at parse
+    time, naming the argument, before any compute."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_families(text: str, allowed) -> list[str]:
     names = [item.strip() for item in text.split(",") if item.strip()]
     for name in names:
@@ -117,10 +122,8 @@ def _parse_families(text: str, allowed) -> list[str]:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    if hi < lo:
-        raise ValueError("grid maximum must be >= minimum")
-    if step <= 0:
-        raise ValueError("grid step must be positive")
+    """lo, lo + step, ... up to hi; ``main`` has checked lo <= hi and
+    step > 0."""
     # A step that would pass hi is never taken; one that reaches it up to
     # rounding is, and lands on hi.
     count = int(np.floor((hi - lo) / step + GRID_TOL)) + 1
@@ -141,11 +144,10 @@ def _point_row(point: MiCurvePoint) -> list:
 def cmd_mi_curve(args):
     constellation = square_qam(args.order)
     grid = _grid(args.snr_min, args.snr_max, args.snr_step)
-    rule = gauss_hermite(DEFAULT_ORDER)
     families = tuple(Family(name) for name in args.families)
     rows = [
         _point_row(point)
-        for points in mi_curve(constellation, args.c, grid, rule, families)
+        for points in mi_curve(constellation, args.c, grid, families)
         for point in points
     ]
     metadata = base_metadata(order=args.order, c=args.c,
@@ -159,12 +161,7 @@ def cmd_mi_curve(args):
 
 def cmd_pmf(args):
     constellation = square_qam(args.order)
-    model = NlChannelModel(c=args.c, snr_gauss_db=args.snr)
-    rule = gauss_hermite(DEFAULT_ORDER)
-    if args.family == "mb":
-        _, point = optimize_mb(constellation, model, rule)
-    else:
-        _, _, point = optimize_tailored(constellation, model, rule)
+    ((point,),) = mi_curve(constellation, args.c, [args.snr], (Family(args.family),))
     pmf = build_pmf(constellation, point.params)
 
     unit = normalized(constellation, pmf)
@@ -195,28 +192,20 @@ def _config_metadata(config: LinkConfig) -> dict:
 
 def build_modulations(names, order: int, c: float, cal_snr_db: float):
     """Resolve family tags into concrete modulations. Shaped families are
-    optimized once against the calibration model and reused across the
-    sweep, mirroring how shaped transmitters are provisioned."""
+    designed once, by one ``mi_curve`` point at the calibration SNR, and
+    reused across the sweep, mirroring how shaped transmitters are
+    provisioned."""
     constellation = square_qam(order)
-    model = NlChannelModel(c=c, snr_gauss_db=cal_snr_db)
-    rule = gauss_hermite(DEFAULT_ORDER)
-    mb = None
-    out = []
-    for name in names:
-        if name == "gaussian":
-            out.append(gaussian_modulation())
-            continue
-        if name in ("mb", "opt") and mb is None:
-            mb = optimize_mb(constellation, model, rule)
-        if name == "uniform":
-            pmf = uniform_pmf(constellation)
-        elif name == "mb":
-            pmf = mb_pmf(constellation, mb[0])
-        else:
-            _, _, point = optimize_tailored(constellation, model, rule, mb=mb)
-            pmf = build_pmf(constellation, point.params)
-        out.append(Modulation(name, constellation, pmf))
-    return out
+    params = {"uniform": ShapingParams(Family.UNIFORM)}
+    shaped = tuple(Family(name) for name in names if name in ("mb", "opt"))
+    if shaped:
+        (points,) = mi_curve(constellation, c, [cal_snr_db], shaped)
+        params.update((point.family.value, point.params) for point in points)
+    return [
+        gaussian_modulation() if name == "gaussian"
+        else Modulation(name, constellation, build_pmf(constellation, params[name]))
+        for name in names
+    ]
 
 
 def cmd_simulate(args):
@@ -309,42 +298,42 @@ def build_parser() -> argparse.ArgumentParser:
         return _parse_families(text, SHAPED_FAMILIES + ("gaussian",))
 
     p = sub.add_parser("mi-curve", help="MI versus Gaussian-reference SNR")
-    p.add_argument("--order", type=int, default=1024)
-    p.add_argument("--c", type=float, default=DEFAULT_C)
-    p.add_argument("--snr-min", type=float, required=True)
-    p.add_argument("--snr-max", type=float, required=True)
-    p.add_argument("--snr-step", type=float, default=0.5)
+    p.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=1024)
+    p.add_argument("--c", type=_finite, default=DEFAULT_C)
+    p.add_argument("--snr-min", type=_finite, required=True)
+    p.add_argument("--snr-max", type=_finite, required=True)
+    p.add_argument("--snr-step", type=_finite, default=0.5)
     p.add_argument("--families", type=shaped, default=list(SHAPED_FAMILIES))
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_mi_curve)
 
     p = sub.add_parser("pmf", help="optimized distribution at one SNR")
-    p.add_argument("--order", type=int, default=256)
-    p.add_argument("--c", type=float, default=DEFAULT_C)
-    p.add_argument("--snr", type=float, required=True)
+    p.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=256)
+    p.add_argument("--c", type=_finite, default=DEFAULT_C)
+    p.add_argument("--snr", type=_finite, required=True)
     p.add_argument("--family", choices=("mb", "opt"), required=True)
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_pmf)
 
     p = sub.add_parser("simulate", help="launch-power sweep over the fiber link")
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--order", type=int, default=256)
-    p.add_argument("--c", type=float, default=DEFAULT_C)
-    p.add_argument("--cal-snr", type=float, default=18.0,
+    p.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=256)
+    p.add_argument("--c", type=_finite, default=DEFAULT_C)
+    p.add_argument("--cal-snr", type=_finite, default=18.0,
                    help="Gaussian-reference SNR the shaped pmfs are optimized for")
     p.add_argument("--families", type=sim_families,
                    default=["uniform", "mb", "opt"])
-    p.add_argument("--power-min", type=float, required=True)
-    p.add_argument("--power-max", type=float, required=True)
-    p.add_argument("--power-step", type=float, default=1.0)
+    p.add_argument("--power-min", type=_finite, required=True)
+    p.add_argument("--power-max", type=_finite, required=True)
+    p.add_argument("--power-step", type=_finite, default=1.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate-c", help="fit eta2/eta1 from simulation probes")
     p.add_argument("--config", default=None)
-    p.add_argument("--order", type=int, default=64)
-    p.add_argument("--probe-power", type=float, default=6.0)
+    p.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=64)
+    p.add_argument("--probe-power", type=_finite, default=6.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_estimate_c)
@@ -352,10 +341,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_grids(parser: argparse.ArgumentParser, args) -> None:
+    """Usage errors of the SNR and power grids, before any compute."""
+    for axis in ("snr", "power"):
+        lo = getattr(args, f"{axis}_min", None)
+        if lo is None:
+            continue
+        hi, step = getattr(args, f"{axis}_max"), getattr(args, f"{axis}_step")
+        if hi < lo:
+            parser.error(f"--{axis}-max {hi:g} is below --{axis}-min {lo:g}")
+        if step <= 0:
+            parser.error(f"--{axis}-step must be positive, got {step:g}")
+
+
 def main(argv=None) -> int:
-    """Run one command: its CSV goes to ``--out`` or standard output, and
-    a numerical failure prints one error line and returns 1."""
-    args = build_parser().parse_args(argv)
+    """Run one command: its CSV goes to ``--out`` or standard output. A
+    usage error exits 2 before any compute; a numerical failure prints
+    one error line and returns 1."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_grids(parser, args)
     try:
         metadata, header, rows = args.func(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -11,6 +11,7 @@ rebuilds it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,26 +107,15 @@ class Constellation:
         return hash(self.levels.tobytes())
 
 
-def square_qam(order: int, *, min_order: int = 16) -> Constellation:
+def square_qam(order: int) -> Constellation:
     """Build the square QAM constellation of the given order on the
-    odd-integer grid.
-
-    ``min_order`` relaxes the default lower bound of 16, admitting the
-    4-point constellation for degenerate single-ring testing.
-    """
-    if not isinstance(order, int) or order < 4:
-        raise ValueError(f"order must be an integer >= 4, got {order!r}")
-    root = np.sqrt(order)
-    m = int(round(root))
-    if m * m != order or (m & (m - 1)) != 0:
+    odd-integer grid."""
+    if not isinstance(order, int) or order not in SUPPORTED_ORDERS:
         raise ValueError(
-            f"order {order} is not square QAM: need an even power of two "
-            f"(one of {SUPPORTED_ORDERS})"
+            f"order {order!r} outside the supported range: square QAM of "
+            f"order {', '.join(map(str, SUPPORTED_ORDERS))}"
         )
-    if order < min_order or order > 4096:
-        raise ValueError(
-            f"order {order} outside the supported range [{min_order}, 4096]"
-        )
+    m = math.isqrt(order)
     return Constellation(np.arange(-(m - 1), m, 2, dtype=np.float64))
 
 

@@ -16,18 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .awgn_mi import QuadratureRule, mi_awgn_2d
+from .awgn_mi import mi_awgn_2d
 from .constellation import Constellation, normalized
 from .search import bounded_brent, nelder_mead
 from .shaping import (
     Family,
-    Pmf,
     ShapingParams,
     build_pmf,
     excess_kurtosis,
-    mb_pmf,
     ring_masses,
-    tailored_pmf,
     uniform_pmf,
 )
 
@@ -108,38 +105,26 @@ def _delta_mi(mi_4d: float, snr_gauss_db: float) -> float:
     return mi_4d - 2.0 * math.log2(1.0 + snr_lin)
 
 
-def _evaluate_pmf(
+def evaluate_family(
     constellation: Constellation,
-    pmf: Pmf,
-    family: Family,
     params: ShapingParams,
     model: NlChannelModel,
-    rule: QuadratureRule | None,
 ) -> MiCurvePoint:
+    """Build the pmf for ``params`` and score it on the effective channel,
+    with the default Gauss-Hermite rule, as every design function does."""
+    pmf = build_pmf(constellation, params)
     kurt = excess_kurtosis(constellation, pmf)
     eff_db = effective_snr_db(model, kurt)
-    unit = normalized(constellation, pmf)
-    mi_4d = 2.0 * mi_awgn_2d(unit, pmf, eff_db, rule)
+    mi_4d = 2.0 * mi_awgn_2d(normalized(constellation, pmf), pmf, eff_db)
     return MiCurvePoint(
         snr_gauss_db=model.snr_gauss_db,
-        family=family,
+        family=params.family,
         params=params,
         kurtosis=kurt,
         effective_snr_db=eff_db,
         mi_4d=mi_4d,
         delta_mi_4d=_delta_mi(mi_4d, model.snr_gauss_db),
     )
-
-
-def evaluate_family(
-    constellation: Constellation,
-    params: ShapingParams,
-    model: NlChannelModel,
-    rule: QuadratureRule | None = None,
-) -> MiCurvePoint:
-    """Build the pmf for ``params`` and score it on the effective channel."""
-    pmf = build_pmf(constellation, params)
-    return _evaluate_pmf(constellation, pmf, params.family, params, model, rule)
 
 
 def _grid_power(constellation: Constellation) -> float:
@@ -149,25 +134,21 @@ def _grid_power(constellation: Constellation) -> float:
 def optimize_mb(
     constellation: Constellation,
     model: NlChannelModel,
-    rule: QuadratureRule | None = None,
 ) -> tuple[float, MiCurvePoint]:
     """Best Maxwell-Boltzmann rate for this model.
 
     One cold search per call: a coarse scan over a fixed log-spaced rate
     grid, then bounded derivative-free refinement between the neighbours
     of the best coarse rate. The result depends only on the
-    constellation, the model and the rule; the returned point is the one
-    the search scored.
+    constellation and the model; the returned point is the one the
+    search scored.
     """
     pu = _grid_power(constellation)
     scored = {}
 
     def neg_mi(u: float) -> float:
-        pmf = mb_pmf(constellation, u / pu)
-        point = scored[float(u)] = _evaluate_pmf(
-            constellation, pmf, Family.MAXWELL_BOLTZMANN,
-            ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu), model, rule,
-        )
+        params = ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu)
+        point = scored[float(u)] = evaluate_family(constellation, params, model)
         return -point.mi_4d
 
     values = [neg_mi(u) for u in _COARSE_U]
@@ -188,7 +169,6 @@ def optimize_mb(
 def optimize_tailored(
     constellation: Constellation,
     model: NlChannelModel,
-    rule: QuadratureRule | None = None,
     mb: tuple[float, MiCurvePoint] | None = None,
 ) -> tuple[float, float, MiCurvePoint]:
     """Best (nu1, nu2) of the kurtosis-tailored family.
@@ -196,7 +176,7 @@ def optimize_tailored(
     One cold search per call: simplex searches start from the
     Maxwell-Boltzmann optimum and from the best cell of a coarse 2-D
     grid. ``mb`` is the ``optimize_mb`` result for the same
-    constellation, model and rule, when the caller has it; otherwise it
+    constellation and model, when the caller has it; otherwise it
     is searched here. That optimum is itself a candidate, at its exact
     rate and nu2 = 0 (the family contains MB there), so the returned MI
     never falls below it. Among ties the smallest |nu2| wins. A winning
@@ -204,16 +184,13 @@ def optimize_tailored(
     not a point of this family, is evaluated once more.
     """
     pu = _grid_power(constellation)
-    lam_star, mb_point = mb if mb is not None else optimize_mb(constellation, model, rule)
+    lam_star, mb_point = mb if mb is not None else optimize_mb(constellation, model)
     scored = {}
 
     def neg_mi(v) -> float:
         nu1, nu2 = v[0] / pu, v[1] / (pu * pu)
-        pmf = tailored_pmf(constellation, nu1, nu2)
-        point = scored[float(nu1), float(nu2)] = _evaluate_pmf(
-            constellation, pmf, Family.KURTOSIS_TAILORED,
-            ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2), model, rule,
-        )
+        params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2)
+        point = scored[float(nu1), float(nu2)] = evaluate_family(constellation, params, model)
         return -point.mi_4d
 
     grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
@@ -240,11 +217,8 @@ def optimize_tailored(
     _, nu1_star, nu2_star = min(eligible, key=lambda c: abs(c[2]))
     point = scored.get((nu1_star, nu2_star))
     if point is None:
-        point = evaluate_family(
-            constellation,
-            ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1_star, nu2=nu2_star),
-            model, rule,
-        )
+        params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1_star, nu2=nu2_star)
+        point = evaluate_family(constellation, params, model)
     return nu1_star, nu2_star, point
 
 
@@ -256,7 +230,6 @@ def _logits_from_masses(masses: np.ndarray) -> np.ndarray:
 def optimize_per_ring(
     constellation: Constellation,
     model: NlChannelModel,
-    rule: QuadratureRule | None = None,
 ) -> tuple[np.ndarray, MiCurvePoint]:
     """Free search over ring-constant pmfs on the probability simplex.
 
@@ -267,9 +240,8 @@ def optimize_per_ring(
     """
     n_rings = constellation.ring_sizes.size
     if n_rings == 1:
-        ring_probs = np.array([1.0])
         params = ShapingParams(Family.PER_RING, ring_probs=(1.0,))
-        return ring_probs, evaluate_family(constellation, params, model, rule)
+        return np.array([1.0]), evaluate_family(constellation, params, model)
 
     def masses_from_logits(z: np.ndarray) -> np.ndarray:
         full = np.concatenate([[0.0], z])
@@ -281,19 +253,18 @@ def optimize_per_ring(
     def neg_mi(z: np.ndarray) -> float:
         masses = masses_from_logits(z)
         params = ShapingParams(Family.PER_RING, ring_probs=tuple(masses))
-        point = scored[tuple(z)] = evaluate_family(constellation, params, model, rule)
+        point = scored[tuple(z)] = evaluate_family(constellation, params, model)
         return -point.mi_4d
 
-    lam_star, mb_point = optimize_mb(constellation, model, rule)
-    _, _, tailored_point = optimize_tailored(
-        constellation, model, rule, mb=(lam_star, mb_point)
+    (mb_point, tailored_point), = mi_curve(
+        constellation, model.c, [model.snr_gauss_db],
+        (Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED),
     )
     starts = [
-        _logits_from_masses(
-            ring_masses(constellation, build_pmf(constellation, tailored_point.params))
-        ),
-        _logits_from_masses(ring_masses(constellation, mb_pmf(constellation, lam_star))),
-        _logits_from_masses(ring_masses(constellation, uniform_pmf(constellation))),
+        _logits_from_masses(ring_masses(constellation, pmf))
+        for pmf in (build_pmf(constellation, tailored_point.params),
+                    build_pmf(constellation, mb_point.params),
+                    uniform_pmf(constellation))
     ]
 
     best_z, best_fun = None, np.inf
@@ -320,7 +291,6 @@ def mi_curve(
     constellation: Constellation,
     c: float,
     snr_grid_db,
-    rule: QuadratureRule | None = None,
     families: tuple[Family, ...] = CURVE_FAMILIES,
 ) -> list[tuple[MiCurvePoint, ...]]:
     """Points of the requested ``families`` per grid SNR, ordered as in
@@ -346,15 +316,14 @@ def mi_curve(
         model = NlChannelModel(c=c, snr_gauss_db=snr_db)
         points = {}
         if Family.UNIFORM in families:
-            points[Family.UNIFORM] = evaluate_family(
-                constellation, ShapingParams(Family.UNIFORM), model, rule
-            )
+            uniform = ShapingParams(Family.UNIFORM)
+            points[Family.UNIFORM] = evaluate_family(constellation, uniform, model)
         if Family.MAXWELL_BOLTZMANN in families or Family.KURTOSIS_TAILORED in families:
-            lam, mb_point = optimize_mb(constellation, model, rule)
+            lam, mb_point = optimize_mb(constellation, model)
             points[Family.MAXWELL_BOLTZMANN] = mb_point
         if Family.KURTOSIS_TAILORED in families:
             _, _, points[Family.KURTOSIS_TAILORED] = optimize_tailored(
-                constellation, model, rule, mb=(lam, mb_point)
+                constellation, model, mb=(lam, mb_point)
             )
         out.append(tuple(points[f] for f in CURVE_FAMILIES if f in families))
     return out

@@ -51,6 +51,10 @@ KERR_BLOCK = 1 << 13
 # WDM comb to count as lying on the FFT grid.
 COMB_GRID_TOL = 1e-9
 
+# Fewest received samples (symbols times two polarizations) that
+# estimate_snr and mi_from_samples accept.
+MIN_MEASURED_SAMPLES = 10_000
+
 # NLI extraction refuses to fit when the excess over the linear baseline
 # is below this fraction of the ASE variance.
 MIN_NLI_FRACTION = 0.05
@@ -82,6 +86,9 @@ class LinkConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.channels < 1 or self.channels % 2 == 0:
             raise ValueError("channels must be a positive odd count")
         bw = self.baud_ghz * self.samples_per_symbol
@@ -454,7 +461,7 @@ def estimate_snr(rx_symbols: np.ndarray, tx_symbols: np.ndarray) -> float:
     tx = np.atleast_2d(np.asarray(tx_symbols))
     if rx.shape != tx.shape:
         raise ValueError(f"shape mismatch: rx {rx.shape} vs tx {tx.shape}")
-    if rx.size < 10_000:
+    if rx.size < MIN_MEASURED_SAMPLES:
         raise ValueError(f"need at least 1e4 symbols, got {rx.size}")
     signal = 0.0
     residual = 0.0
@@ -485,7 +492,7 @@ def mi_from_samples(
     tx = np.asarray(tx_symbols).ravel()
     if rx.shape != tx.shape:
         raise ValueError(f"shape mismatch: rx {rx.shape} vs tx {tx.shape}")
-    if rx.size < 10_000:
+    if rx.size < MIN_MEASURED_SAMPLES:
         raise ValueError(f"need at least 1e4 symbols, got {rx.size}")
     _require_unit_power(constellation, pmf)
 
@@ -541,6 +548,24 @@ def _run_seed(master_seed: int, *indices: int) -> tuple[int, int]:
     )
 
 
+def _require_measurable(config: LinkConfig) -> None:
+    """Fail before any propagation if a run on ``config`` cannot be
+    measured: the received symbols of both polarizations must reach
+    MIN_MEASURED_SAMPLES, and the amplifier gain that restores the span
+    loss must be positive."""
+    if 2 * config.symbols_per_channel < MIN_MEASURED_SAMPLES:
+        raise ValueError(
+            f"symbols_per_channel = {config.symbols_per_channel} is too few to "
+            f"measure: need {MIN_MEASURED_SAMPLES // 2}, {MIN_MEASURED_SAMPLES} samples "
+            "over the two polarizations"
+        )
+    if config.span_loss_db <= 0.0:
+        raise ValueError(
+            f"span loss alpha_db_per_km * span_km = {config.span_loss_db} dB must be "
+            "positive: the amplifier restores it with a positive gain"
+        )
+
+
 def transmission_run(
     config: LinkConfig,
     modulation: Modulation,
@@ -577,6 +602,7 @@ def power_sweep(
     names = [m.name for m in modulations]
     if len(set(names)) != len(names):
         raise ValueError(f"modulation names must be distinct, got {names}")
+    _require_measurable(config)
     millis = [round(p * 1000.0) for p in powers]
     for i in range(1, len(powers)):
         if millis[i] == millis[i - 1]:
@@ -651,6 +677,7 @@ def estimate_c(
                     f"{kurts[i]:.4f} and {kurts[j]:.4f}"
                 )
 
+    _require_measurable(config)
     xtalk = linear_crosstalk_fraction(config, config.seed)
     ase_rel = 10.0 ** (-analytic_ase_snr_db(config, probe_power_dbm) / 10.0)
     p_w = 1e-3 * 10.0 ** (probe_power_dbm / 10.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlshaping import (
+    Constellation,
     Pmf,
     entropy,
     gauss_hermite,
@@ -346,7 +347,7 @@ class TestMiQuadrature:
 
     @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0])
     def test_qpsk_against_independent_quadrature(self, snr_db):
-        qpsk = square_qam(4, min_order=4)
+        qpsk = Constellation(np.array([-1.0, 1.0]))
         pmf = uniform_pmf(qpsk)
         want = 2.0 * bpsk_mi_quad(10 ** (snr_db / 10))
         # QPSK = two independent BPSK channels at the same per-dimension SNR.

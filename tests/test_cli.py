@@ -97,14 +97,78 @@ class TestExitCodes:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute ran before --out was checked")
 
-        for name in ("mi_curve", "optimize_mb", "optimize_tailored",
-                     "power_sweep", "estimate_c"):
+        for name in ("mi_curve", "power_sweep", "estimate_c"):
             monkeypatch.setattr(cli, name, no_compute)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             run_cli(argv + ["--out", out])
         assert exc.value.code == 2
         assert "error: argument --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mi-curve", "--order", "100", "--snr-min", "10", "--snr-max", "10"],
+         "argument --order: invalid choice: 100"),
+        (["pmf", "--order", "32", "--snr", "18", "--family", "mb"],
+         "argument --order: invalid choice: 32"),
+        (["simulate", "--order", "4", "--power-min", "0", "--power-max", "0"],
+         "argument --order: invalid choice: 4"),
+        (["estimate-c", "--order", "8192"], "argument --order: invalid choice: 8192"),
+        (["mi-curve", "--order", "16", "--snr-min", "11", "--snr-max", "10"],
+         "--snr-max 10 is below --snr-min 11"),
+        (["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "11",
+          "--snr-step", "0"], "--snr-step must be positive, got 0"),
+        (["mi-curve", "--order", "16", "--snr-min", "nan", "--snr-max", "10"],
+         "argument --snr-min: must be finite, got 'nan'"),
+        (["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "10",
+          "--c", "inf"], "argument --c: must be finite, got 'inf'"),
+        (["pmf", "--order", "16", "--snr=-inf", "--family", "opt"],
+         "argument --snr: must be finite, got '-inf'"),
+        (["simulate", "--order", "16", "--power-min", "nan", "--power-max", "0"],
+         "argument --power-min: must be finite, got 'nan'"),
+        (["simulate", "--order", "16", "--power-min", "1", "--power-max", "0"],
+         "--power-max 0 is below --power-min 1"),
+        (["simulate", "--order", "16", "--power-min", "0", "--power-max", "1",
+          "--power-step", "-0.5"], "--power-step must be positive, got -0.5"),
+        (["simulate", "--order", "16", "--power-min", "0", "--power-max", "0",
+          "--cal-snr", "nan"], "argument --cal-snr: must be finite, got 'nan'"),
+        (["estimate-c", "--probe-power", "abc"],
+         "argument --probe-power: invalid float value: 'abc'"),
+    ])
+    def test_bad_argument_is_2_before_compute(self, argv, message, monkeypatch, capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran before the arguments were checked")
+
+        for name in ("square_qam", "mi_curve", "build_modulations", "power_sweep",
+                     "estimate_c", "default_probes"):
+            monkeypatch.setattr(cli, name, no_compute)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("symbols_per_channel = 4096", "symbols_per_channel = 4096 is too few"),
+        ("alpha_db_per_km = 0", "span loss"),
+        ("gamma_per_w_km = nan", "gamma_per_w_km must be finite"),
+        ("span_km = nan", "span_km must be finite"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--families", "gaussian", "--power-min", "0", "--power-max", "0"],
+        ["estimate-c"],
+    ])
+    def test_unmeasurable_link_is_1_before_propagate(self, command, line, message,
+                                                     tmp_path, monkeypatch, capsys):
+        from nlshaping import ssfm
+
+        def no_link(*args, **kwargs):
+            raise AssertionError("the link ran before it was checked")
+
+        for name in ("generate_wdm", "propagate"):
+            monkeypatch.setattr(ssfm, name, no_link)
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text(TINY_CFG + line + "\n", encoding="utf-8")
+        assert run_cli(command + ["--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "10"],
@@ -117,7 +181,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise ValueError("no optimum")
 
-        for name in ("mi_curve", "optimize_mb", "power_sweep", "estimate_c"):
+        for name in ("mi_curve", "power_sweep", "estimate_c"):
             monkeypatch.setattr(cli, name, fail)
         assert run_cli(argv) == 1
         captured = capsys.readouterr()

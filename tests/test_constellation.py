@@ -41,10 +41,10 @@ class TestSquareQam:
         assert shells == {(1.0, 7.0), (5.0, 5.0)}
         assert dict(zip(c.ring_sq.tolist(), c.ring_sizes.tolist())) == enumerate_rings(64)
 
-    def test_order_4_needs_relaxed_bound(self):
+    def test_order_4_rejected_qpsk_from_levels(self):
         with pytest.raises(ValueError, match="outside the supported range"):
             square_qam(4)
-        c = square_qam(4, min_order=4)
+        c = Constellation(np.array([-1.0, 1.0]))
         assert c.order == 4
         np.testing.assert_array_equal(c.ring_sizes, [4])
         np.testing.assert_array_equal(c.ring_index, np.zeros(4))
@@ -188,6 +188,6 @@ class TestNormalized:
                 getattr(c, name)[0] = 0
 
     def test_rejects_zero_power(self):
-        pmf = uniform_pmf(square_qam(4, min_order=4))
+        pmf = uniform_pmf(Constellation(np.array([-1.0, 1.0])))
         with pytest.raises(ValueError, match="not positive"):
             normalized(Constellation(levels=np.zeros(2)), pmf)

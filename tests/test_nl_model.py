@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlshaping import (
+    Constellation,
     Family,
     NlChannelModel,
     ShapingParams,
@@ -66,7 +67,7 @@ class TestEvaluateFamily:
     def test_uniform_with_c_zero_is_plain_awgn(self):
         c = square_qam(64)
         model = NlChannelModel(c=0.0, snr_gauss_db=12.0)
-        point = evaluate_family(c, ShapingParams(Family.UNIFORM), model, RULE)
+        point = evaluate_family(c, ShapingParams(Family.UNIFORM), model)
         pmf = uniform_pmf(c)
         direct = 2.0 * mi_awgn_2d(normalized(c, pmf), pmf, 12.0, RULE)
         assert point.mi_4d == pytest.approx(direct, abs=1e-12)
@@ -75,9 +76,9 @@ class TestEvaluateFamily:
     def test_mb_at_zero_rate_equals_uniform(self):
         c = square_qam(64)
         model = NlChannelModel(c=0.69, snr_gauss_db=15.0)
-        uni = evaluate_family(c, ShapingParams(Family.UNIFORM), model, RULE)
+        uni = evaluate_family(c, ShapingParams(Family.UNIFORM), model)
         mb = evaluate_family(
-            c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=0.0), model, RULE
+            c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=0.0), model
         )
         assert mb.mi_4d == pytest.approx(uni.mi_4d, abs=1e-12)
         assert mb.kurtosis == pytest.approx(uni.kurtosis, abs=1e-12)
@@ -87,7 +88,7 @@ class TestEvaluateFamily:
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
         point = evaluate_family(
             c, ShapingParams(Family.KURTOSIS_TAILORED, nu1=0.001, nu2=1e-5),
-            model, RULE,
+            model,
         )
         recomputed = effective_snr_db(model, point.kurtosis)
         assert point.effective_snr_db == pytest.approx(recomputed, abs=1e-9)
@@ -101,20 +102,20 @@ class TestOptimizeMb:
     def test_awgn_channel_dominates_uniform(self):
         c = square_qam(64)
         model = NlChannelModel(c=0.0, snr_gauss_db=12.0)
-        _, point = optimize_mb(c, model, RULE)
-        uni = evaluate_family(c, ShapingParams(Family.UNIFORM), model, RULE)
+        _, point = optimize_mb(c, model)
+        uni = evaluate_family(c, ShapingParams(Family.UNIFORM), model)
         assert point.mi_4d >= uni.mi_4d - 1e-12
 
     @pytest.mark.parametrize("order", [16, 64])
     def test_grid_scan_oracle_never_beats_optimum(self, order):
         c = square_qam(order)
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-        _, point = optimize_mb(c, model, RULE)
+        _, point = optimize_mb(c, model)
         pu = _grid_power(c)
         best_scan = -np.inf
         for u in np.concatenate([[0.0], np.geomspace(1e-3, 30.0, 200)]):
             scan = evaluate_family(
-                c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu), model, RULE
+                c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu), model
             ).mi_4d
             best_scan = max(best_scan, scan)
         assert best_scan <= point.mi_4d + 1e-4
@@ -123,7 +124,7 @@ class TestOptimizeMb:
         # reference operating point: best MB MI for 256QAM at 18 dB, c=0.69
         c = square_qam(256)
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-        _, point = optimize_mb(c, model, RULE)
+        _, point = optimize_mb(c, model)
         assert point.mi_4d == pytest.approx(12.10, abs=0.05)
 
 
@@ -135,8 +136,8 @@ class TestOptimizeTailored:
         # below the nonlinear-channel gains.
         c = square_qam(64)
         model = NlChannelModel(c=0.0, snr_gauss_db=14.0)
-        _, mb_point = optimize_mb(c, model, RULE)
-        _, _, opt_point = optimize_tailored(c, model, RULE)
+        _, mb_point = optimize_mb(c, model)
+        _, _, opt_point = optimize_tailored(c, model)
         assert opt_point.mi_4d >= mb_point.mi_4d - 1e-9
         assert opt_point.mi_4d - mb_point.mi_4d < 1e-3
 
@@ -144,18 +145,18 @@ class TestOptimizeTailored:
         c = square_qam(16)
         for snr in (6.0, 12.0, 18.0):
             model = NlChannelModel(c=0.69, snr_gauss_db=snr)
-            _, mb_point = optimize_mb(c, model, RULE)
-            _, _, opt_point = optimize_tailored(c, model, RULE)
+            _, mb_point = optimize_mb(c, model)
+            _, _, opt_point = optimize_tailored(c, model)
             assert opt_point.mi_4d >= mb_point.mi_4d - 1e-9
 
     def test_mb_candidate_is_exact(self):
         # One ring: every (nu1, nu2) gives the uniform pmf, so all
         # candidates tie and the MB optimum wins the |nu2| tie-break with
         # its exact rate; tailored_pmf(lam, 0) is mb_pmf(lam) bit for bit.
-        qpsk = square_qam(4, min_order=4)
+        qpsk = Constellation(np.array([-1.0, 1.0]))
         model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
-        lam_star, mb_point = optimize_mb(qpsk, model, RULE)
-        nu1, nu2, point = optimize_tailored(qpsk, model, RULE, mb=(lam_star, mb_point))
+        lam_star, mb_point = optimize_mb(qpsk, model)
+        nu1, nu2, point = optimize_tailored(qpsk, model, mb=(lam_star, mb_point))
         assert nu1 == lam_star
         assert nu2 == 0.0
         assert point.mi_4d == mb_point.mi_4d
@@ -164,7 +165,7 @@ class TestOptimizeTailored:
     def test_grid_scan_oracle_never_beats_optimum(self):
         c = square_qam(16)
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-        _, _, point = optimize_tailored(c, model, RULE)
+        _, _, point = optimize_tailored(c, model)
         pu = _grid_power(c)
         u1 = np.linspace(-1.0, 4.0, 60)
         u2 = np.linspace(-2.0, 4.0, 60)
@@ -175,7 +176,7 @@ class TestOptimizeTailored:
                     c,
                     ShapingParams(Family.KURTOSIS_TAILORED,
                                   nu1=a / pu, nu2=b / (pu * pu)),
-                    model, RULE,
+                    model,
                 ).mi_4d
                 best_scan = max(best_scan, scan)
         assert best_scan <= point.mi_4d + 1e-4
@@ -185,28 +186,28 @@ class TestOptimizeTailored:
         gains = {}
         for order in (64, 256):
             c = square_qam(order)
-            _, mb_point = optimize_mb(c, model, RULE)
-            _, _, opt_point = optimize_tailored(c, model, RULE)
+            _, mb_point = optimize_mb(c, model)
+            _, _, opt_point = optimize_tailored(c, model)
             gains[order] = opt_point.mi_4d - mb_point.mi_4d
         assert gains[64] < gains[256]
 
 
 class TestOptimizePerRing:
     def test_single_ring_has_no_freedom(self):
-        qpsk = square_qam(4, min_order=4)
+        qpsk = Constellation(np.array([-1.0, 1.0]))
         model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
-        ring_probs, point = optimize_per_ring(qpsk, model, RULE)
+        ring_probs, point = optimize_per_ring(qpsk, model)
         np.testing.assert_allclose(ring_probs, [1.0])
         direct = evaluate_family(
-            qpsk, ShapingParams(Family.PER_RING, ring_probs=(1.0,)), model, RULE
+            qpsk, ShapingParams(Family.PER_RING, ring_probs=(1.0,)), model
         )
         assert point.mi_4d == pytest.approx(direct.mi_4d, abs=1e-15)
 
     def test_16qam_matches_tailored_and_never_below(self):
         c = square_qam(16)
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-        _, _, tailored_point = optimize_tailored(c, model, RULE)
-        ring_probs, ring_point = optimize_per_ring(c, model, RULE)
+        _, _, tailored_point = optimize_tailored(c, model)
+        ring_probs, ring_point = optimize_per_ring(c, model)
         # started from the tailored optimum: never below it
         assert ring_point.mi_4d >= tailored_point.mi_4d - 1e-12
         assert ring_point.mi_4d - tailored_point.mi_4d < 1e-4
@@ -224,14 +225,14 @@ class TestSearchCaps:
 
         monkeypatch.setattr(nl_model, cap_name, 3)
         with pytest.raises(OptimizationError, match=f"{text} .* cap of 3 evaluations") as exc:
-            search(square_qam(16), NlChannelModel(c=0.69, snr_gauss_db=12.0), RULE)
+            search(square_qam(16), NlChannelModel(c=0.69, snr_gauss_db=12.0))
         assert math.isfinite(exc.value.best[-1])
 
 
 class TestMiCurve:
     def test_dominance_chain_and_delta_identity(self):
         c = square_qam(16)
-        triples = mi_curve(c, 0.69, [10.0, 12.0], RULE)
+        triples = mi_curve(c, 0.69, [10.0, 12.0])
         assert len(triples) == 2
         for uni, mb, opt in triples:
             assert opt.mi_4d >= mb.mi_4d - 1e-9
@@ -251,7 +252,7 @@ class TestMiCurve:
         pmf = uniform_pmf(c)
         kurt = -0.6190476190476191
         for cc in (0.0, 0.3, 0.69):
-            (uni, _, _), = mi_curve(c, cc, [14.0], RULE)
+            (uni, _, _), = mi_curve(c, cc, [14.0])
             eff = effective_snr_db(NlChannelModel(cc, 14.0), kurt)
             direct = 2.0 * mi_awgn_2d(normalized(c, pmf), pmf, eff, RULE)
             assert uni.mi_4d == pytest.approx(direct, abs=1e-12)
@@ -262,7 +263,7 @@ class TestMiCurve:
         # the kurtosis boost lifts all families above the Gaussian
         # reference instead, by up to ~0.5 bit/4D at 0 dB.)
         c = square_qam(64)
-        (uni, mb, opt), = mi_curve(c, 0.0, [0.0], RULE)
+        (uni, mb, opt), = mi_curve(c, 0.0, [0.0])
         for point in (uni, mb, opt):
             assert point.delta_mi_4d <= 0.0
         assert opt.mi_4d - uni.mi_4d < 0.05
@@ -280,42 +281,42 @@ class TestMiCurve:
 
         monkeypatch.setattr(nl_model, "optimize_mb", counting)
         c = square_qam(16)
-        mi_curve(c, 0.69, [12.0, 13.0], RULE)
+        mi_curve(c, 0.69, [12.0, 13.0])
         assert calls == [12.0, 13.0]
         calls.clear()
-        optimize_per_ring(c, NlChannelModel(c=0.69, snr_gauss_db=18.0), RULE)
+        optimize_per_ring(c, NlChannelModel(c=0.69, snr_gauss_db=18.0))
         assert calls == [18.0]
 
     def test_family_subsets_match_full_curve(self):
         c = square_qam(16)
-        full = mi_curve(c, 0.69, [12.0, 13.0], RULE)
+        full = mi_curve(c, 0.69, [12.0, 13.0])
         uni, mb, opt = Family.UNIFORM, Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED
-        assert mi_curve(c, 0.69, [12.0, 13.0], RULE, (opt,)) == [(t[2],) for t in full]
-        assert mi_curve(c, 0.69, [12.0, 13.0], RULE, (opt, uni)) == [
+        assert mi_curve(c, 0.69, [12.0, 13.0], (opt,)) == [(t[2],) for t in full]
+        assert mi_curve(c, 0.69, [12.0, 13.0], (opt, uni)) == [
             (t[0], t[2]) for t in full
         ]
-        assert mi_curve(c, 0.69, [12.0, 13.0], RULE, (mb,)) == [(t[1],) for t in full]
+        assert mi_curve(c, 0.69, [12.0, 13.0], (mb,)) == [(t[1],) for t in full]
         with pytest.raises(ValueError, match="subset"):
-            mi_curve(c, 0.69, [12.0], RULE, (Family.PER_RING,))
+            mi_curve(c, 0.69, [12.0], (Family.PER_RING,))
 
     def test_point_independent_of_grid_position(self):
         # Every grid point is its own cold search: the same SNR gives the
         # same points, to the last bit, alone or inside a longer grid.
         for order, grid in ((16, [12.0, 13.0]), (64, [17.5, 18.0])):
             c = square_qam(order)
-            curve = mi_curve(c, 0.69, grid, RULE)
+            curve = mi_curve(c, 0.69, grid)
             for snr, points in zip(grid, curve):
-                assert points == mi_curve(c, 0.69, [snr], RULE)[0], (order, snr)
+                assert points == mi_curve(c, 0.69, [snr])[0], (order, snr)
 
     def test_deterministic_across_calls(self):
         c = square_qam(16)
-        a = mi_curve(c, 0.69, [12.0, 13.0], RULE)
-        b = mi_curve(c, 0.69, [12.0, 13.0], RULE)
+        a = mi_curve(c, 0.69, [12.0, 13.0])
+        b = mi_curve(c, 0.69, [12.0, 13.0])
         assert a == b
 
     def test_grid_validation(self):
         c = square_qam(16)
         with pytest.raises(ValueError, match="non-empty"):
-            mi_curve(c, 0.69, [], RULE)
+            mi_curve(c, 0.69, [])
         with pytest.raises(ValueError, match="ascending"):
-            mi_curve(c, 0.69, [10.0, 9.0], RULE)
+            mi_curve(c, 0.69, [10.0, 9.0])

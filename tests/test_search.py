@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from nlshaping import NlChannelModel, square_qam
-from nlshaping.nl_model import _grid_power, _evaluate_pmf
+from nlshaping.nl_model import _grid_power, evaluate_family
 from nlshaping.search import bounded_brent, nelder_mead
-from nlshaping.shaping import Family, ShapingParams, tailored_pmf
+from nlshaping.shaping import Family, ShapingParams
 
 QAM16 = square_qam(16)
 PU16 = _grid_power(QAM16)
@@ -26,8 +26,7 @@ def neg_mi_16qam(v) -> float:
     """The tailored search's objective at 16QAM and 14 dB, in its scaled units."""
     nu1, nu2 = v[0] / PU16, v[1] / (PU16 * PU16)
     params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2)
-    point = _evaluate_pmf(QAM16, tailored_pmf(QAM16, nu1, nu2), params.family, params,
-                          NlChannelModel(c=0.69, snr_gauss_db=14.0), None)
+    point = evaluate_family(QAM16, params, NlChannelModel(c=0.69, snr_gauss_db=14.0))
     return -point.mi_4d
 
 
@@ -198,14 +197,12 @@ class TestBoundedBrent:
     def test_mb_rate_search_matches(self):
         # The bracket and options optimize_mb uses, on a 16QAM MB objective.
         from nlshaping.nl_model import _COARSE_U
-        from nlshaping.shaping import mb_pmf
 
         model = NlChannelModel(c=0.69, snr_gauss_db=12.0)
 
         def neg_mi(u):
             params = ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / PU16)
-            pmf = mb_pmf(QAM16, u / PU16)
-            return -_evaluate_pmf(QAM16, pmf, params.family, params, model, None).mi_4d
+            return -evaluate_family(QAM16, params, model).mi_4d
 
         _, _, status = check_brent(neg_mi, _COARSE_U[3], _COARSE_U[5], 1e-6, 200)
         assert status == 0

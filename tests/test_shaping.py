@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from nlshaping import (
+    Constellation,
     Family,
     Pmf,
     ShapingParams,
@@ -150,7 +151,7 @@ class TestRingConstantProperty:
 
 class TestExcessKurtosis:
     def test_single_ring_is_minus_one(self):
-        qpsk = square_qam(4, min_order=4)
+        qpsk = Constellation(np.array([-1.0, 1.0]))
         assert excess_kurtosis(qpsk, uniform_pmf(qpsk)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_uniform_64qam_closed_form(self):

@@ -119,6 +119,18 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match="odd"):
             LinkConfig(channels=4)
 
+    @pytest.mark.parametrize("name", ["gamma_per_w_km", "span_km", "baud_ghz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LinkConfig(**{name: value})
+
+    def test_propagate_only_fields_accepted(self):
+        # No loss and few symbols suit propagate alone; power_sweep and
+        # estimate_c refuse them.
+        cfg = tiny_config(alpha_db_per_km=0.0, symbols_per_channel=1 << 10)
+        assert cfg.span_loss_db == 0.0
+
     def test_scales(self):
         desk = LinkConfig()
         assert (desk.channels, desk.samples_per_symbol, desk.steps) == (3, 8, 400)
@@ -726,10 +738,42 @@ class TestPowerSweep:
         with pytest.raises(ValueError, match="distinct"):
             power_sweep(cfg, [uniform_mod(), uniform_mod(64)], [0.0])
 
+    def test_symbol_floor_is_measurable(self):
+        # 5000 symbols on two polarizations are the 1e4 samples
+        # estimate_snr and mi_from_samples need.
+        (res,) = power_sweep(tiny_config(symbols_per_channel=5000, seed=5),
+                             [uniform_mod()], [0.0])
+        assert math.isfinite(res.snr_db) and res.mi_4d > 0.0
+
     def test_powers_sharing_a_seed_key_rejected(self):
         cfg = tiny_config()
         with pytest.raises(ValueError, match="milli-dBm"):
             power_sweep(cfg, [uniform_mod()], [4.0001, 4.0004])
+
+
+def _no_link_compute(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the link ran before it was checked")
+
+    for name in ("generate_wdm", "propagate"):
+        monkeypatch.setattr(ssfm, name, fail)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(symbols_per_channel=4096), "symbols_per_channel = 4096 is too few"),
+    (dict(alpha_db_per_km=0.0), "span loss"),
+    (dict(span_km=-10.0), "span loss"),
+])
+class TestUnmeasurableLink:
+    def test_power_sweep_fails_before_propagate(self, overrides, message, monkeypatch):
+        _no_link_compute(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            power_sweep(tiny_config(**overrides), [uniform_mod()], [0.0])
+
+    def test_estimate_c_fails_before_propagate(self, overrides, message, monkeypatch):
+        _no_link_compute(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            estimate_c(tiny_config(**overrides), TestEstimateC.probes(), probe_power_dbm=6.0)
 
 
 class TestEstimateC:
