@@ -49,6 +49,10 @@ DEEP_PROBE_U_CAP = 15360.0
 # to floating-point rounding (e.g. 0.1 * 3 > 0.3).
 GRID_TOL = 1e-9
 
+# Most points an SNR or power grid may have. Each point is a full design
+# (or transmission run), so a grid near the cap already takes hours.
+MAX_GRID_POINTS = 10_000
+
 
 def format_cell(value) -> str:
     """Fixed 12-significant-digit serialization; empty for None."""
@@ -121,13 +125,18 @@ def _parse_families(text: str, allowed) -> list[str]:
     return names
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... up to hi; ``main`` has checked lo <= hi and
-    step > 0."""
+def _grid_count(lo: float, hi: float, step: float) -> float:
+    """Points of ``_grid(lo, hi, step)``, as a float: inf when the span
+    over the step overflows."""
     # A step that would pass hi is never taken; one that reaches it up to
     # rounding is, and lands on hi.
-    count = int(np.floor((hi - lo) / step + GRID_TOL)) + 1
-    return [min(lo + i * step, hi) for i in range(count)]
+    return float(np.floor((hi - lo) / step + GRID_TOL)) + 1.0
+
+
+def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi; ``main`` has checked lo <= hi,
+    step > 0 and the point count."""
+    return [min(lo + i * step, hi) for i in range(int(_grid_count(lo, hi, step)))]
 
 
 def _point_row(point: MiCurvePoint) -> list:
@@ -352,6 +361,10 @@ def _check_grids(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"--{axis}-max {hi:g} is below --{axis}-min {lo:g}")
         if step <= 0:
             parser.error(f"--{axis}-step must be positive, got {step:g}")
+        count = _grid_count(lo, hi, step)
+        if count > MAX_GRID_POINTS:
+            parser.error(f"--{axis}-min {lo:g} to --{axis}-max {hi:g} in steps of {step:g} "
+                         f"gives {count:.0f} grid points; at most {MAX_GRID_POINTS} are allowed")
 
 
 def main(argv=None) -> int:

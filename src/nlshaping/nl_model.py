@@ -12,6 +12,8 @@ design command run on numpy alone, without importing scipy.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,10 @@ class OptimizationError(RuntimeError):
     def __init__(self, message: str, best):
         super().__init__(message)
         self.best = best
+
+    def __reduce__(self):
+        # The default reduction re-calls __init__ with the message alone.
+        return type(self), (self.args[0], self.best)
 
 
 @dataclass(frozen=True)
@@ -287,6 +293,91 @@ def optimize_per_ring(
     return masses_from_logits(best_z), scored[tuple(best_z)]
 
 
+def _curve_point(
+    constellation: Constellation,
+    c: float,
+    snr_db: float,
+    families: tuple[Family, ...],
+) -> tuple[MiCurvePoint, ...]:
+    """The requested families at one grid SNR, searched cold."""
+    model = NlChannelModel(c=c, snr_gauss_db=snr_db)
+    points = {}
+    if Family.UNIFORM in families:
+        uniform = ShapingParams(Family.UNIFORM)
+        points[Family.UNIFORM] = evaluate_family(constellation, uniform, model)
+    if Family.MAXWELL_BOLTZMANN in families or Family.KURTOSIS_TAILORED in families:
+        lam, mb_point = optimize_mb(constellation, model)
+        points[Family.MAXWELL_BOLTZMANN] = mb_point
+    if Family.KURTOSIS_TAILORED in families:
+        _, _, points[Family.KURTOSIS_TAILORED] = optimize_tailored(
+            constellation, model, mb=(lam, mb_point)
+        )
+    return tuple(points[f] for f in CURVE_FAMILIES if f in families)
+
+
+def _curve_share(constellation, c, grid, families, first, stride):
+    """Points ``first``, ``first + stride``, ... of the grid, up to the
+    first that raises: (points, None) or (points, (index, exception))."""
+    points = []
+    for i in range(first, len(grid), stride):
+        try:
+            points.append(_curve_point(constellation, c, grid[i], families))
+        except Exception as exc:
+            return points, (i, exc)
+    return points, None
+
+
+def _send_share(conn, *share_args) -> None:
+    """Body of a forked worker: its share of the grid, sent to the caller.
+    The pipe closes when the worker exits, with or without a result."""
+    conn.send(_curve_share(*share_args))
+
+
+def _forked_curve(constellation, c, grid, families, workers: int) -> list:
+    """``mi_curve``'s points, with grid point i computed by worker i mod
+    ``workers``: worker 0 is the caller, the others are forked processes.
+    Every process is joined before this returns or raises."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    procs = []
+    received = False
+    try:
+        for k in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_share, daemon=True,
+                               args=(send, constellation, c, grid, families, k, workers))
+            proc.start()
+            send.close()
+            procs.append((proc, recv))
+        shares = [_curve_share(constellation, c, grid, families, 0, workers)]
+        for k, (proc, recv) in enumerate(procs, start=1):
+            try:
+                shares.append(recv.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"mi_curve worker for grid points {k}::{workers} exited with code "
+                    f"{proc.exitcode} before sending its points"
+                ) from None
+        received = True
+    finally:
+        for proc, recv in procs:
+            if not received:
+                proc.terminate()
+            proc.join()
+            recv.close()
+
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        # The lowest failing grid point, which a serial run would meet first.
+        raise min(errors, key=lambda error: error[0])[1]
+    out = [None] * len(grid)
+    for k, (points, _) in enumerate(shares):
+        out[k::workers] = points
+    return out
+
+
 def mi_curve(
     constellation: Constellation,
     c: float,
@@ -301,6 +392,15 @@ def mi_curve(
     single-point call at its SNR whatever the rest of the grid is. The
     tailored search reuses the MB optimum of its grid point, so every
     family subset gives the same points as the full curve.
+
+    The points are spread over w = min(grid points, usable CPUs)
+    processes, the caller and w - 1 forked workers, each taking every
+    w-th point; the result is the one a serial run gives, bit for bit.
+    The grid runs serially in the caller when w is 1, when the platform
+    cannot fork, when other Python threads are alive (forking a threaded
+    process is unsafe) or when the caller is a daemonic process. A
+    failing search raises its own exception, that of the lowest failing
+    grid point, as a serial run does.
     """
     grid = [float(s) for s in snr_grid_db]
     if not grid:
@@ -311,19 +411,13 @@ def mi_curve(
         names = ", ".join(f.value for f in CURVE_FAMILIES)
         raise ValueError(f"families must be a non-empty subset of ({names})")
 
-    out = []
-    for snr_db in grid:
-        model = NlChannelModel(c=c, snr_gauss_db=snr_db)
-        points = {}
-        if Family.UNIFORM in families:
-            uniform = ShapingParams(Family.UNIFORM)
-            points[Family.UNIFORM] = evaluate_family(constellation, uniform, model)
-        if Family.MAXWELL_BOLTZMANN in families or Family.KURTOSIS_TAILORED in families:
-            lam, mb_point = optimize_mb(constellation, model)
-            points[Family.MAXWELL_BOLTZMANN] = mb_point
-        if Family.KURTOSIS_TAILORED in families:
-            _, _, points[Family.KURTOSIS_TAILORED] = optimize_tailored(
-                constellation, model, mb=(lam, mb_point)
-            )
-        out.append(tuple(points[f] for f in CURVE_FAMILIES if f in families))
-    return out
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(grid), cpus)
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        import multiprocessing
+
+        # A daemonic process, such as a multiprocessing.Pool worker, may not
+        # start processes of its own.
+        if not multiprocessing.current_process().daemon:
+            return _forked_curve(constellation, c, grid, families, workers)
+    return [_curve_point(constellation, c, snr_db, families) for snr_db in grid]

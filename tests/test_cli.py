@@ -133,6 +133,12 @@ class TestExitCodes:
           "--cal-snr", "nan"], "argument --cal-snr: must be finite, got 'nan'"),
         (["estimate-c", "--probe-power", "abc"],
          "argument --probe-power: invalid float value: 'abc'"),
+        (["mi-curve", "--order", "16", "--snr-min", "17.5", "--snr-max", "18",
+          "--snr-step", "1e-9"], "gives 500000000 grid points; at most 10000 are allowed"),
+        (["mi-curve", "--order", "16", "--snr-min", "0", "--snr-max", "1",
+          "--snr-step", "1e-320"], "gives inf grid points"),
+        (["simulate", "--order", "16", "--power-min", "0", "--power-max", "1",
+          "--power-step", "1e-4"], "gives 10001 grid points; at most 10000 are allowed"),
     ])
     def test_bad_argument_is_2_before_compute(self, argv, message, monkeypatch, capsys):
         def no_compute(*args, **kwargs):
@@ -188,6 +194,18 @@ class TestExitCodes:
         assert captured.err == f"error: {argv[0]} failed: no optimum\n"
         assert captured.out == ""
 
+    def test_search_cap_in_a_worker_is_1(self, monkeypatch, capsys):
+        from nlshaping import nl_model
+
+        monkeypatch.setattr(nl_model, "_TAILORED_MAXFEV", 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert run_cli(["mi-curve", "--order", "16", "--snr-min", "10",
+                        "--snr-max", "11", "--snr-step", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: mi-curve failed: tailored-family search")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_success_is_0(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert run_cli(["mi-curve", "--order", "16", "--snr-min", "10",
@@ -216,6 +234,18 @@ class TestGrid:
     def test_exact_steps_unchanged(self):
         assert _grid(17.5, 18.0, 0.5) == [17.5, 18.0]
         assert _grid(15.0, 20.0, 0.3)[-1] == pytest.approx(19.8)
+
+    def test_cap_admits_a_full_grid(self, monkeypatch, capsys):
+        sizes = []
+
+        def no_design(constellation, c, grid, families):
+            sizes.append(len(grid))
+            return []
+
+        monkeypatch.setattr(cli, "mi_curve", no_design)
+        assert run_cli(["mi-curve", "--order", "16", "--snr-min", "0",
+                        "--snr-max", "0.9999", "--snr-step", "1e-4"]) == 0
+        assert sizes == [cli.MAX_GRID_POINTS]
 
 
 @pytest.fixture(scope="module")
@@ -308,23 +338,14 @@ class TestMiCurveCsv:
         assert payload(first) == payload(again)
 
     def test_family_subset_matches_full_run_with_one_mb_search(
-        self, curve, tmp_path, monkeypatch
+        self, curve, tmp_path, mb_searches
     ):
-        from nlshaping import nl_model
-
-        calls = []
-        real = nl_model.optimize_mb
-
-        def counting(*args, **kwargs):
-            calls.append(args[1].snr_gauss_db)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(nl_model, "optimize_mb", counting)
         out = tmp_path / "subset.csv"
         assert run_cli(["mi-curve", "--order", "16", "--snr-min", "10",
                         "--snr-max", "11", "--snr-step", "0.5",
                         "--families", "opt,mb", "--out", str(out)]) == 0
-        assert calls == [10.0, 10.5, 11.0]
+        # Forked workers search part of the grid and log in no fixed order.
+        assert sorted(snr for _, snr in mb_searches()) == [10.0, 10.5, 11.0]
         (_, _, full_rows), _ = curve
         _, _, rows = read_csv(out)
         assert rows == [r for r in full_rows if r[1] != "uniform"]
@@ -432,25 +453,32 @@ class TestEstimateCCsv:
             assert float(row[4]) > 0.0
 
 
-def scipy_modules_after(code: str) -> set[str]:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def fresh_run(code: str) -> tuple[set[str], int]:
+    """(scipy and multiprocessing modules loaded, ``os.fork`` calls made)
+    by a fresh interpreter running ``code``."""
     src = str(Path(nlshaping.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = (code + "\nimport sys\nprint('SCIPY:' + ' '.join(sorted("
-              "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+    script = ("import os\nforks = []\nfork = os.fork\n"
+              "os.fork = lambda: forks.append(1) or fork()\n"
+              + code + "\nimport sys\nprint('MODULES:' + ' '.join(sorted("
+              "m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing'))))"
+              "\nprint('FORKS:', len(forks))")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=600, check=True)
-    line = next(x for x in proc.stdout.splitlines() if x.startswith("SCIPY:"))
-    return set(line[len("SCIPY:"):].split())
+    lines = proc.stdout.splitlines()
+    modules = next(x for x in lines if x.startswith("MODULES:"))[len("MODULES:"):].split()
+    forks = int(next(x for x in lines if x.startswith("FORKS:")).split()[1])
+    return set(modules), forks
 
 
 class TestImportBudget:
     """scipy.optimize takes about 0.6 s to import and scipy.fft about 0.3 s;
-    the design commands need neither."""
+    the design commands need neither. A single design point starts no
+    worker process and does not import multiprocessing."""
 
     def test_package_import_loads_no_scipy(self):
-        assert scipy_modules_after("import nlshaping, nlshaping.cli") == set()
+        assert fresh_run("import nlshaping, nlshaping.cli") == (set(), 0)
 
     @pytest.mark.parametrize("argv", [
         ["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "10"],
@@ -458,15 +486,24 @@ class TestImportBudget:
     ])
     def test_design_commands_load_no_scipy(self, argv, tmp_path):
         argv = argv + ["--out", str(tmp_path / "out.csv")]
-        loaded = scipy_modules_after(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0")
-        assert loaded == set()
+        assert fresh_run(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0") == (set(), 0)
+
+    def test_grid_design_forks_one_worker_per_extra_cpu(self, tmp_path):
+        argv = ["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "12",
+                "--out", str(tmp_path / "out.csv")]
+        code = ("os.sched_getaffinity = lambda pid: {0, 1}\n"
+                f"from nlshaping import cli\nassert cli.main({argv!r}) == 0\n"
+                "import multiprocessing\nassert multiprocessing.active_children() == []")
+        modules, forks = fresh_run(code)
+        assert not any(m.startswith("scipy") for m in modules)
+        assert forks == 1
 
     def test_simulate_loads_fft_but_not_optimize(self, tmp_path):
         cfg = tmp_path / "link.cfg"
         cfg.write_text(TINY_CFG, encoding="utf-8")
         argv = ["simulate", "--config", str(cfg), "--order", "16", "--families", "opt",
                 "--power-min", "0", "--power-max", "0", "--out", str(tmp_path / "sim.csv")]
-        loaded = scipy_modules_after(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0")
+        loaded, _ = fresh_run(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0")
         assert "scipy.fft" in loaded
         assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)
 

@@ -1,6 +1,10 @@
 """Effective-SNR model and shaping-optimizer tests."""
 
 import math
+import multiprocessing
+import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -228,6 +232,20 @@ class TestSearchCaps:
             search(square_qam(16), NlChannelModel(c=0.69, snr_gauss_db=12.0))
         assert math.isfinite(exc.value.best[-1])
 
+    def test_error_survives_pickling(self):
+        from nlshaping import OptimizationError
+
+        error = pickle.loads(pickle.dumps(OptimizationError("m", best=(1.0, 2.0))))
+        assert type(error) is OptimizationError
+        assert str(error) == "m"
+        assert error.best == (1.0, 2.0)
+
+
+def cpus(monkeypatch, n: int) -> None:
+    """Make ``mi_curve`` see n usable CPUs: n = 1 forces the serial loop,
+    n > 1 the forked workers, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
 
 class TestMiCurve:
     def test_dominance_chain_and_delta_identity(self):
@@ -268,24 +286,124 @@ class TestMiCurve:
             assert point.delta_mi_4d <= 0.0
         assert opt.mi_4d - uni.mi_4d < 0.05
 
-    def test_one_mb_search_per_grid_point(self, monkeypatch):
-        # The tailored search reuses the MB optimum of its grid point.
-        from nlshaping import nl_model
+    def test_one_mb_search_per_grid_point(self, mb_searches, monkeypatch):
+        # The tailored search reuses the MB optimum of its grid point. With
+        # two CPUs the caller searches 12 and 14 dB and one forked worker
+        # 13 dB; the processes append in no fixed order, so the log is
+        # compared as a multiset.
+        cpus(monkeypatch, 2)
+        c = square_qam(16)
+        mi_curve(c, 0.69, [12.0, 13.0, 14.0])
+        calls = mb_searches()
+        assert sorted(snr for _, snr in calls) == [12.0, 13.0, 14.0]
+        by_pid = {}
+        for pid, snr in calls:
+            by_pid.setdefault(pid, []).append(snr)
+        assert by_pid.pop(os.getpid()) == [12.0, 14.0]
+        assert list(by_pid.values()) == [[13.0]]
+        optimize_per_ring(c, NlChannelModel(c=0.69, snr_gauss_db=18.0))
+        assert mb_searches() == [(os.getpid(), 18.0)]
 
-        calls = []
-        real = nl_model.optimize_mb
+    def test_forked_workers_match_serial_bit_for_bit(self, monkeypatch):
+        # Three processes for four points: the caller takes 14 and 18 dB.
+        c = square_qam(256)
+        grid = [14.0, 16.0, 17.0, 18.0]
+        cpus(monkeypatch, 1)
+        serial = mi_curve(c, 0.69, grid)
+        cpus(monkeypatch, 3)
+        forked = mi_curve(c, 0.69, grid)
+        # repr spells every float exactly, so equal reprs are equal bits.
+        assert repr(forked) == repr(serial)
 
-        def counting(*args, **kwargs):
-            calls.append(args[1].snr_gauss_db)
-            return real(*args, **kwargs)
+    @pytest.mark.parametrize("why", ["one cpu", "one point", "thread alive", "daemonic"])
+    def test_serial_cases_start_no_process(self, why, mb_searches, monkeypatch):
+        cpus(monkeypatch, 1 if why == "one cpu" else 2)
+        grid = [12.0] if why == "one point" else [12.0, 13.0]
+        if why == "daemonic":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if why == "thread alive":
+            thread.start()
+        try:
+            mi_curve(square_qam(16), 0.69, grid)
+        finally:
+            release.set()
+            if why == "thread alive":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert mb_searches() == [(os.getpid(), snr) for snr in grid]
 
-        monkeypatch.setattr(nl_model, "optimize_mb", counting)
+    def test_no_process_outlives_the_call(self, monkeypatch):
+        from nlshaping import OptimizationError, nl_model
+
+        cpus(monkeypatch, 2)
         c = square_qam(16)
         mi_curve(c, 0.69, [12.0, 13.0])
-        assert calls == [12.0, 13.0]
-        calls.clear()
-        optimize_per_ring(c, NlChannelModel(c=0.69, snr_gauss_db=18.0))
-        assert calls == [18.0]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(nl_model, "_TAILORED_MAXFEV", 3)
+        with pytest.raises(OptimizationError, match="cap of 3 evaluations") as exc:
+            mi_curve(c, 0.69, [12.0, 13.0, 14.0])
+        assert all(math.isfinite(value) for value in exc.value.best)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
+        # 13 dB fails in the forked worker and 14 dB in the caller; the
+        # lowest failing point raises, as in a serial run.
+        from nlshaping import OptimizationError, nl_model
+
+        def tailored(constellation, model, mb=None):
+            if model.snr_gauss_db >= 13.0:
+                raise OptimizationError(f"no optimum at {model.snr_gauss_db}",
+                                        best=(0.5, model.snr_gauss_db, 1.25))
+            return 0.0, 0.0, mb[1]
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(nl_model, "optimize_tailored", tailored)
+        with pytest.raises(OptimizationError) as exc:
+            mi_curve(square_qam(16), 0.69, [12.0, 13.0, 14.0])
+        assert str(exc.value) == "no optimum at 13.0"
+        assert exc.value.best == (0.5, 13.0, 1.25)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_the_workers(self, monkeypatch):
+        # An interrupt in the caller ends the workers at once instead of
+        # waiting for their share of the grid.
+        import time
+
+        from nlshaping import nl_model
+
+        caller = os.getpid()
+
+        def interrupted(constellation, c, snr_db, families):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(120.0)
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(nl_model, "_curve_point", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            mi_curve(square_qam(16), 0.69, [12.0, 13.0])
+        assert time.monotonic() - start < 60.0
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch):
+        from nlshaping import nl_model
+
+        caller = os.getpid()
+        real = nl_model._curve_point
+
+        def dying(constellation, c, snr_db, families):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(constellation, c, snr_db, families)
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(nl_model, "_curve_point", dying)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            mi_curve(square_qam(16), 0.69, [12.0, 13.0])
+        assert multiprocessing.active_children() == []
 
     def test_family_subsets_match_full_curve(self):
         c = square_qam(16)
