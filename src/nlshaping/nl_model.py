@@ -333,27 +333,52 @@ def _send_share(conn, *share_args) -> None:
     conn.send(_curve_share(*share_args))
 
 
-def _forked_curve(constellation, c, grid, families, workers: int) -> list:
-    """``mi_curve``'s points, with grid point i computed by worker i mod
-    ``workers``: worker 0 is the caller, the others are forked processes.
-    Every process is joined before this returns or raises."""
-    import multiprocessing
+def _start_worker(ctx, share_args, first: int, stride: int):
+    """A forked process that sends share ``first`` of ``stride``, and the
+    pipe end it sends on; neither pipe end stays open if the start fails."""
+    recv, send = ctx.Pipe(duplex=False)
+    try:
+        proc = ctx.Process(target=_send_share, daemon=True,
+                           args=(send, *share_args, first, stride))
+        proc.start()
+    except BaseException:
+        recv.close()
+        raise
+    finally:
+        send.close()
+    return proc, recv
 
-    ctx = multiprocessing.get_context("fork")
+
+def _curve(constellation, c, grid, families, workers: int) -> list:
+    """``mi_curve``'s points, with grid point i in share i mod ``workers``.
+    The caller computes share 0 and forks a process for each other share;
+    a share whose process cannot be started (a failed fork) is computed by
+    the caller too. With one worker, or in a daemonic caller, this is the
+    serial loop. Every process is joined before this returns or raises."""
+    share_args = (constellation, c, grid, families)
     procs = []
     received = False
     try:
-        for k in range(1, workers):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_share, daemon=True,
-                               args=(send, constellation, c, grid, families, k, workers))
-            proc.start()
-            send.close()
-            procs.append((proc, recv))
-        shares = [_curve_share(constellation, c, grid, families, 0, workers)]
+        if workers > 1:
+            import multiprocessing
+
+            ctx = multiprocessing.get_context("fork")
+            # A daemonic process, such as a multiprocessing.Pool worker, may
+            # not start processes of its own.
+            if multiprocessing.current_process().daemon:
+                workers = 1
+            for k in range(1, workers):
+                try:
+                    procs.append(_start_worker(ctx, share_args, k, workers))
+                except OSError:
+                    # No process or pipe to be had (EAGAIN, ENOMEM, EMFILE):
+                    # the caller takes this share and the ones after it.
+                    break
+        local = [0, *range(len(procs) + 1, workers)]
+        shares = {k: _curve_share(*share_args, k, workers) for k in local}
         for k, (proc, recv) in enumerate(procs, start=1):
             try:
-                shares.append(recv.recv())
+                shares[k] = recv.recv()
             except EOFError:
                 proc.join()
                 raise RuntimeError(
@@ -366,14 +391,15 @@ def _forked_curve(constellation, c, grid, families, workers: int) -> list:
             if not received:
                 proc.terminate()
             proc.join()
+            proc.close()
             recv.close()
 
-    errors = [error for _, error in shares if error is not None]
+    errors = [error for _, error in shares.values() if error is not None]
     if errors:
         # The lowest failing grid point, which a serial run would meet first.
         raise min(errors, key=lambda error: error[0])[1]
     out = [None] * len(grid)
-    for k, (points, _) in enumerate(shares):
+    for k, (points, _) in shares.items():
         out[k::workers] = points
     return out
 
@@ -396,11 +422,12 @@ def mi_curve(
     The points are spread over w = min(grid points, usable CPUs)
     processes, the caller and w - 1 forked workers, each taking every
     w-th point; the result is the one a serial run gives, bit for bit.
-    The grid runs serially in the caller when w is 1, when the platform
-    cannot fork, when other Python threads are alive (forking a threaded
-    process is unsafe) or when the caller is a daemonic process. A
-    failing search raises its own exception, that of the lowest failing
-    grid point, as a serial run does.
+    The grid runs serially in the caller when w is 1 (a platform without
+    ``os.sched_getaffinity`` counts one CPU), when other Python threads
+    are alive (forking a threaded process is unsafe) or when the caller
+    is a daemonic process; if a worker cannot be started, the caller
+    computes its points too. A failing search raises its own exception,
+    that of the lowest failing grid point, as a serial run does.
     """
     grid = [float(s) for s in snr_grid_db]
     if not grid:
@@ -412,12 +439,6 @@ def mi_curve(
         raise ValueError(f"families must be a non-empty subset of ({names})")
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(grid), cpus)
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        import multiprocessing
-
-        # A daemonic process, such as a multiprocessing.Pool worker, may not
-        # start processes of its own.
-        if not multiprocessing.current_process().daemon:
-            return _forked_curve(constellation, c, grid, families, workers)
-    return [_curve_point(constellation, c, snr_db, families) for snr_db in grid]
+    # Forking a process with other live threads is unsafe.
+    workers = min(len(grid), cpus) if threading.active_count() == 1 else 1
+    return _curve(constellation, c, grid, families, workers)

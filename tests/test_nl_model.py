@@ -334,6 +334,39 @@ class TestMiCurve:
         assert not thread.is_alive()
         assert mb_searches() == [(os.getpid(), snr) for snr in grid]
 
+    @pytest.mark.parametrize("fails_from", [1, 2])
+    def test_failed_fork_leaves_the_share_to_the_caller(
+        self, fails_from, mb_searches, monkeypatch
+    ):
+        # Three CPUs for four points; forking worker ``fails_from`` and any
+        # after it fails as under a process or memory limit, and the caller
+        # computes those shares itself, with the same points.
+        c = square_qam(16)
+        grid = [12.0, 13.0, 14.0, 15.0]
+        cpus(monkeypatch, 1)
+        serial = mi_curve(c, 0.69, grid)
+        mb_searches()
+        real_start = multiprocessing.process.BaseProcess.start
+        starts = []
+
+        def start(process):
+            starts.append(process)
+            if len(starts) >= fails_from:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            real_start(process)
+
+        fds = len(os.listdir("/proc/self/fd"))
+        cpus(monkeypatch, 3)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        assert repr(mi_curve(c, 0.69, grid)) == repr(serial)
+        assert len(starts) == fails_from
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert multiprocessing.active_children() == []
+        calls = mb_searches()
+        assert sorted(snr for _, snr in calls) == grid
+        caller = sorted(snr for pid, snr in calls if pid == os.getpid())
+        assert caller == ([12.0, 13.0, 14.0, 15.0] if fails_from == 1 else [12.0, 14.0, 15.0])
+
     def test_no_process_outlives_the_call(self, monkeypatch):
         from nlshaping import OptimizationError, nl_model
 
