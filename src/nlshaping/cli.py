@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .awgn_mi import DEFAULT_ORDER
 from .constellation import SUPPORTED_ORDERS, normalized, square_qam
-from .nl_model import CURVE_FAMILIES, DEFAULT_C, Family, MiCurvePoint, mi_curve
+from .nl_model import CURVE_FAMILIES, DEFAULT_C, Family, MiCurvePoint, NlChannelModel, mi_curve
 from .shaping import ShapingParams, build_pmf, excess_kurtosis, mb_pmf, uniform_pmf
 from .ssfm import (
     LinkConfig,
@@ -109,6 +110,23 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--opt -1e3`` as ``--opt=-1e3``. argparse takes a token that
+    starts with '-' for an option unless it matches its negative-number
+    pattern, which on some Python versions knows no exponent form. Every
+    long option but ``--help`` takes one value."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            last = joined[-1] if joined else ""
+            if re.match(r"-\.?\d", arg) and re.fullmatch(r"--[^=]+", last) and last != "--help":
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _parse_families(text: str, allowed) -> list[str]:
@@ -294,7 +312,7 @@ def cmd_estimate_c(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlshaping",
         description="Shaping-gain curves and fiber simulations for square QAM",
     )
@@ -350,8 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_grids(parser: argparse.ArgumentParser, args) -> None:
-    """Usage errors of the SNR and power grids, before any compute."""
+def _check_args(parser: argparse.ArgumentParser, args) -> None:
+    """Usage errors of ``--c`` and of the SNR and power grids, before any compute."""
+    try:
+        NlChannelModel(c=getattr(args, "c", DEFAULT_C))
+    except ValueError as exc:
+        parser.error(f"argument --c: {exc}")
     for axis in ("snr", "power"):
         lo = getattr(args, f"{axis}_min", None)
         if lo is None:
@@ -373,7 +395,7 @@ def main(argv=None) -> int:
     one error line and returns 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_grids(parser, args)
+    _check_args(parser, args)
     try:
         metadata, header, rows = args.func(args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -75,6 +75,12 @@ class NlChannelModel:
     c: float = DEFAULT_C
     snr_gauss_db: float = 18.0
 
+    def __post_init__(self):
+        # Excess kurtosis is at least -1 for every pmf, so 1 + c * kurtosis
+        # >= 1 - c > 0 when c is in [0, 1); outside it no such bound holds.
+        if not 0.0 <= self.c < 1.0:
+            raise ValueError(f"c must be in [0, 1), got {self.c}")
+
 
 @dataclass(frozen=True)
 class MiCurvePoint:
@@ -437,6 +443,7 @@ def mi_curve(
     if not families or not set(families) <= set(CURVE_FAMILIES):
         names = ", ".join(f.value for f in CURVE_FAMILIES)
         raise ValueError(f"families must be a non-empty subset of ({names})")
+    NlChannelModel(c, grid[0])  # checks c before any search or worker
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     # Forking a process with other live threads is unsafe.

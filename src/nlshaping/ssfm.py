@@ -4,10 +4,12 @@ Transmit chain: per-channel i.i.d. symbols, root-raised-cosine shaping
 on a cyclic grid, frequency comb assembly. Propagation integrates the
 polarization-averaged (Manakov) equation with a symmetrized split-step
 scheme; a single lumped amplifier restores the span loss and adds ASE.
-The receiver applies ideal frequency-domain dispersion compensation,
-matched filtering, and data-aided complex scaling. All FFTs go through
+The receiver applies ideal dispersion compensation, matched filtering,
+and data-aided complex scaling. Each channel sits whole FFT bins from
+the band center, so shaping, comb assembly and the receive filters run
+on the spectrum and move channels by bin shifts. All FFTs go through
 ``scipy.fft`` with one worker per polarization row. It is the only part
-of scipy the link uses and is imported at the first spectral filter, so
+of scipy the link uses and is imported at the first transform, so
 importing this module, as every design command does, loads no scipy.
 Each split-step's Kerr phase runs over blocks of the sample axis on as
 many threads: the calling thread and one helper per extra worker, from
@@ -106,9 +108,9 @@ class LinkConfig:
         if not 0.0 < self.rrc_rolloff <= 1.0:
             raise ValueError("rrc_rolloff must be in (0, 1]")
         # Channel offsets are multiples of the spacing; each must be a
-        # whole number of FFT bins (baud / symbols) for the waveform to be
-        # periodic on the grid.
-        bins = self.spacing_ghz * self.symbols_per_channel / self.baud_ghz
+        # whole number of FFT bins for the waveform to be periodic on the
+        # grid.
+        bins = self._spacing_bins()
         if self.channels > 1 and abs(bins - round(bins)) > COMB_GRID_TOL:
             step = self.baud_ghz / self.symbols_per_channel
             raise ValueError(
@@ -149,10 +151,17 @@ class LinkConfig:
         dz = self.span_km * 1e3 / self.steps
         return abs(self.beta2_s2_per_m) * omega_edge**2 * dz / 2.0
 
-    def channel_offset_hz(self, channel_index: int) -> float:
+    def _spacing_bins(self) -> float:
+        """The channel spacing in FFT bins, baud / symbols_per_channel wide."""
+        return self.spacing_ghz * self.symbols_per_channel / self.baud_ghz
+
+    def channel_bins(self, channel_index: int) -> int:
+        """Whole FFT bins from the band center to the center of channel
+        ``channel_index``; the channels count up from the lowest
+        frequency."""
         if not 0 <= channel_index < self.channels:
             raise ValueError(f"channel index {channel_index} out of range")
-        return (channel_index - (self.channels - 1) / 2.0) * self.spacing_ghz * 1e9
+        return (channel_index - self.channels // 2) * round(self._spacing_bins())
 
 
 @dataclass(frozen=True)
@@ -238,15 +247,20 @@ def rrc_spectrum(freq_hz: np.ndarray, baud_hz: float, rolloff: float) -> np.ndar
     return np.sqrt(h)
 
 
+def _scipy_fft():
+    """``scipy.fft``, imported at the first transform: design commands load no scipy."""
+    import scipy.fft
+
+    return scipy.fft
+
+
 def _spectral_filter(x: np.ndarray, response: np.ndarray) -> np.ndarray:
     """ifft(fft(x) * response) along the last axis, computed in the buffer
     of ``x``, which is overwritten and returned."""
-    # Imported here so that the design commands never load scipy.
-    from scipy.fft import fft, ifft
-
-    x = fft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+    fft = _scipy_fft()
+    x = fft.fft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
     x *= response
-    return ifft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+    return fft.ifft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
 
 
 def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -254,22 +268,6 @@ def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) 
         return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
     unit = normalized(modulation.constellation, modulation.pmf)
     return unit.points[rng.choice(unit.order, size=count, p=modulation.pmf.probs)]
-
-
-def _carrier(offset_hz: float, sample_rate_hz: float, n: int) -> np.ndarray:
-    """exp(2 pi i f m / fs) for the samples m = 0 .. n-1 of a cyclic grid.
-
-    The offset f lies on the FFT grid, k = f n / fs bins for an integer k,
-    so the phase is (k m mod n) / n turns. Reducing it in integers first
-    keeps every sample exact to rounding of a phase below 2 pi, where
-    f t itself reaches 1e5 rad at desk scale.
-    """
-    bins = round(offset_hz * n / sample_rate_hz)
-    phase = np.arange(n, dtype=np.int64) * bins % n * (2.0 * np.pi / n)
-    carrier = np.empty(n, dtype=np.complex128)
-    np.cos(phase, out=carrier.real)
-    np.sin(phase, out=carrier.imag)
-    return carrier
 
 
 def generate_wdm(
@@ -281,11 +279,15 @@ def generate_wdm(
     """Assemble the dual-polarization WDM field at the fiber input.
 
     Every channel and polarization carries independent symbols from the
-    same modulation. Pulse shaping is cyclic, so the waveform is exactly
-    periodic and the matched filter is exactly Nyquist on the grid. Each
-    channel is normalized so its measured dual-pol power equals
-    ``launch_dbm`` before being shifted to its comb slot.
+    same modulation. A channel's spectrum is the FFT of its symbols, tiled
+    ``samples_per_symbol`` times (the zero-stuffed sequence), times the
+    RRC response; scaled by Parseval to a dual-pol power of ``launch_dbm``,
+    it is added into the field spectrum at the channel's bin offset. One
+    inverse FFT gives the field. Pulse shaping is cyclic, so the waveform
+    is exactly periodic and the matched filter is exactly Nyquist on the
+    grid.
     """
+    fft = _scipy_fft()
     rng = np.random.default_rng(seed)
     nsym = config.symbols_per_channel
     sps = config.samples_per_symbol
@@ -294,25 +296,23 @@ def generate_wdm(
     shaping = rrc_spectrum(fftfreq(n, 1.0 / fs), config.baud_ghz * 1e9, config.rrc_rolloff)
     p_target = 1e-3 * 10.0 ** (launch_dbm / 10.0)
 
-    total = np.zeros((2, n), dtype=np.complex128)
+    spectrum = np.zeros((2, n), dtype=np.complex128)
     tx_symbols = np.zeros((config.channels, 2, nsym), dtype=np.complex128)
-    # One wave and one |wave|^2 buffer serve every channel.
-    wave = np.empty((2, n), dtype=np.complex128)
-    wave_power = np.empty((2, n))
+    # One buffer holds each channel's shaped spectrum in turn.
+    shaped = np.empty((2, n), dtype=np.complex128)
     for ch in range(config.channels):
         for pol in range(2):
             tx_symbols[ch, pol] = _draw_symbols(modulation, nsym, rng)
-        wave[...] = 0.0
-        wave[:, ::sps] = tx_symbols[ch]
-        wave = _spectral_filter(wave, shaping)
-        np.abs(wave, out=wave_power)
-        np.square(wave_power, out=wave_power)
-        measured = float(np.mean(wave_power)) * 2.0
-        wave *= np.sqrt(p_target / measured)
-        wave *= _carrier(config.channel_offset_hz(ch), fs, n)
-        total += wave
+        tiles = fft.fft(tx_symbols[ch], axis=-1, workers=FFT_WORKERS)[:, None, :]
+        np.multiply(tiles, shaping.reshape(sps, nsym), out=shaped.reshape(2, sps, nsym))
+        # Parseval: the dual-pol power of the waveform is sum |X|^2 / n^2.
+        shaped *= math.sqrt(p_target * n * n / np.vdot(shaped, shaped).real)
+        k = config.channel_bins(ch) % n
+        spectrum[:, k:] += shaped[:, : n - k]
+        spectrum[:, :k] += shaped[:, n - k :]
 
-    return DualPolField(total, fs, config.center_wavelength_nm, tx_symbols)
+    samples = fft.ifft(spectrum, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+    return DualPolField(samples, fs, config.center_wavelength_nm, tx_symbols)
 
 
 def _kerr_phase(e, scale, lo, hi, power, kerr):
@@ -421,37 +421,33 @@ def amplify(field: DualPolField, gain_db: float, nf_db: float, seed: int) -> Dua
 
 def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.ndarray:
     """Recover one channel's symbols: ideal CD compensation on the full
-    band, downconversion, matched filtering, symbol-rate decimation, and
-    per-polarization data-aided complex scaling (which absorbs any
-    constant phase). Returns a (2, nsym) array aligned with
-    ``field.tx_symbols[channel_index]``."""
-    n = field.samples.shape[1]
-    fs = field.sample_rate_hz
-    freq = fftfreq(n, 1.0 / fs)
-    omega = 2.0 * np.pi * freq
-    span_m = config.span_km * 1e3
+    band and the matched filter moved up to the channel, as one response
+    on the field's FFT; symbol-rate decimation, which folds the spectrum
+    onto nsym bins, where a roll shifts the channel to baseband; one
+    nsym-point inverse FFT; and per-polarization data-aided complex
+    scaling (which absorbs any constant phase). Returns a (2, nsym) array
+    aligned with ``field.tx_symbols[channel_index]``."""
+    k = config.channel_bins(channel_index)
+    fft = _scipy_fft()
+    sps = config.samples_per_symbol
+    freq = fftfreq(field.samples.shape[1], 1.0 / field.sample_rate_hz)
 
-    # Each phase factor is built in one buffer and freed after use.
-    cdc = np.multiply(+0.5j * config.beta2_s2_per_m, omega**2)
-    cdc *= span_m
-    e = _spectral_filter(np.array(field.samples, dtype=np.complex128),
-                         np.exp(cdc, out=cdc))
-    del cdc, omega
+    response = np.multiply(+0.5j * config.beta2_s2_per_m * config.span_km * 1e3,
+                           (2.0 * np.pi * freq) ** 2)
+    np.exp(response, out=response)
+    response *= np.roll(rrc_spectrum(freq, config.baud_ghz * 1e9, config.rrc_rolloff), k)
+    e = fft.fft(field.samples, axis=-1, workers=FFT_WORKERS)
+    e *= response
+    folded = np.roll(e.reshape(2, sps, -1).sum(axis=1), -k, axis=-1)
+    folded /= sps
+    symbols = fft.ifft(folded, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+    return _gain_removed(symbols, field.tx_symbols[channel_index])
 
-    e *= _carrier(-config.channel_offset_hz(channel_index), fs, n)
 
-    matched = rrc_spectrum(freq, config.baud_ghz * 1e9, config.rrc_rolloff)
-    e = _spectral_filter(e, matched)
-    symbols = e[:, :: config.samples_per_symbol]
-
-    reference = field.tx_symbols[channel_index]
-    out = np.empty_like(symbols)
-    for pol in range(2):
-        # Least-squares complex gain of y = h x + n against the known
-        # sequence; dividing by h leaves the additive noise unbiased.
-        h = np.vdot(reference[pol], symbols[pol]) / np.vdot(reference[pol], reference[pol])
-        out[pol] = symbols[pol] / h
-    return out
+def _gain_removed(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """Each row of ``rx`` over its least-squares complex gain h in rx = h tx
+    + n, against the known row of ``tx``: the noise is left unbiased."""
+    return np.array([y / (np.vdot(x, y) / np.vdot(x, x)) for y, x in zip(rx, tx)])
 
 
 def estimate_snr(rx_symbols: np.ndarray, tx_symbols: np.ndarray) -> float:
@@ -465,11 +461,9 @@ def estimate_snr(rx_symbols: np.ndarray, tx_symbols: np.ndarray) -> float:
         raise ValueError(f"need at least 1e4 symbols, got {rx.size}")
     signal = 0.0
     residual = 0.0
-    for pol in range(rx.shape[0]):
-        h = np.vdot(tx[pol], rx[pol]) / np.vdot(tx[pol], tx[pol])
-        scaled = rx[pol] / h
-        signal += float(np.sum(np.abs(tx[pol]) ** 2))
-        residual += float(np.sum(np.abs(scaled - tx[pol]) ** 2))
+    for scaled, x in zip(_gain_removed(rx, tx), tx):
+        signal += float(np.sum(np.abs(x) ** 2))
+        residual += float(np.sum(np.abs(scaled - x) ** 2))
     if residual <= signal * 10.0 ** (-SNR_CAP_DB / 10.0):
         return SNR_CAP_DB
     return 10.0 * math.log10(signal / residual)
@@ -638,17 +632,15 @@ def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
     deterministic, power-proportional residue into the matched filter;
     this calibrates it so NLI extraction can subtract the full linear
     baseline, not just ASE. Without the Kerr term and the ASE, the span
-    is one linear filter: its dispersion, exp(-i beta2 omega^2 L / 2).
-    The span loss is left out with the gain that would restore it.
+    is one linear filter, its loss and dispersion, which the amplifier
+    gain and the ideal CD compensation undo exactly. So the transmitted
+    field is received back to back, with no dispersion to compensate.
     """
     tx_seed, _ = _run_seed(seed, 0xBA5E)
     field = generate_wdm(config, gaussian_modulation(), 0.0, tx_seed)
-    n = field.samples.shape[1]
-    omega = 2.0 * np.pi * fftfreq(n, 1.0 / field.sample_rate_hz)
-    dispersion = np.exp((-0.5j * config.beta2_s2_per_m * config.span_km * 1e3) * omega**2)
-    field = replace(field, samples=_spectral_filter(np.array(field.samples), dispersion))
     center = config.channels // 2
-    rx, tx = receive(field, config, center), field.tx_symbols[center]
+    back_to_back = replace(config, dispersion_ps_nm_km=0.0)
+    rx, tx = receive(field, back_to_back, center), field.tx_symbols[center]
     return float(np.sum(np.abs(rx - tx) ** 2) / np.sum(np.abs(tx) ** 2))
 
 

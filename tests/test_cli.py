@@ -139,6 +139,14 @@ class TestExitCodes:
           "--snr-step", "1e-320"], "gives inf grid points"),
         (["simulate", "--order", "16", "--power-min", "0", "--power-max", "1",
           "--power-step", "1e-4"], "gives 10001 grid points; at most 10000 are allowed"),
+        (["simulate", "--power-min", "-1e3", "--power-max", "0", "--power-step", "1e-4"],
+         "gives 10000001 grid points; at most 10000 are allowed"),
+        (["mi-curve", "--order", "64", "--c=1.5", "--snr-min", "18", "--snr-max", "18"],
+         "argument --c: c must be in [0, 1), got 1.5"),
+        (["pmf", "--order", "16", "--c=-2", "--snr", "0", "--family", "mb"],
+         "argument --c: c must be in [0, 1), got -2.0"),
+        (["simulate", "--order", "16", "--c", "-1e-3", "--power-min", "0", "--power-max", "0"],
+         "argument --c: c must be in [0, 1), got -0.001"),
     ])
     def test_bad_argument_is_2_before_compute(self, argv, message, monkeypatch, capsys):
         def no_compute(*args, **kwargs):
@@ -217,6 +225,34 @@ class TestExitCodes:
         captured = capsys.readouterr().out
         assert captured.startswith("# tool: nlshaping")
         assert "snr_gauss_db,family," in captured
+
+
+# Required arguments of each subcommand, with which one numeric option at
+# a time is given a negative number in exponent form.
+REQUIRED = {
+    "mi-curve": ["--snr-min", "0", "--snr-max", "0"],
+    "pmf": ["--snr", "0", "--family", "mb"],
+    "simulate": ["--power-min", "0", "--power-max", "0"],
+    "estimate-c": [],
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("mi-curve", "--snr-min"), ("mi-curve", "--snr-max"), ("mi-curve", "--snr-step"),
+    ("pmf", "--snr"), ("simulate", "--cal-snr"), ("simulate", "--power-min"),
+    ("simulate", "--power-max"), ("simulate", "--power-step"), ("estimate-c", "--probe-power"),
+])
+def test_negative_exponent_reaches_its_option(command, option):
+    # argparse on its own reads -1e3 as an unknown option on Python 3.11.
+    args = cli.build_parser().parse_args([command, *REQUIRED[command], option, "-1e3"])
+    assert getattr(args, option[2:].replace("-", "_")) == -1000.0
+
+
+def test_help_before_a_negative_number_prints_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["simulate", "--help", "-1e3"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nlshaping simulate")
 
 
 class TestGrid:

@@ -282,6 +282,30 @@ class TestGenerateWdm:
         se = influence.std() / math.sqrt(r2.size)
         assert abs(khat - excess_kurtosis(c, pmf)) < 3.0 * se
 
+    def test_each_band_holds_its_channel_at_launch_power(self):
+        # Three channels 66 GHz apart do not overlap. By Parseval, each
+        # channel's RRC band of the field's FFT carries the launch power;
+        # its flat passband is the FFT of that channel's symbols times one
+        # positive scale; the bins outside every band carry no power.
+        cfg = tiny_config(channels=3, samples_per_symbol=8, spacing_ghz=66.0)
+        field = generate_wdm(cfg, uniform_mod(), 2.0, seed=29)
+        n, nsym = field.samples.shape[1], cfg.symbols_per_channel
+        spectrum = np.fft.fft(field.samples, axis=1)
+        power = np.abs(spectrum) ** 2 / n**2
+        freq = np.fft.fftfreq(n, 1.0 / cfg.sample_rate_hz)
+        baud = cfg.baud_ghz * 1e9
+        outside = np.ones(n, dtype=bool)
+        for ch in range(cfg.channels):
+            offset = freq - (ch - 1) * cfg.spacing_ghz * 1e9
+            band = np.abs(offset) < (1.0 + cfg.rrc_rolloff) * baud / 2.0
+            outside &= ~band
+            assert power[:, band].sum() == pytest.approx(1e-3 * 10**0.2, rel=1e-12)
+            flat = np.abs(offset) <= (1.0 - cfg.rrc_rolloff) * baud / 2.0
+            bins = np.rint(offset[flat] * nsym / baud).astype(int) % nsym
+            ratio = spectrum[:, flat] / np.fft.fft(field.tx_symbols[ch], axis=1)[:, bins]
+            np.testing.assert_allclose(ratio, abs(ratio[0, 0]), rtol=1e-12)
+        assert power[:, outside].sum() <= 1e-24 * power.sum()
+
     def test_seed_determinism(self):
         cfg = tiny_config()
         a = generate_wdm(cfg, uniform_mod(), 0.0, seed=5)
