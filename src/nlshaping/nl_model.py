@@ -12,14 +12,13 @@ design command run on numpy alone, without importing scipy.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .awgn_mi import mi_awgn_2d
 from .constellation import Constellation, normalized
+from .forks import fork_count, forked_map
 from .search import bounded_brent, nelder_mead
 from .shaping import (
     Family,
@@ -321,95 +320,6 @@ def _curve_point(
     return tuple(points[f] for f in CURVE_FAMILIES if f in families)
 
 
-def _curve_share(constellation, c, grid, families, first, stride):
-    """Points ``first``, ``first + stride``, ... of the grid, up to the
-    first that raises: (points, None) or (points, (index, exception))."""
-    points = []
-    for i in range(first, len(grid), stride):
-        try:
-            points.append(_curve_point(constellation, c, grid[i], families))
-        except Exception as exc:
-            return points, (i, exc)
-    return points, None
-
-
-def _send_share(conn, *share_args) -> None:
-    """Body of a forked worker: its share of the grid, sent to the caller.
-    The pipe closes when the worker exits, with or without a result."""
-    conn.send(_curve_share(*share_args))
-
-
-def _start_worker(ctx, share_args, first: int, stride: int):
-    """A forked process that sends share ``first`` of ``stride``, and the
-    pipe end it sends on; neither pipe end stays open if the start fails."""
-    recv, send = ctx.Pipe(duplex=False)
-    try:
-        proc = ctx.Process(target=_send_share, daemon=True,
-                           args=(send, *share_args, first, stride))
-        proc.start()
-    except BaseException:
-        recv.close()
-        raise
-    finally:
-        send.close()
-    return proc, recv
-
-
-def _curve(constellation, c, grid, families, workers: int) -> list:
-    """``mi_curve``'s points, with grid point i in share i mod ``workers``.
-    The caller computes share 0 and forks a process for each other share;
-    a share whose process cannot be started (a failed fork) is computed by
-    the caller too. With one worker, or in a daemonic caller, this is the
-    serial loop. Every process is joined before this returns or raises."""
-    share_args = (constellation, c, grid, families)
-    procs = []
-    received = False
-    try:
-        if workers > 1:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            # A daemonic process, such as a multiprocessing.Pool worker, may
-            # not start processes of its own.
-            if multiprocessing.current_process().daemon:
-                workers = 1
-            for k in range(1, workers):
-                try:
-                    procs.append(_start_worker(ctx, share_args, k, workers))
-                except OSError:
-                    # No process or pipe to be had (EAGAIN, ENOMEM, EMFILE):
-                    # the caller takes this share and the ones after it.
-                    break
-        local = [0, *range(len(procs) + 1, workers)]
-        shares = {k: _curve_share(*share_args, k, workers) for k in local}
-        for k, (proc, recv) in enumerate(procs, start=1):
-            try:
-                shares[k] = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(
-                    f"mi_curve worker for grid points {k}::{workers} exited with code "
-                    f"{proc.exitcode} before sending its points"
-                ) from None
-        received = True
-    finally:
-        for proc, recv in procs:
-            if not received:
-                proc.terminate()
-            proc.join()
-            proc.close()
-            recv.close()
-
-    errors = [error for _, error in shares.values() if error is not None]
-    if errors:
-        # The lowest failing grid point, which a serial run would meet first.
-        raise min(errors, key=lambda error: error[0])[1]
-    out = [None] * len(grid)
-    for k, (points, _) in shares.items():
-        out[k::workers] = points
-    return out
-
-
 def mi_curve(
     constellation: Constellation,
     c: float,
@@ -445,7 +355,5 @@ def mi_curve(
         raise ValueError(f"families must be a non-empty subset of ({names})")
     NlChannelModel(c, grid[0])  # checks c before any search or worker
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    # Forking a process with other live threads is unsafe.
-    workers = min(len(grid), cpus) if threading.active_count() == 1 else 1
-    return _curve(constellation, c, grid, families, workers)
+    return forked_map(lambda i: _curve_point(constellation, c, grid[i], families),
+                      len(grid), fork_count(len(grid)))

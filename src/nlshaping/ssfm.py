@@ -8,19 +8,30 @@ The receiver applies ideal dispersion compensation, matched filtering,
 and data-aided complex scaling. Each channel sits whole FFT bins from
 the band center, so shaping, comb assembly and the receive filters run
 on the spectrum and move channels by bin shifts. All FFTs go through
-``scipy.fft`` with one worker per polarization row. It is the only part
-of scipy the link uses and is imported at the first transform, so
+``scipy.fft``. It is the only part of scipy the link uses and is
+imported at the first transform, or by a sweep before it forks, so
 importing this module, as every design command does, loads no scipy.
-Each split-step's Kerr phase runs over blocks of the sample axis on as
-many threads: the calling thread and one helper per extra worker, from
-a pool opened for each ``propagate`` call, which join before the step's
-FFT pair. The output does not depend on the thread count.
+
+The linear step of the split-step is a four-step FFT of length
+n = n1 * n2, n1 the largest divisor of n at most sqrt(n): FFTs over n1
+of the (2, n1, n2) view, then a row pass (twiddles, FFTs over n2, the
+response, the inverse FFTs and the conjugate twiddles, on row blocks
+that stay in cache), then inverse FFTs over n1. The response is kept in
+the order the passes leave the spectrum in, so nothing is transposed.
+A run on its own takes FFT_WORKERS threads: the FFTs over n1 run on as
+many workers, and the row pass and each step's Kerr phase are split by
+blocks between the calling thread and helpers from a pool opened for
+each ``propagate`` call, which join before the next pass. ``power_sweep``
+and ``estimate_c`` spread their independent runs over one process per
+usable CPU (``forks.forked_map``), and each of those runs takes one
+thread. The output does not depend on the thread or the process count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -29,6 +40,7 @@ from numpy.fft import fftfreq
 from .awgn_mi import (LN2, POSTERIOR_CHUNK, _neg_log_posterior, _posterior_work,
                       _require_unit_power)
 from .constellation import Constellation, normalized
+from .forks import fork_count, forked_map
 from .shaping import Pmf, entropy, excess_kurtosis
 
 LN10 = float(np.log(10.0))
@@ -41,12 +53,18 @@ PLANCK = 6.62607015e-34
 # return infinity.
 SNR_CAP_DB = 100.0
 
-# Threads per split-step: the FFT workers, one per polarization row of a
-# (2, n) field, and the threads sharing each step's Kerr phase.
+# Threads of a transmission run that has the host to itself: the FFT
+# workers and the threads sharing each split-step's Kerr phase. A run in a
+# sweep that spreads its runs over one process per CPU takes one thread.
 FFT_WORKERS = 2
 
-# Samples per block of the Kerr phase: a thread's two block buffers take
-# 192 KiB, so they stay in cache.
+# Threads per transmission run in this context: unset is FFT_WORKERS; _runs
+# sets 1 while its runs share the CPUs.
+_RUN_THREADS: ContextVar[int | None] = ContextVar("run_threads", default=None)
+
+# Samples per block of the Kerr phase, and per polarization of the
+# four-step row pass: a thread's two Kerr block buffers take 192 KiB and a
+# row block 256 KiB, so they stay in cache.
 KERR_BLOCK = 1 << 13
 
 # Largest distance of spacing * symbols / baud from an integer for the
@@ -91,6 +109,11 @@ class LinkConfig:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        # A noise factor F below 1 would make the ASE density negative.
+        if self.edfa_nf_db < 0.0:
+            raise ValueError(
+                f"edfa_nf_db must be at least 0 dB (noise factor F >= 1), got {self.edfa_nf_db}"
+            )
         if self.channels < 1 or self.channels % 2 == 0:
             raise ValueError("channels must be a positive odd count")
         bw = self.baud_ghz * self.samples_per_symbol
@@ -247,6 +270,11 @@ def rrc_spectrum(freq_hz: np.ndarray, baud_hz: float, rolloff: float) -> np.ndar
     return np.sqrt(h)
 
 
+def _threads() -> int:
+    """Threads for the transforms and the Kerr phase of the current run."""
+    return _RUN_THREADS.get() or FFT_WORKERS
+
+
 def _scipy_fft():
     """``scipy.fft``, imported at the first transform: design commands load no scipy."""
     import scipy.fft
@@ -254,13 +282,87 @@ def _scipy_fft():
     return scipy.fft
 
 
-def _spectral_filter(x: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """ifft(fft(x) * response) along the last axis, computed in the buffer
-    of ``x``, which is overwritten and returned."""
+def _four_step(n: int) -> np.ndarray:
+    """Twiddles of the four-step FFT of length n = n1 * n2, n1 the largest
+    divisor of n at most sqrt(n): a (2, n1, n2) array holding w[k1, j2] =
+    exp(-2 pi i k1 j2 / n) and its conjugate. For a prime n, n1 = 1 and
+    every twiddle is 1: the transform is the direct FFT."""
+    n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    n2 = n // n1
+    # k1 j2 mod n is exact in integers, so every angle is within 2 pi.
+    angle = np.outer(np.arange(n1), np.arange(n2)) % n * (-2.0 * math.pi / n)
+    twiddles = np.empty((2, n1, n2), dtype=np.complex128)
+    np.cos(angle, out=twiddles[0].real)
+    np.sin(angle, out=twiddles[0].imag)
+    np.conjugate(twiddles[0], out=twiddles[1])
+    return twiddles
+
+
+def _pass_order(values: np.ndarray, n1: int) -> np.ndarray:
+    """The per-bin ``values`` of an n-point spectrum in the order that the
+    four-step passes leave it in: bin k1 + n1 k2 at [k1, k2], an (n1, n2)
+    array."""
+    return np.ascontiguousarray(values.reshape(-1, n1).T)
+
+
+def _shares(count: int, block: int, threads: int) -> list[tuple[int, int]]:
+    """``threads`` contiguous (lo, hi) runs of whole blocks of ``block``
+    items, covering ``count`` items; the last block may be partial."""
+    blocks = -(-count // block)
+    edges = [min(count, blocks * part // threads * block) for part in range(threads + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _in_threads(pool, work, shares, *args) -> None:
+    """``work(*args, *share)`` for each share: the first on the calling
+    thread, the others on ``pool``, which may be None for one share.
+    Returns when all have finished."""
+    helpers = [pool.submit(work, *args, *share) for share in shares[1:]]
+    work(*args, *shares[0])
+    for helper in helpers:
+        helper.result()
+
+
+def _row_pass(y, response, twiddles, lo, hi) -> None:
+    """Rows lo:hi of the four-step view ``y``, (2, n1, n2), in place: the
+    twiddles, FFTs over n2, ``response``, inverse FFTs and the conjugate
+    twiddles, on about KERR_BLOCK samples per polarization at a time, so
+    each block stays in cache through the five passes. scipy.fft
+    transforms an aligned complex128 view in place when it may overwrite
+    it."""
     fft = _scipy_fft()
-    x = fft.fft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
-    x *= response
-    return fft.ifft(x, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+    forward, inverse = twiddles
+    rows = max(1, KERR_BLOCK // y.shape[2])
+    for start in range(lo, hi, rows):
+        part = slice(start, min(start + rows, hi))
+        block = y[:, part]
+        block *= forward[part]
+        fft.fft(block, axis=2, overwrite_x=True)
+        block *= response[part]
+        fft.ifft(block, axis=2, overwrite_x=True)
+        block *= inverse[part]
+
+
+def _spectral_filter(x: np.ndarray, response: np.ndarray, twiddles: np.ndarray,
+                     pool, threads: int) -> np.ndarray:
+    """ifft(fft(x) * response) along the last axis of the (2, n) field
+    ``x``, computed in its buffer, which is overwritten and returned. The
+    transform is the four-step FFT of ``twiddles = _four_step(n)``: viewed
+    as (2, n1, n2), FFTs over n1, then the row pass (twiddles, FFTs over
+    n2, ``response``, given in ``_pass_order``, and the inverse of both),
+    then inverse FFTs over n1. The FFTs over n1 run on ``threads``
+    workers; the row pass is split by whole row blocks between the
+    calling thread and ``threads - 1`` helpers from ``pool``. Every block
+    meets the same operations whatever the split, so the result does not
+    depend on ``threads``."""
+    fft = _scipy_fft()
+    n1 = response.shape[0]
+    y = x.reshape(2, *response.shape)
+    fft.fft(y, axis=1, overwrite_x=True, workers=threads)
+    rows = _shares(n1, max(1, KERR_BLOCK // response.shape[1]), threads)
+    _in_threads(pool, _row_pass, rows, y, response, twiddles)
+    fft.ifft(y, axis=1, overwrite_x=True, workers=threads)
+    return x
 
 
 def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,6 +390,7 @@ def generate_wdm(
     grid.
     """
     fft = _scipy_fft()
+    threads = _threads()
     rng = np.random.default_rng(seed)
     nsym = config.symbols_per_channel
     sps = config.samples_per_symbol
@@ -303,7 +406,7 @@ def generate_wdm(
     for ch in range(config.channels):
         for pol in range(2):
             tx_symbols[ch, pol] = _draw_symbols(modulation, nsym, rng)
-        tiles = fft.fft(tx_symbols[ch], axis=-1, workers=FFT_WORKERS)[:, None, :]
+        tiles = fft.fft(tx_symbols[ch], axis=-1, workers=threads)[:, None, :]
         np.multiply(tiles, shaping.reshape(sps, nsym), out=shaped.reshape(2, sps, nsym))
         # Parseval: the dual-pol power of the waveform is sum |X|^2 / n^2.
         shaped *= math.sqrt(p_target * n * n / np.vdot(shaped, shaped).real)
@@ -311,7 +414,7 @@ def generate_wdm(
         spectrum[:, k:] += shaped[:, : n - k]
         spectrum[:, :k] += shaped[:, n - k :]
 
-    samples = fft.ifft(spectrum, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+    samples = fft.ifft(spectrum, axis=-1, overwrite_x=True, workers=threads)
     return DualPolField(samples, fs, config.center_wavelength_nm, tx_symbols)
 
 
@@ -344,9 +447,10 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
     domain; the nonlinear step applies the polarization-averaged Kerr
     phase (8/9 factor) from the instantaneous local power. Deterministic,
     and bit-identical to a single-threaded whole-field loop: the Kerr
-    phase is split over ``FFT_WORKERS`` threads (the caller and helpers
-    from a pool opened for this call) by contiguous runs of blocks, and
-    every thread joins before the FFT pair.
+    phase and the four-step row pass are split over the run's threads
+    (FFT_WORKERS, or one in a sweep that gives each run a core: the
+    caller and helpers from a pool opened for this call) by contiguous
+    runs of blocks, and every thread joins before the next pass.
     """
     if not math.isclose(field.sample_rate_hz, config.sample_rate_hz, rel_tol=1e-12):
         raise ValueError(
@@ -357,8 +461,11 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
         raise FloatingPointError(
             "field contains non-finite samples; increase steps or lower power"
         )
+    threads = _threads()
     n = field.samples.shape[1]
-    omega = 2.0 * np.pi * fftfreq(n, 1.0 / field.sample_rate_hz)
+    twiddles = _four_step(n)
+    omega = 2.0 * np.pi * _pass_order(fftfreq(n, 1.0 / field.sample_rate_hz),
+                                      twiddles.shape[1])
     span_m = config.span_km * 1e3
     dz = span_m / config.steps
     alpha = config.alpha_db_per_km * LN10 / 10.0 / 1e3        # 1/m, power
@@ -370,20 +477,17 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
     # The loop runs in these buffers and allocates nothing per step: the
     # FFTs overwrite e, and each thread builds the Kerr phase of its
     # contiguous share of blocks in its own pair of block buffers.
-    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half)
-    blocks = -(-n // KERR_BLOCK)
-    edges = [min(n, blocks * part // FFT_WORKERS * KERR_BLOCK)
-             for part in range(FFT_WORKERS + 1)]
+    e = np.array(field.samples, dtype=np.complex128)
     shares = [(lo, hi, np.empty(KERR_BLOCK), np.empty(KERR_BLOCK, dtype=np.complex128))
-              for lo, hi in zip(edges, edges[1:])]
+              for lo, hi in _shares(n, KERR_BLOCK, threads)]
     scale = -gamma89 * dz
-    with ThreadPoolExecutor(max_workers=FFT_WORKERS - 1) as pool:
+    # A pool starts its threads at the first submit: one thread starts none.
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        e = _spectral_filter(e, half, twiddles, pool, threads)
         for step in range(config.steps):
-            helpers = [pool.submit(_kerr_phase, e, scale, *share) for share in shares[1:]]
-            _kerr_phase(e, scale, *shares[0])
-            for helper in helpers:
-                helper.result()
-            e = _spectral_filter(e, half if step == config.steps - 1 else full)
+            _in_threads(pool, _kerr_phase, shares, e, scale)
+            e = _spectral_filter(e, half if step == config.steps - 1 else full, twiddles,
+                                 pool, threads)
     if not np.all(np.isfinite(e)):
         raise FloatingPointError(
             "field became non-finite during propagation; increase steps"
@@ -403,8 +507,14 @@ def amplify(field: DualPolField, gain_db: float, nf_db: float, seed: int) -> Dua
     """Flat-gain amplifier with white circular ASE per polarization."""
     if gain_db <= 0.0:
         raise ValueError(f"gain_db must be positive, got {gain_db}")
-    rng = np.random.default_rng(seed)
     psd = ase_psd_w_per_hz(gain_db, nf_db, field.center_wavelength_nm)
+    # G F = 1 is the noiseless edge; below it the density is negative.
+    if psd < 0.0:
+        raise ValueError(
+            f"gain_db = {gain_db} with nf_db = {nf_db} gives a negative ASE density: "
+            "the gain times the noise factor must be at least 1"
+        )
+    rng = np.random.default_rng(seed)
     var = psd * field.sample_rate_hz
     scale = np.sqrt(var / 2.0)
     out = field.samples * 10.0 ** (gain_db / 20.0)
@@ -429,6 +539,7 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
     aligned with ``field.tx_symbols[channel_index]``."""
     k = config.channel_bins(channel_index)
     fft = _scipy_fft()
+    threads = _threads()
     sps = config.samples_per_symbol
     freq = fftfreq(field.samples.shape[1], 1.0 / field.sample_rate_hz)
 
@@ -436,11 +547,11 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
                            (2.0 * np.pi * freq) ** 2)
     np.exp(response, out=response)
     response *= np.roll(rrc_spectrum(freq, config.baud_ghz * 1e9, config.rrc_rolloff), k)
-    e = fft.fft(field.samples, axis=-1, workers=FFT_WORKERS)
+    e = fft.fft(field.samples, axis=-1, workers=threads)
     e *= response
     folded = np.roll(e.reshape(2, sps, -1).sum(axis=1), -k, axis=-1)
     folded /= sps
-    symbols = fft.ifft(folded, axis=-1, overwrite_x=True, workers=FFT_WORKERS)
+    symbols = fft.ifft(folded, axis=-1, overwrite_x=True, workers=threads)
     return _gain_removed(symbols, field.tx_symbols[channel_index])
 
 
@@ -587,7 +698,9 @@ def power_sweep(
     (in whole milli-dBm) and the modulation's name, so a point draws the
     same symbols and noise whatever else the sweep holds: sweeps can be
     split, extended or resumed point by point. Gaussian-modulated runs
-    report the Gaussian-input MI 2 log2(1 + SNR).
+    report the Gaussian-input MI 2 log2(1 + SNR). The runs are spread
+    over the usable CPUs (see ``_runs``); the result is the serial
+    loop's, bit for bit, and a failing run raises as in the serial loop.
     """
     powers = [float(p) for p in power_grid_dbm]
     modulations = list(modulations)
@@ -604,25 +717,41 @@ def power_sweep(
                 f"launch powers {powers[i - 1]} and {powers[i]} dBm round to the "
                 "same milli-dBm seed key; space the grid by at least 0.001 dB"
             )
-    results = []
-    for launch_dbm, milli in zip(powers, millis):
-        for modulation in modulations:
-            # SeedSequence takes non-negative words: the power as a 32-bit
-            # two's complement, the name as its UTF-8 bytes after their count.
-            name = modulation.name.encode("utf-8")
-            tx_seed, amp_seed = _run_seed(config.seed, milli % (1 << 32), len(name), *name)
-            rx, tx = transmission_run(config, modulation, launch_dbm, tx_seed, amp_seed)
-            snr_db = estimate_snr(rx, tx)
-            if modulation.is_gaussian:
-                mi_4d = 2.0 * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
-            else:
-                unit = normalized(modulation.constellation, modulation.pmf)
-                mi_4d = 2.0 * mi_from_samples(rx, tx, unit, modulation.pmf)
-            results.append(
-                SweepResult(launch_dbm, modulation.name, snr_db, mi_4d,
-                            modulation.kurtosis)
-            )
-    return results
+    runs = [(launch_dbm, milli, modulation)
+            for launch_dbm, milli in zip(powers, millis) for modulation in modulations]
+
+    def run(i: int) -> SweepResult:
+        launch_dbm, milli, modulation = runs[i]
+        # SeedSequence takes non-negative words: the power as a 32-bit
+        # two's complement, the name as its UTF-8 bytes after their count.
+        name = modulation.name.encode("utf-8")
+        tx_seed, amp_seed = _run_seed(config.seed, milli % (1 << 32), len(name), *name)
+        rx, tx = transmission_run(config, modulation, launch_dbm, tx_seed, amp_seed)
+        snr_db = estimate_snr(rx, tx)
+        if modulation.is_gaussian:
+            mi_4d = 2.0 * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+        else:
+            unit = normalized(modulation.constellation, modulation.pmf)
+            mi_4d = 2.0 * mi_from_samples(rx, tx, unit, modulation.pmf)
+        return SweepResult(launch_dbm, modulation.name, snr_db, mi_4d, modulation.kurtosis)
+
+    return _runs(run, len(runs))
+
+
+def _runs(run, count: int) -> list:
+    """``[run(i) for i in range(count)]`` for independent transmission runs,
+    spread by ``forks.forked_map`` over one process per usable CPU. With
+    several processes each run takes one thread, its own core; a lone
+    process keeps FFT_WORKERS threads. The results do not depend on the
+    split. ``scipy.fft`` is imported here, before any fork, so the workers
+    inherit it."""
+    _scipy_fft()
+    workers = fork_count(count)
+    token = _RUN_THREADS.set(1 if workers > 1 else None)
+    try:
+        return forked_map(run, count, workers)
+    finally:
+        _RUN_THREADS.reset(token)
 
 
 def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
@@ -654,7 +783,8 @@ def estimate_c(
     Each probe modulation is transmitted at ``probe_power_dbm``; its NLI
     variance is the measured total noise minus the analytic ASE budget
     and the calibrated linear crosstalk baseline. A straight-line fit of
-    NLI / P^3 against excess kurtosis yields (eta1, eta2).
+    NLI / P^3 against excess kurtosis yields (eta1, eta2). The probe runs
+    are spread over the usable CPUs as ``power_sweep``'s runs are.
     """
     probes = list(probes)
     if len(probes) < 3:
@@ -674,20 +804,20 @@ def estimate_c(
     ase_rel = 10.0 ** (-analytic_ase_snr_db(config, probe_power_dbm) / 10.0)
     p_w = 1e-3 * 10.0 ** (probe_power_dbm / 10.0)
 
-    rows = []
-    for idx, probe in enumerate(probes):
-        tx_seed, amp_seed = _run_seed(config.seed, 0xC0, idx)
+    def run(i: int) -> ProbeResult:
+        probe = probes[i]
+        tx_seed, amp_seed = _run_seed(config.seed, 0xC0, i)
         rx, tx = transmission_run(config, probe, probe_power_dbm, tx_seed, amp_seed)
         snr_db = estimate_snr(rx, tx)
-        total_rel = 10.0 ** (-snr_db / 10.0)
-        nli_rel = total_rel - ase_rel - xtalk
+        nli_rel = 10.0 ** (-snr_db / 10.0) - ase_rel - xtalk
         if nli_rel < MIN_NLI_FRACTION * ase_rel:
             raise ValueError(
                 f"no measurable NLI for probe {probe.name!r} at "
                 f"{probe_power_dbm} dBm; increase the probe power"
             )
-        rows.append(ProbeResult(probe.name, probe.kurtosis, snr_db, nli_rel * p_w))
+        return ProbeResult(probe.name, probe.kurtosis, snr_db, nli_rel * p_w)
 
+    rows = _runs(run, len(probes))
     kurt = np.array([r.kurtosis for r in rows])
     y = np.array([r.nli_variance_w for r in rows]) / p_w**3
     design = np.vstack([np.ones_like(kurt), kurt]).T

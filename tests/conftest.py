@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -27,3 +28,35 @@ def mb_searches(tmp_path, monkeypatch):
 
     monkeypatch.setattr(nl_model, "optimize_mb", logged)
     return read
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the fork helper see n usable CPUs: n = 1 forces
+    the serial loop, n > 1 forked workers, whatever the host has."""
+
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_cpus
+
+
+@pytest.fixture
+def failing_starts(monkeypatch):
+    """``failing_starts(k)`` makes the k-th start of a worker process, and
+    every later one, fail as under a process or memory limit. It returns
+    the list of processes whose start was tried."""
+    real_start = multiprocessing.process.BaseProcess.start
+    starts = []
+
+    def fail_from(k: int) -> list:
+        def start(process):
+            starts.append(process)
+            if len(starts) >= k:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        return starts
+
+    return fail_from

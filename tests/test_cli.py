@@ -165,6 +165,7 @@ class TestExitCodes:
         ("alpha_db_per_km = 0", "span loss"),
         ("gamma_per_w_km = nan", "gamma_per_w_km must be finite"),
         ("span_km = nan", "span_km must be finite"),
+        ("edfa_nf_db = -40", "edfa_nf_db must be at least 0 dB (noise factor F >= 1), got -40.0"),
     ])
     @pytest.mark.parametrize("command", [
         ["simulate", "--families", "gaussian", "--power-min", "0", "--power-max", "0"],
@@ -542,6 +543,21 @@ class TestImportBudget:
         loaded, _ = fresh_run(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0")
         assert "scipy.fft" in loaded
         assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)
+
+    def test_two_run_simulate_forks_once(self, tmp_path):
+        # Two CPUs and two runs: the caller takes one and a forked worker
+        # the other; the design point before them runs in the caller.
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text(TINY_CFG, encoding="utf-8")
+        argv = ["simulate", "--config", str(cfg), "--order", "16", "--families", "opt,gaussian",
+                "--power-min", "0", "--power-max", "0", "--out", str(tmp_path / "sim.csv")]
+        code = ("os.sched_getaffinity = lambda pid: {0, 1}\n"
+                f"from nlshaping import cli\nassert cli.main({argv!r}) == 0\n"
+                "import multiprocessing\nassert multiprocessing.active_children() == []")
+        loaded, forks = fresh_run(code)
+        assert "scipy.fft" in loaded
+        assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)
+        assert forks == 1
 
     def test_physical_constants_equal_scipy(self):
         from scipy import constants

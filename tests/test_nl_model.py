@@ -267,12 +267,6 @@ class TestSearchCaps:
         assert error.best == (1.0, 2.0)
 
 
-def cpus(monkeypatch, n: int) -> None:
-    """Make ``mi_curve`` see n usable CPUs: n = 1 forces the serial loop,
-    n > 1 the forked workers, whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
 class TestMiCurve:
     def test_dominance_chain_and_delta_identity(self):
         c = square_qam(16)
@@ -312,12 +306,12 @@ class TestMiCurve:
             assert point.delta_mi_4d <= 0.0
         assert opt.mi_4d - uni.mi_4d < 0.05
 
-    def test_one_mb_search_per_grid_point(self, mb_searches, monkeypatch):
+    def test_one_mb_search_per_grid_point(self, mb_searches, cpus):
         # The tailored search reuses the MB optimum of its grid point. With
         # two CPUs the caller searches 12 and 14 dB and one forked worker
         # 13 dB; the processes append in no fixed order, so the log is
         # compared as a multiset.
-        cpus(monkeypatch, 2)
+        cpus(2)
         c = square_qam(16)
         mi_curve(c, 0.69, [12.0, 13.0, 14.0])
         calls = mb_searches()
@@ -330,20 +324,20 @@ class TestMiCurve:
         optimize_per_ring(c, NlChannelModel(c=0.69, snr_gauss_db=18.0))
         assert mb_searches() == [(os.getpid(), 18.0)]
 
-    def test_forked_workers_match_serial_bit_for_bit(self, monkeypatch):
+    def test_forked_workers_match_serial_bit_for_bit(self, cpus):
         # Three processes for four points: the caller takes 14 and 18 dB.
         c = square_qam(256)
         grid = [14.0, 16.0, 17.0, 18.0]
-        cpus(monkeypatch, 1)
+        cpus(1)
         serial = mi_curve(c, 0.69, grid)
-        cpus(monkeypatch, 3)
+        cpus(3)
         forked = mi_curve(c, 0.69, grid)
         # repr spells every float exactly, so equal reprs are equal bits.
         assert repr(forked) == repr(serial)
 
     @pytest.mark.parametrize("why", ["one cpu", "one point", "thread alive", "daemonic"])
-    def test_serial_cases_start_no_process(self, why, mb_searches, monkeypatch):
-        cpus(monkeypatch, 1 if why == "one cpu" else 2)
+    def test_serial_cases_start_no_process(self, why, mb_searches, cpus, monkeypatch):
+        cpus(1 if why == "one cpu" else 2)
         grid = [12.0] if why == "one point" else [12.0, 13.0]
         if why == "daemonic":
             monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
@@ -362,28 +356,19 @@ class TestMiCurve:
 
     @pytest.mark.parametrize("fails_from", [1, 2])
     def test_failed_fork_leaves_the_share_to_the_caller(
-        self, fails_from, mb_searches, monkeypatch
+        self, fails_from, mb_searches, cpus, failing_starts
     ):
         # Three CPUs for four points; forking worker ``fails_from`` and any
         # after it fails as under a process or memory limit, and the caller
         # computes those shares itself, with the same points.
         c = square_qam(16)
         grid = [12.0, 13.0, 14.0, 15.0]
-        cpus(monkeypatch, 1)
+        cpus(1)
         serial = mi_curve(c, 0.69, grid)
         mb_searches()
-        real_start = multiprocessing.process.BaseProcess.start
-        starts = []
-
-        def start(process):
-            starts.append(process)
-            if len(starts) >= fails_from:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            real_start(process)
-
         fds = len(os.listdir("/proc/self/fd"))
-        cpus(monkeypatch, 3)
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        cpus(3)
+        starts = failing_starts(fails_from)
         assert repr(mi_curve(c, 0.69, grid)) == repr(serial)
         assert len(starts) == fails_from
         assert len(os.listdir("/proc/self/fd")) == fds
@@ -393,10 +378,10 @@ class TestMiCurve:
         caller = sorted(snr for pid, snr in calls if pid == os.getpid())
         assert caller == ([12.0, 13.0, 14.0, 15.0] if fails_from == 1 else [12.0, 14.0, 15.0])
 
-    def test_no_process_outlives_the_call(self, monkeypatch):
+    def test_no_process_outlives_the_call(self, cpus, monkeypatch):
         from nlshaping import OptimizationError, nl_model
 
-        cpus(monkeypatch, 2)
+        cpus(2)
         c = square_qam(16)
         mi_curve(c, 0.69, [12.0, 13.0])
         assert multiprocessing.active_children() == []
@@ -406,7 +391,7 @@ class TestMiCurve:
         assert all(math.isfinite(value) for value in exc.value.best)
         assert multiprocessing.active_children() == []
 
-    def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
+    def test_worker_error_reaches_caller_unchanged(self, cpus, monkeypatch):
         # 13 dB fails in the forked worker and 14 dB in the caller; the
         # lowest failing point raises, as in a serial run.
         from nlshaping import OptimizationError, nl_model
@@ -417,7 +402,7 @@ class TestMiCurve:
                                         best=(0.5, model.snr_gauss_db, 1.25))
             return 0.0, 0.0, mb[1]
 
-        cpus(monkeypatch, 2)
+        cpus(2)
         monkeypatch.setattr(nl_model, "optimize_tailored", tailored)
         with pytest.raises(OptimizationError) as exc:
             mi_curve(square_qam(16), 0.69, [12.0, 13.0, 14.0])
@@ -425,7 +410,7 @@ class TestMiCurve:
         assert exc.value.best == (0.5, 13.0, 1.25)
         assert multiprocessing.active_children() == []
 
-    def test_interrupt_stops_the_workers(self, monkeypatch):
+    def test_interrupt_stops_the_workers(self, cpus, monkeypatch):
         # An interrupt in the caller ends the workers at once instead of
         # waiting for their share of the grid.
         import time
@@ -439,7 +424,7 @@ class TestMiCurve:
                 raise KeyboardInterrupt
             time.sleep(120.0)
 
-        cpus(monkeypatch, 2)
+        cpus(2)
         monkeypatch.setattr(nl_model, "_curve_point", interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -447,7 +432,7 @@ class TestMiCurve:
         assert time.monotonic() - start < 60.0
         assert multiprocessing.active_children() == []
 
-    def test_worker_that_dies_is_an_error(self, monkeypatch):
+    def test_worker_that_dies_is_an_error(self, cpus, monkeypatch):
         from nlshaping import nl_model
 
         caller = os.getpid()
@@ -458,7 +443,7 @@ class TestMiCurve:
                 os._exit(3)
             return real(constellation, c, snr_db, families)
 
-        cpus(monkeypatch, 2)
+        cpus(2)
         monkeypatch.setattr(nl_model, "_curve_point", dying)
         with pytest.raises(RuntimeError, match="exited with code 3"):
             mi_curve(square_qam(16), 0.69, [12.0, 13.0])
@@ -496,7 +481,7 @@ class TestMiCurve:
         def no_search(*args, **kwargs):
             raise AssertionError("the grid ran before c was checked")
 
-        monkeypatch.setattr(nl_model, "_curve", no_search)
+        monkeypatch.setattr(nl_model, "forked_map", no_search)
         with pytest.raises(ValueError, match=r"c must be in \[0, 1\)"):
             mi_curve(square_qam(16), c, [0.0, 18.0])
 

@@ -1,7 +1,10 @@
 """Link-simulation tests: waveform generation, propagation, receiver DSP."""
 
 import math
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -34,11 +37,14 @@ from nlshaping import (
 )
 from nlshaping import ssfm
 from nlshaping.awgn_mi import LN2
+from nlshaping.cli import default_probes
 from nlshaping.shaping import entropy
 from nlshaping.ssfm import (
     KERR_BLOCK,
     LN10,
+    _four_step,
     _nearest_indices,
+    _pass_order,
     _spectral_filter,
     analytic_ase_snr_db,
     ase_psd_w_per_hz,
@@ -81,16 +87,19 @@ def reference_propagate(field, config: LinkConfig) -> np.ndarray:
 
 def whole_field_propagate(field, config: LinkConfig) -> np.ndarray:
     """The in-place split-step with each step's Kerr phase built in one
-    pass over the whole field on the calling thread: the bit-exact
-    oracle for the blocked, threaded Kerr phase of ``propagate``."""
+    pass over the whole field, and every transform, on the calling thread:
+    the bit-exact oracle for the blocked, threaded Kerr phase and the
+    threaded FFT passes of ``propagate``."""
     n = field.samples.shape[1]
-    omega = 2.0 * np.pi * np.fft.fftfreq(n, 1.0 / field.sample_rate_hz)
+    twiddles = _four_step(n)
+    omega = 2.0 * np.pi * _pass_order(np.fft.fftfreq(n, 1.0 / field.sample_rate_hz),
+                                      twiddles.shape[1])
     dz = config.span_km * 1e3 / config.steps
     alpha = config.alpha_db_per_km * LN10 / 10.0 / 1e3
     gamma89 = config.gamma_per_w_km * 1e-3 * (8.0 / 9.0)
     half = np.exp((-alpha / 2.0 - 0.5j * config.beta2_s2_per_m * omega**2) * (dz / 2.0))
     full = half * half
-    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half)
+    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half, twiddles, None, 1)
     magnitude = np.empty(e.shape)
     power = np.empty(n)
     kerr = np.empty(n, dtype=np.complex128)
@@ -102,7 +111,7 @@ def whole_field_propagate(field, config: LinkConfig) -> np.ndarray:
         np.cos(power, out=kerr.real)
         np.sin(power, out=kerr.imag)
         e *= kerr
-        e = _spectral_filter(e, half if step == config.steps - 1 else full)
+        e = _spectral_filter(e, half if step == config.steps - 1 else full, twiddles, None, 1)
     return e
 
 
@@ -114,6 +123,15 @@ class TestLinkConfig:
     def test_step_floor(self):
         with pytest.raises(ValueError, match="steps"):
             LinkConfig(channels=1, samples_per_symbol=4, steps=50)
+
+    def test_noise_figure_below_0_db_rejected(self):
+        # A noise factor below 1 made the ASE density negative: the sweep
+        # ran and returned NaN, and estimate_c failed in a bare log.
+        with pytest.raises(ValueError, match=r"edfa_nf_db must be at least 0 dB .* -40\.0"):
+            power_sweep(LinkConfig(edfa_nf_db=-40.0, symbols_per_channel=8192, steps=100),
+                        [gaussian_modulation()], [0.0])
+        cfg = LinkConfig(edfa_nf_db=0.0)
+        assert ase_psd_w_per_hz(cfg.span_loss_db, cfg.edfa_nf_db, cfg.center_wavelength_nm) > 0.0
 
     def test_even_channel_count_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -352,16 +370,18 @@ class TestPropagate:
         want = reference_propagate(field, cfg)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_equals_whole_field_loop_bit_for_bit(self, workers, monkeypatch):
         # 40,000 samples: four full Kerr blocks and a partial one, split
         # unevenly between the threads, while the interpreter switches
         # threads every microsecond. A lost or doubled block, or two
-        # threads in one buffer, would change the field.
+        # threads in one buffer, would change the field. The FFT passes
+        # run on as many threads as the Kerr phase; one thread is the
+        # serial case.
         cfg = tiny_config(channels=3, samples_per_symbol=8, symbols_per_channel=5000)
         field = generate_wdm(cfg, uniform_mod(), 6.0, seed=27)
         n = field.samples.shape[1]
-        assert n % KERR_BLOCK != 0 and (-(-n // KERR_BLOCK)) % workers != 0
+        assert n % KERR_BLOCK != 0 and (workers == 1 or (-(-n // KERR_BLOCK)) % workers != 0)
         want = whole_field_propagate(field, cfg)
         monkeypatch.setattr(ssfm, "FFT_WORKERS", workers)
         interval = sys.getswitchinterval()
@@ -408,6 +428,25 @@ class TestPropagate:
             propagate(broken, cfg)
 
 
+class TestSpectralFilter:
+    @pytest.mark.parametrize("n, n1", [(1 << 17, 256), (40_000, 200), (65_537, 1)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_numpy_oracle(self, n, n1, threads):
+        # n1 is the largest divisor of n at most sqrt(n): 2^17 = 256 * 512,
+        # 40,000 = 200 * 200, and the prime 65,537 takes the direct FFT.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        response = rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        want = np.fft.ifft(np.fft.fft(x, axis=1) * response, axis=1)
+        twiddles = _four_step(n)
+        assert twiddles.shape == (2, n1, n // n1)
+        buffer = x.copy()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            got = _spectral_filter(buffer, _pass_order(response, n1), twiddles, pool, threads)
+        assert got is buffer
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+
+
 class TestAmplify:
     def test_noiseless_edge(self):
         cfg = tiny_config()
@@ -445,6 +484,13 @@ class TestAmplify:
         field = generate_wdm(cfg, uniform_mod(), 0.0, seed=15)
         with pytest.raises(ValueError, match="gain"):
             amplify(field, 0.0, 5.0, seed=1)
+
+    def test_rejects_gain_times_noise_factor_below_1(self):
+        # At 33 dB gain and -40 dB every sample came out NaN; G F = 1 is
+        # the noiseless edge above.
+        field = generate_wdm(tiny_config(), uniform_mod(), 0.0, seed=15)
+        with pytest.raises(ValueError, match="negative ASE density"):
+            amplify(field, 33.0, -40.0, seed=1)
 
 
 class DummyFieldFactory:
@@ -757,6 +803,11 @@ class TestPowerSweep:
         subset = power_sweep(cfg, mods[1:], [0.0, 2.0])
         assert subset == [r for r in full if r.family == "gaussian"]
 
+    def test_no_runs_give_no_rows(self, cpus):
+        cpus(2)
+        assert power_sweep(tiny_config(), [uniform_mod()], []) == []
+        assert power_sweep(tiny_config(), [], [0.0]) == []
+
     def test_duplicate_names_rejected(self):
         cfg = tiny_config()
         with pytest.raises(ValueError, match="distinct"):
@@ -856,6 +907,100 @@ class TestStepConvergence:
             rx, tx = transmission_run(cfg, mod, 6.0, tx_seed=300, amp_seed=301)
             snr.append(estimate_snr(rx, tx))
         assert abs(snr[0] - snr[1]) < 0.05
+
+
+@pytest.fixture
+def link_runs(tmp_path, monkeypatch):
+    """Log of ``transmission_run`` calls across processes: each process
+    appends its pid and the run's thread count to one file. Calling the
+    fixture's value reads and clears the log."""
+    log = tmp_path / "link-runs"
+    real = ssfm.transmission_run
+
+    def logged(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {ssfm._threads()}\n")
+        return real(*args, **kwargs)
+
+    def read() -> list[tuple[int, int]]:
+        lines = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [(int(pid), int(threads)) for pid, threads in (line.split() for line in lines)]
+
+    monkeypatch.setattr(ssfm, "transmission_run", logged)
+    return read
+
+
+# The fork helper's callers on the link, each making three independent
+# runs (an odd count: with two CPUs the caller takes two), and the runs
+# that fail in test_failing_run_raises_as_the_serial_loop, by (modulation,
+# launch power): the second and the third, in run order.
+SWEEPS = {
+    "power_sweep": (
+        lambda: power_sweep(tiny_config(seed=109), [uniform_mod()], [0.0, 1.0, 2.0]),
+        (("uniform", 1.0), ("uniform", 2.0)),
+    ),
+    "estimate_c": (
+        lambda: estimate_c(tiny_config(gamma_per_w_km=4.8, seed=110), default_probes(), 9.0),
+        (("gaussian", 9.0), ("mb_deep", 9.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+class TestForkedRuns:
+    def test_result_does_not_depend_on_cpu_count(self, sweep, cpus, link_runs):
+        # repr spells every float exactly, so equal reprs are equal bits.
+        # Forked runs step on one thread each; a lone process keeps
+        # FFT_WORKERS threads.
+        run, _ = SWEEPS[sweep]
+        results = []
+        for n in (1, 2, 3):
+            cpus(n)
+            results.append(repr(run()))
+            assert multiprocessing.active_children() == []
+            runs = link_runs()
+            assert len(runs) == 3
+            assert len({pid for pid, _ in runs}) == n
+            assert {threads for _, threads in runs} == {1 if n > 1 else ssfm.FFT_WORKERS}
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_failing_run_raises_as_the_serial_loop(self, sweep, cpus, monkeypatch):
+        # With two CPUs the second run fails in the worker and the third in
+        # the caller; the lowest failing run raises, as in a serial loop.
+        run, failing = SWEEPS[sweep]
+        real = ssfm.transmission_run
+
+        def transmission(config, modulation, launch_dbm, tx_seed, amp_seed):
+            if (modulation.name, launch_dbm) in failing:
+                raise FloatingPointError(f"{modulation.name} at {launch_dbm} dBm diverged")
+            return real(config, modulation, launch_dbm, tx_seed, amp_seed)
+
+        monkeypatch.setattr(ssfm, "transmission_run", transmission)
+        errors = []
+        for n in (1, 2):
+            cpus(n)
+            with pytest.raises(FloatingPointError) as exc:
+                run()
+            errors.append(str(exc.value))
+            assert multiprocessing.active_children() == []
+        assert errors[1] == errors[0]
+        assert errors[0] == "{} at {} dBm diverged".format(*failing[0])
+
+    def test_failed_fork_gives_the_serial_result(self, sweep, cpus, failing_starts, link_runs):
+        run, _ = SWEEPS[sweep]
+        cpus(1)
+        serial = repr(run())
+        link_runs()
+        fds = len(os.listdir("/proc/self/fd"))
+        cpus(3)
+        starts = failing_starts(1)
+        assert repr(run()) == serial
+        assert len(starts) == 1
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert multiprocessing.active_children() == []
+        assert [pid for pid, _ in link_runs()] == [os.getpid()] * 3
 
 
 class TestLinearCrosstalk:
