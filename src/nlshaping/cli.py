@@ -369,11 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(parser: argparse.ArgumentParser, args) -> None:
-    """Usage errors of ``--c`` and of the SNR and power grids, before any compute."""
+    """Usage errors of ``--c``, ``--seed`` and of the SNR and power grids,
+    before any compute."""
     try:
         NlChannelModel(c=getattr(args, "c", DEFAULT_C))
     except ValueError as exc:
         parser.error(f"argument --c: {exc}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        parser.error(f"argument --seed: must be at least 0, got {seed}")
     for axis in ("snr", "power"):
         lo = getattr(args, f"{axis}_min", None)
         if lo is None:

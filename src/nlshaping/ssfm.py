@@ -18,20 +18,15 @@ of the (2, n1, n2) view, then a row pass (twiddles, FFTs over n2, the
 response, the inverse FFTs and the conjugate twiddles, on row blocks
 that stay in cache), then inverse FFTs over n1. The response is kept in
 the order the passes leave the spectrum in, so nothing is transposed.
-A run on its own takes FFT_WORKERS threads: the FFTs over n1 run on as
-many workers, and the row pass and each step's Kerr phase are split by
-blocks between the calling thread and helpers from a pool opened for
-each ``propagate`` call, which join before the next pass. ``power_sweep``
-and ``estimate_c`` spread their independent runs over one process per
-usable CPU (``forks.forked_map``), and each of those runs takes one
-thread. The output does not depend on the thread or the process count.
+Every transmission run steps on one thread. ``power_sweep`` and
+``estimate_c`` spread their independent runs over one process per
+usable CPU (``forks.forked_map``); the output does not depend on the
+process count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -53,18 +48,9 @@ PLANCK = 6.62607015e-34
 # return infinity.
 SNR_CAP_DB = 100.0
 
-# Threads of a transmission run that has the host to itself: the FFT
-# workers and the threads sharing each split-step's Kerr phase. A run in a
-# sweep that spreads its runs over one process per CPU takes one thread.
-FFT_WORKERS = 2
-
-# Threads per transmission run in this context: unset is FFT_WORKERS; _runs
-# sets 1 while its runs share the CPUs.
-_RUN_THREADS: ContextVar[int | None] = ContextVar("run_threads", default=None)
-
 # Samples per block of the Kerr phase, and per polarization of the
-# four-step row pass: a thread's two Kerr block buffers take 192 KiB and a
-# row block 256 KiB, so they stay in cache.
+# four-step row pass: the two Kerr block buffers take 192 KiB and a row
+# block 256 KiB, so they stay in cache.
 KERR_BLOCK = 1 << 13
 
 # Largest distance of spacing * symbols / baud from an integer for the
@@ -107,8 +93,16 @@ class LinkConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                # The seed may be 0; every other integer field counts something.
+                least = 0 if f.name == "seed" else 1
+                if value < least:
+                    raise ValueError(f"{f.name} must be at least {least}, got {value}")
+            elif not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         # A noise factor F below 1 would make the ASE density negative.
         if self.edfa_nf_db < 0.0:
             raise ValueError(
@@ -270,11 +264,6 @@ def rrc_spectrum(freq_hz: np.ndarray, baud_hz: float, rolloff: float) -> np.ndar
     return np.sqrt(h)
 
 
-def _threads() -> int:
-    """Threads for the transforms and the Kerr phase of the current run."""
-    return _RUN_THREADS.get() or FFT_WORKERS
-
-
 def _scipy_fft():
     """``scipy.fft``, imported at the first transform: design commands load no scipy."""
     import scipy.fft
@@ -305,26 +294,8 @@ def _pass_order(values: np.ndarray, n1: int) -> np.ndarray:
     return np.ascontiguousarray(values.reshape(-1, n1).T)
 
 
-def _shares(count: int, block: int, threads: int) -> list[tuple[int, int]]:
-    """``threads`` contiguous (lo, hi) runs of whole blocks of ``block``
-    items, covering ``count`` items; the last block may be partial."""
-    blocks = -(-count // block)
-    edges = [min(count, blocks * part // threads * block) for part in range(threads + 1)]
-    return list(zip(edges, edges[1:]))
-
-
-def _in_threads(pool, work, shares, *args) -> None:
-    """``work(*args, *share)`` for each share: the first on the calling
-    thread, the others on ``pool``, which may be None for one share.
-    Returns when all have finished."""
-    helpers = [pool.submit(work, *args, *share) for share in shares[1:]]
-    work(*args, *shares[0])
-    for helper in helpers:
-        helper.result()
-
-
-def _row_pass(y, response, twiddles, lo, hi) -> None:
-    """Rows lo:hi of the four-step view ``y``, (2, n1, n2), in place: the
+def _row_pass(y, response, twiddles) -> None:
+    """The rows of the four-step view ``y``, (2, n1, n2), in place: the
     twiddles, FFTs over n2, ``response``, inverse FFTs and the conjugate
     twiddles, on about KERR_BLOCK samples per polarization at a time, so
     each block stays in cache through the five passes. scipy.fft
@@ -332,9 +303,10 @@ def _row_pass(y, response, twiddles, lo, hi) -> None:
     it."""
     fft = _scipy_fft()
     forward, inverse = twiddles
+    n1 = y.shape[1]
     rows = max(1, KERR_BLOCK // y.shape[2])
-    for start in range(lo, hi, rows):
-        part = slice(start, min(start + rows, hi))
+    for start in range(0, n1, rows):
+        part = slice(start, min(start + rows, n1))
         block = y[:, part]
         block *= forward[part]
         fft.fft(block, axis=2, overwrite_x=True)
@@ -343,26 +315,26 @@ def _row_pass(y, response, twiddles, lo, hi) -> None:
         block *= inverse[part]
 
 
-def _spectral_filter(x: np.ndarray, response: np.ndarray, twiddles: np.ndarray,
-                     pool, threads: int) -> np.ndarray:
+def _spectral_filter(x: np.ndarray, response: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
     """ifft(fft(x) * response) along the last axis of the (2, n) field
     ``x``, computed in its buffer, which is overwritten and returned. The
     transform is the four-step FFT of ``twiddles = _four_step(n)``: viewed
     as (2, n1, n2), FFTs over n1, then the row pass (twiddles, FFTs over
     n2, ``response``, given in ``_pass_order``, and the inverse of both),
-    then inverse FFTs over n1. The FFTs over n1 run on ``threads``
-    workers; the row pass is split by whole row blocks between the
-    calling thread and ``threads - 1`` helpers from ``pool``. Every block
-    meets the same operations whatever the split, so the result does not
-    depend on ``threads``."""
+    then inverse FFTs over n1."""
     fft = _scipy_fft()
-    n1 = response.shape[0]
     y = x.reshape(2, *response.shape)
-    fft.fft(y, axis=1, overwrite_x=True, workers=threads)
-    rows = _shares(n1, max(1, KERR_BLOCK // response.shape[1]), threads)
-    _in_threads(pool, _row_pass, rows, y, response, twiddles)
-    fft.ifft(y, axis=1, overwrite_x=True, workers=threads)
+    fft.fft(y, axis=1, overwrite_x=True)
+    _row_pass(y, response, twiddles)
+    fft.ifft(y, axis=1, overwrite_x=True)
     return x
+
+
+def _require_finite(**values: float) -> None:
+    """Raise a ValueError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -389,8 +361,8 @@ def generate_wdm(
     is exactly periodic and the matched filter is exactly Nyquist on the
     grid.
     """
+    _require_finite(launch_dbm=launch_dbm)
     fft = _scipy_fft()
-    threads = _threads()
     rng = np.random.default_rng(seed)
     nsym = config.symbols_per_channel
     sps = config.samples_per_symbol
@@ -406,7 +378,7 @@ def generate_wdm(
     for ch in range(config.channels):
         for pol in range(2):
             tx_symbols[ch, pol] = _draw_symbols(modulation, nsym, rng)
-        tiles = fft.fft(tx_symbols[ch], axis=-1, workers=threads)[:, None, :]
+        tiles = fft.fft(tx_symbols[ch], axis=-1)[:, None, :]
         np.multiply(tiles, shaping.reshape(sps, nsym), out=shaped.reshape(2, sps, nsym))
         # Parseval: the dual-pol power of the waveform is sum |X|^2 / n^2.
         shaped *= math.sqrt(p_target * n * n / np.vdot(shaped, shaped).real)
@@ -414,20 +386,20 @@ def generate_wdm(
         spectrum[:, k:] += shaped[:, : n - k]
         spectrum[:, :k] += shaped[:, n - k :]
 
-    samples = fft.ifft(spectrum, axis=-1, overwrite_x=True, workers=threads)
+    samples = fft.ifft(spectrum, axis=-1, overwrite_x=True)
     return DualPolField(samples, fs, config.center_wavelength_nm, tx_symbols)
 
 
-def _kerr_phase(e, scale, lo, hi, power, kerr):
-    """Multiply the samples lo:hi of the (2, n) field ``e`` in place by
-    exp(i scale (|e_0|^2 + |e_1|^2)), one block of at most KERR_BLOCK
-    samples at a time, in the block buffers ``power`` (float) and
-    ``kerr`` (complex), whose bytes also hold the block's two magnitude
-    rows. Each sample meets the same ufuncs in the same order as in a
-    whole-field pass, so the result does not depend on the blocking.
-    Runs only numpy code, which releases the interpreter lock."""
-    for start in range(lo, hi, KERR_BLOCK):
-        block = e[:, start:min(start + KERR_BLOCK, hi)]
+def _kerr_phase(e, scale, power, kerr):
+    """Multiply the (2, n) field ``e`` in place by exp(i scale (|e_0|^2 +
+    |e_1|^2)), one block of at most KERR_BLOCK samples at a time, in the
+    block buffers ``power`` (float) and ``kerr`` (complex), whose bytes
+    also hold the block's two magnitude rows. Each sample meets the same
+    ufuncs in the same order as in a whole-field pass, so the result does
+    not depend on the blocking."""
+    n = e.shape[1]
+    for start in range(0, n, KERR_BLOCK):
+        block = e[:, start:min(start + KERR_BLOCK, n)]
         width = block.shape[1]
         p, k = power[:width], kerr[:width]
         magnitude = k.view(np.float64).reshape(2, width)
@@ -445,12 +417,10 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
 
     Linear half-steps carry attenuation and dispersion in the frequency
     domain; the nonlinear step applies the polarization-averaged Kerr
-    phase (8/9 factor) from the instantaneous local power. Deterministic,
-    and bit-identical to a single-threaded whole-field loop: the Kerr
-    phase and the four-step row pass are split over the run's threads
-    (FFT_WORKERS, or one in a sweep that gives each run a core: the
-    caller and helpers from a pool opened for this call) by contiguous
-    runs of blocks, and every thread joins before the next pass.
+    phase (8/9 factor) from the instantaneous local power. Runs on the
+    calling thread. Deterministic, and bit-identical to a whole-field
+    loop: the Kerr phase and the four-step row pass go block by block
+    through the field.
     """
     if not math.isclose(field.sample_rate_hz, config.sample_rate_hz, rel_tol=1e-12):
         raise ValueError(
@@ -461,7 +431,6 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
         raise FloatingPointError(
             "field contains non-finite samples; increase steps or lower power"
         )
-    threads = _threads()
     n = field.samples.shape[1]
     twiddles = _four_step(n)
     omega = 2.0 * np.pi * _pass_order(fftfreq(n, 1.0 / field.sample_rate_hz),
@@ -475,19 +444,16 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
     half = np.exp((-alpha / 2.0 - 0.5j * beta2 * omega**2) * (dz / 2.0))
     full = half * half
     # The loop runs in these buffers and allocates nothing per step: the
-    # FFTs overwrite e, and each thread builds the Kerr phase of its
-    # contiguous share of blocks in its own pair of block buffers.
+    # FFTs overwrite e, and the Kerr phase is built block by block in one
+    # pair of block buffers.
     e = np.array(field.samples, dtype=np.complex128)
-    shares = [(lo, hi, np.empty(KERR_BLOCK), np.empty(KERR_BLOCK, dtype=np.complex128))
-              for lo, hi in _shares(n, KERR_BLOCK, threads)]
+    power = np.empty(KERR_BLOCK)
+    kerr = np.empty(KERR_BLOCK, dtype=np.complex128)
     scale = -gamma89 * dz
-    # A pool starts its threads at the first submit: one thread starts none.
-    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
-        e = _spectral_filter(e, half, twiddles, pool, threads)
-        for step in range(config.steps):
-            _in_threads(pool, _kerr_phase, shares, e, scale)
-            e = _spectral_filter(e, half if step == config.steps - 1 else full, twiddles,
-                                 pool, threads)
+    e = _spectral_filter(e, half, twiddles)
+    for step in range(config.steps):
+        _kerr_phase(e, scale, power, kerr)
+        e = _spectral_filter(e, half if step == config.steps - 1 else full, twiddles)
     if not np.all(np.isfinite(e)):
         raise FloatingPointError(
             "field became non-finite during propagation; increase steps"
@@ -505,6 +471,7 @@ def ase_psd_w_per_hz(gain_db: float, nf_db: float, wavelength_nm: float) -> floa
 
 def amplify(field: DualPolField, gain_db: float, nf_db: float, seed: int) -> DualPolField:
     """Flat-gain amplifier with white circular ASE per polarization."""
+    _require_finite(gain_db=gain_db, nf_db=nf_db)
     if gain_db <= 0.0:
         raise ValueError(f"gain_db must be positive, got {gain_db}")
     psd = ase_psd_w_per_hz(gain_db, nf_db, field.center_wavelength_nm)
@@ -539,7 +506,6 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
     aligned with ``field.tx_symbols[channel_index]``."""
     k = config.channel_bins(channel_index)
     fft = _scipy_fft()
-    threads = _threads()
     sps = config.samples_per_symbol
     freq = fftfreq(field.samples.shape[1], 1.0 / field.sample_rate_hz)
 
@@ -547,11 +513,11 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
                            (2.0 * np.pi * freq) ** 2)
     np.exp(response, out=response)
     response *= np.roll(rrc_spectrum(freq, config.baud_ghz * 1e9, config.rrc_rolloff), k)
-    e = fft.fft(field.samples, axis=-1, workers=threads)
+    e = fft.fft(field.samples, axis=-1)
     e *= response
     folded = np.roll(e.reshape(2, sps, -1).sum(axis=1), -k, axis=-1)
     folded /= sps
-    symbols = fft.ifft(folded, axis=-1, overwrite_x=True, workers=threads)
+    symbols = fft.ifft(folded, axis=-1, overwrite_x=True)
     return _gain_removed(symbols, field.tx_symbols[channel_index])
 
 
@@ -704,6 +670,8 @@ def power_sweep(
     """
     powers = [float(p) for p in power_grid_dbm]
     modulations = list(modulations)
+    if not all(map(math.isfinite, powers)):
+        raise ValueError(f"power_grid_dbm must be finite, got {powers}")
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise ValueError("power grid must be strictly ascending")
     names = [m.name for m in modulations]
@@ -740,18 +708,12 @@ def power_sweep(
 
 def _runs(run, count: int) -> list:
     """``[run(i) for i in range(count)]`` for independent transmission runs,
-    spread by ``forks.forked_map`` over one process per usable CPU. With
-    several processes each run takes one thread, its own core; a lone
-    process keeps FFT_WORKERS threads. The results do not depend on the
-    split. ``scipy.fft`` is imported here, before any fork, so the workers
+    spread by ``forks.forked_map`` over one process per usable CPU, each
+    run on one thread. The results do not depend on the split.
+    ``scipy.fft`` is imported here, before any fork, so the workers
     inherit it."""
     _scipy_fft()
-    workers = fork_count(count)
-    token = _RUN_THREADS.set(1 if workers > 1 else None)
-    try:
-        return forked_map(run, count, workers)
-    finally:
-        _RUN_THREADS.reset(token)
+    return forked_map(run, count, fork_count(count))
 
 
 def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
@@ -786,6 +748,7 @@ def estimate_c(
     NLI / P^3 against excess kurtosis yields (eta1, eta2). The probe runs
     are spread over the usable CPUs as ``power_sweep``'s runs are.
     """
+    _require_finite(probe_power_dbm=probe_power_dbm)
     probes = list(probes)
     if len(probes) < 3:
         raise ValueError("need at least 3 probe modulations")

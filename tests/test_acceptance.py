@@ -35,6 +35,7 @@ from nlshaping import (
     uniform_pmf,
 )
 from nlshaping.cli import default_probes, main as cli_main
+from nlshaping.forks import fork_count, forked_map
 from nlshaping.ssfm import analytic_ase_snr_db, linear_crosstalk_fraction, transmission_run
 
 RULE = gauss_hermite(16)
@@ -157,14 +158,18 @@ class TestCriterion7SsfmPhysics:
         cfg = self.CONFIG
         xtalk = linear_crosstalk_fraction(cfg, cfg.seed)
         powers = [3.0, 5.0, 7.0, 9.0]
-        nli = []
-        for i, p_dbm in enumerate(powers):
+
+        def nli_w(i: int) -> float:
+            p_dbm = powers[i]
             rx, tx = transmission_run(cfg, gaussian_modulation(), p_dbm,
                                       tx_seed=500 + i, amp_seed=900 + i)
             total_rel = 10 ** (-estimate_snr(rx, tx) / 10)
             ase_rel = 10 ** (-analytic_ase_snr_db(cfg, p_dbm) / 10)
             p_w = 1e-3 * 10 ** (p_dbm / 10)
-            nli.append((total_rel - ase_rel - xtalk) * p_w)
+            return (total_rel - ase_rel - xtalk) * p_w
+
+        # The independent runs go one per usable CPU.
+        nli = forked_map(nli_w, len(powers), fork_count(len(powers)))
         slope = np.polyfit(np.log([1e-3 * 10 ** (p / 10) for p in powers]),
                            np.log(nli), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.3)
@@ -182,11 +187,13 @@ class TestCriterion7SsfmPhysics:
 
     def test_c_step_doubling(self):
         mod = default_probes()[0]
-        snrs = []
-        for steps in (400, 800):
-            cfg = LinkConfig(seed=1234, steps=steps)
-            rx, tx = transmission_run(cfg, mod, 6.0, tx_seed=777, amp_seed=778)
-            snrs.append(estimate_snr(rx, tx))
+        steps = (400, 800)
+
+        def snr(i: int) -> float:
+            cfg = LinkConfig(seed=1234, steps=steps[i])
+            return estimate_snr(*transmission_run(cfg, mod, 6.0, tx_seed=777, amp_seed=778))
+
+        snrs = forked_map(snr, len(steps), fork_count(len(steps)))
         assert abs(snrs[0] - snrs[1]) < 0.05
         print("ACCEPTANCE 7c PASS: step doubling moves SNR by "
               f"{abs(snrs[0] - snrs[1]):.4f} dB")

@@ -147,6 +147,10 @@ class TestExitCodes:
          "argument --c: c must be in [0, 1), got -2.0"),
         (["simulate", "--order", "16", "--c", "-1e-3", "--power-min", "0", "--power-max", "0"],
          "argument --c: c must be in [0, 1), got -0.001"),
+        # A negative seed failed in the first run, after the design step.
+        (["simulate", "--order", "16", "--power-min", "0", "--power-max", "0", "--seed", "-1"],
+         "argument --seed: must be at least 0, got -1"),
+        (["estimate-c", "--seed", "-3"], "argument --seed: must be at least 0, got -3"),
     ])
     def test_bad_argument_is_2_before_compute(self, argv, message, monkeypatch, capsys):
         def no_compute(*args, **kwargs):
@@ -491,15 +495,15 @@ class TestEstimateCCsv:
 
 
 def fresh_run(code: str) -> tuple[set[str], int]:
-    """(scipy and multiprocessing modules loaded, ``os.fork`` calls made)
-    by a fresh interpreter running ``code``."""
+    """(scipy, multiprocessing and concurrent modules loaded, ``os.fork``
+    calls made) by a fresh interpreter running ``code``."""
     src = str(Path(nlshaping.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = ("import os\nforks = []\nfork = os.fork\n"
               "os.fork = lambda: forks.append(1) or fork()\n"
               + code + "\nimport sys\nprint('MODULES:' + ' '.join(sorted("
-              "m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing'))))"
+              "m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))))"
               "\nprint('FORKS:', len(forks))")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=600, check=True)
@@ -512,7 +516,8 @@ def fresh_run(code: str) -> tuple[set[str], int]:
 class TestImportBudget:
     """scipy.optimize takes about 0.6 s to import and scipy.fft about 0.3 s;
     the design commands need neither. A single design point starts no
-    worker process and does not import multiprocessing."""
+    worker process and does not import multiprocessing. Nothing imports
+    concurrent.futures: parallel work runs in forked processes."""
 
     def test_package_import_loads_no_scipy(self):
         assert fresh_run("import nlshaping, nlshaping.cli") == (set(), 0)

@@ -3,8 +3,6 @@
 import math
 import multiprocessing
 import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +36,7 @@ from nlshaping import (
 from nlshaping import ssfm
 from nlshaping.awgn_mi import LN2
 from nlshaping.cli import default_probes
+from nlshaping.forks import fork_count, forked_map
 from nlshaping.shaping import entropy
 from nlshaping.ssfm import (
     KERR_BLOCK,
@@ -87,9 +86,8 @@ def reference_propagate(field, config: LinkConfig) -> np.ndarray:
 
 def whole_field_propagate(field, config: LinkConfig) -> np.ndarray:
     """The in-place split-step with each step's Kerr phase built in one
-    pass over the whole field, and every transform, on the calling thread:
-    the bit-exact oracle for the blocked, threaded Kerr phase and the
-    threaded FFT passes of ``propagate``."""
+    pass over the whole field: the bit-exact oracle for the blocked Kerr
+    phase of ``propagate``."""
     n = field.samples.shape[1]
     twiddles = _four_step(n)
     omega = 2.0 * np.pi * _pass_order(np.fft.fftfreq(n, 1.0 / field.sample_rate_hz),
@@ -99,7 +97,7 @@ def whole_field_propagate(field, config: LinkConfig) -> np.ndarray:
     gamma89 = config.gamma_per_w_km * 1e-3 * (8.0 / 9.0)
     half = np.exp((-alpha / 2.0 - 0.5j * config.beta2_s2_per_m * omega**2) * (dz / 2.0))
     full = half * half
-    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half, twiddles, None, 1)
+    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half, twiddles)
     magnitude = np.empty(e.shape)
     power = np.empty(n)
     kerr = np.empty(n, dtype=np.complex128)
@@ -111,7 +109,7 @@ def whole_field_propagate(field, config: LinkConfig) -> np.ndarray:
         np.cos(power, out=kerr.real)
         np.sin(power, out=kerr.imag)
         e *= kerr
-        e = _spectral_filter(e, half if step == config.steps - 1 else full, twiddles, None, 1)
+        e = _spectral_filter(e, half if step == config.steps - 1 else full, twiddles)
     return e
 
 
@@ -142,6 +140,30 @@ class TestLinkConfig:
     def test_non_finite_field_named(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             LinkConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("samples_per_symbol", 8.0),  # failed late: "n should be an integer"
+        ("steps", 400.5),             # failed inside the run
+        ("channels", True),           # was taken as one channel
+        ("symbols_per_channel", "16384"),
+        ("seed", 42.0),
+    ])
+    def test_integer_field_must_be_an_integer(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            LinkConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value, least", [
+        ("seed", -1, 0),  # failed in the run with a bare "expected non-negative integer"
+        ("steps", 0, 1),
+        ("symbols_per_channel", -8, 1),
+    ])
+    def test_integer_field_below_its_least_value(self, name, value, least):
+        with pytest.raises(ValueError, match=f"{name} must be at least {least}, got {value}"):
+            LinkConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = LinkConfig(seed=np.int64(0), steps=np.int32(400), channels=np.uint8(3))
+        assert cfg == LinkConfig(seed=0)
 
     def test_propagate_only_fields_accepted(self):
         # No loss and few symbols suit propagate alone; power_sweep and
@@ -324,6 +346,11 @@ class TestGenerateWdm:
             np.testing.assert_allclose(ratio, abs(ratio[0, 0]), rtol=1e-12)
         assert power[:, outside].sum() <= 1e-24 * power.sum()
 
+    @pytest.mark.parametrize("launch_dbm", [math.nan, math.inf])
+    def test_non_finite_launch_power_rejected(self, launch_dbm):
+        with pytest.raises(ValueError, match="launch_dbm must be finite"):
+            generate_wdm(tiny_config(), uniform_mod(), launch_dbm, seed=5)
+
     def test_seed_determinism(self):
         cfg = tiny_config()
         a = generate_wdm(cfg, uniform_mod(), 0.0, seed=5)
@@ -370,27 +397,13 @@ class TestPropagate:
         want = reference_propagate(field, cfg)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_equals_whole_field_loop_bit_for_bit(self, workers, monkeypatch):
-        # 40,000 samples: four full Kerr blocks and a partial one, split
-        # unevenly between the threads, while the interpreter switches
-        # threads every microsecond. A lost or doubled block, or two
-        # threads in one buffer, would change the field. The FFT passes
-        # run on as many threads as the Kerr phase; one thread is the
-        # serial case.
+    def test_equals_whole_field_loop_bit_for_bit(self):
+        # 40,000 samples: four full Kerr blocks and a partial one. A lost
+        # or doubled block would change the field.
         cfg = tiny_config(channels=3, samples_per_symbol=8, symbols_per_channel=5000)
         field = generate_wdm(cfg, uniform_mod(), 6.0, seed=27)
-        n = field.samples.shape[1]
-        assert n % KERR_BLOCK != 0 and (workers == 1 or (-(-n // KERR_BLOCK)) % workers != 0)
-        want = whole_field_propagate(field, cfg)
-        monkeypatch.setattr(ssfm, "FFT_WORKERS", workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = propagate(field, cfg).samples
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(got, want)
+        assert field.samples.shape[1] % KERR_BLOCK != 0
+        assert np.array_equal(propagate(field, cfg).samples, whole_field_propagate(field, cfg))
 
     def test_cyclic_shift_commutes(self):
         cfg = tiny_config(channels=3, samples_per_symbol=8)
@@ -430,8 +443,7 @@ class TestPropagate:
 
 class TestSpectralFilter:
     @pytest.mark.parametrize("n, n1", [(1 << 17, 256), (40_000, 200), (65_537, 1)])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_matches_numpy_oracle(self, n, n1, threads):
+    def test_matches_numpy_oracle(self, n, n1):
         # n1 is the largest divisor of n at most sqrt(n): 2^17 = 256 * 512,
         # 40,000 = 200 * 200, and the prime 65,537 takes the direct FFT.
         rng = np.random.default_rng(n)
@@ -441,8 +453,7 @@ class TestSpectralFilter:
         twiddles = _four_step(n)
         assert twiddles.shape == (2, n1, n // n1)
         buffer = x.copy()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            got = _spectral_filter(buffer, _pass_order(response, n1), twiddles, pool, threads)
+        got = _spectral_filter(buffer, _pass_order(response, n1), twiddles)
         assert got is buffer
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
@@ -491,6 +502,17 @@ class TestAmplify:
         field = generate_wdm(tiny_config(), uniform_mod(), 0.0, seed=15)
         with pytest.raises(ValueError, match="negative ASE density"):
             amplify(field, 33.0, -40.0, seed=1)
+
+
+    @pytest.mark.parametrize("gain_db, nf_db, name", [
+        (math.nan, 5.0, "gain_db"),  # returned an all-NaN field
+        (math.inf, 5.0, "gain_db"),
+        (33.0, math.nan, "nf_db"),
+    ])
+    def test_rejects_non_finite_gain_or_noise_figure(self, gain_db, nf_db, name):
+        field = generate_wdm(tiny_config(), uniform_mod(), 0.0, seed=15)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            amplify(field, gain_db, nf_db, seed=1)
 
 
 class DummyFieldFactory:
@@ -825,6 +847,13 @@ class TestPowerSweep:
         with pytest.raises(ValueError, match="milli-dBm"):
             power_sweep(cfg, [uniform_mod()], [4.0001, 4.0004])
 
+    @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [-math.inf, 0.0]])
+    def test_non_finite_power_rejected_before_any_run(self, grid, monkeypatch):
+        # NaN failed converting its seed key, and infinity overflowed.
+        _no_link_compute(monkeypatch)
+        with pytest.raises(ValueError, match="power_grid_dbm must be finite"):
+            power_sweep(tiny_config(), [uniform_mod()], grid)
+
 
 def _no_link_compute(monkeypatch):
     def fail(*args, **kwargs):
@@ -879,6 +908,15 @@ class TestEstimateC:
         with pytest.raises(ValueError, match="separated"):
             estimate_c(cfg, probes, probe_power_dbm=6.0)
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    def test_non_finite_probe_power_rejected_before_calibration(self, power, monkeypatch):
+        # NaN ran the crosstalk calibration, then failed in propagate with
+        # "increase steps or lower power". The calibration starts with
+        # generate_wdm, which _no_link_compute fails.
+        _no_link_compute(monkeypatch)
+        with pytest.raises(ValueError, match="probe_power_dbm must be finite"):
+            estimate_c(tiny_config(), self.probes(), probe_power_dbm=power)
+
     def test_too_few_probes(self):
         cfg = tiny_config()
         with pytest.raises(ValueError, match="at least 3"):
@@ -899,33 +937,34 @@ class TestEstimateC:
 @pytest.mark.slow
 class TestStepConvergence:
     def test_doubling_steps_barely_moves_snr(self):
-        base = LinkConfig(seed=105)
-        fine = LinkConfig(steps=800, seed=105)
+        configs = [LinkConfig(seed=105), LinkConfig(steps=800, seed=105)]
         mod = uniform_mod(64)
-        snr = []
-        for cfg in (base, fine):
-            rx, tx = transmission_run(cfg, mod, 6.0, tx_seed=300, amp_seed=301)
-            snr.append(estimate_snr(rx, tx))
-        assert abs(snr[0] - snr[1]) < 0.05
+
+        def snr(i: int) -> float:
+            return estimate_snr(*transmission_run(configs[i], mod, 6.0, tx_seed=300, amp_seed=301))
+
+        # The two independent runs go one per usable CPU.
+        coarse, fine = forked_map(snr, 2, fork_count(2))
+        assert abs(coarse - fine) < 0.05
 
 
 @pytest.fixture
 def link_runs(tmp_path, monkeypatch):
     """Log of ``transmission_run`` calls across processes: each process
-    appends its pid and the run's thread count to one file. Calling the
-    fixture's value reads and clears the log."""
+    appends its pid to one file. Calling the fixture's value reads and
+    clears the log."""
     log = tmp_path / "link-runs"
     real = ssfm.transmission_run
 
     def logged(*args, **kwargs):
         with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {ssfm._threads()}\n")
+            handle.write(f"{os.getpid()}\n")
         return real(*args, **kwargs)
 
-    def read() -> list[tuple[int, int]]:
+    def read() -> list[int]:
         lines = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
         log.unlink(missing_ok=True)
-        return [(int(pid), int(threads)) for pid, threads in (line.split() for line in lines)]
+        return [int(pid) for pid in lines]
 
     monkeypatch.setattr(ssfm, "transmission_run", logged)
     return read
@@ -951,8 +990,6 @@ SWEEPS = {
 class TestForkedRuns:
     def test_result_does_not_depend_on_cpu_count(self, sweep, cpus, link_runs):
         # repr spells every float exactly, so equal reprs are equal bits.
-        # Forked runs step on one thread each; a lone process keeps
-        # FFT_WORKERS threads.
         run, _ = SWEEPS[sweep]
         results = []
         for n in (1, 2, 3):
@@ -961,8 +998,7 @@ class TestForkedRuns:
             assert multiprocessing.active_children() == []
             runs = link_runs()
             assert len(runs) == 3
-            assert len({pid for pid, _ in runs}) == n
-            assert {threads for _, threads in runs} == {1 if n > 1 else ssfm.FFT_WORKERS}
+            assert len(set(runs)) == n
         assert results[1] == results[0]
         assert results[2] == results[0]
 
@@ -1000,7 +1036,7 @@ class TestForkedRuns:
         assert len(starts) == 1
         assert len(os.listdir("/proc/self/fd")) == fds
         assert multiprocessing.active_children() == []
-        assert [pid for pid, _ in link_runs()] == [os.getpid()] * 3
+        assert link_runs() == [os.getpid()] * 3
 
 
 class TestLinearCrosstalk:
