@@ -101,6 +101,9 @@ class LinkConfig:
                 least = 0 if f.name == "seed" else 1
                 if value < least:
                     raise ValueError(f"{f.name} must be at least {least}, got {value}")
+                # A numpy integer would carry its width, or its lack of a
+                # sign, into the sample and bin arithmetic.
+                object.__setattr__(self, f.name, int(value))
             elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         # A noise factor F below 1 would make the ASE density negative.

@@ -161,9 +161,12 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=f"{name} must be at least {least}, got {value}"):
             LinkConfig(**{name: value})
 
-    def test_numpy_integers_accepted(self):
+    def test_numpy_integers_taken_as_python_integers(self):
+        # An unsigned channel count wrapped channel_bins(0) below zero.
         cfg = LinkConfig(seed=np.int64(0), steps=np.int32(400), channels=np.uint8(3))
         assert cfg == LinkConfig(seed=0)
+        assert {type(cfg.seed), type(cfg.steps), type(cfg.channels)} == {int}
+        assert cfg.channel_bins(0) == LinkConfig().channel_bins(0)
 
     def test_propagate_only_fields_accepted(self):
         # No loss and few symbols suit propagate alone; power_sweep and
