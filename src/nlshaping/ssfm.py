@@ -8,9 +8,8 @@ The receiver applies ideal dispersion compensation, matched filtering,
 and data-aided complex scaling. Each channel sits whole FFT bins from
 the band center, so shaping, comb assembly and the receive filters run
 on the spectrum and move channels by bin shifts. All FFTs go through
-``scipy.fft``. It is the only part of scipy the link uses and is
-imported at the first transform, or by a sweep before it forks, so
-importing this module, as every design command does, loads no scipy.
+``numpy.fft`` (pocketfft), in place with ``out=`` where the input may be
+overwritten; the link loads no scipy.
 
 The linear step of the split-step is a four-step FFT of length
 n = n1 * n2, n1 the largest divisor of n at most sqrt(n): FFTs over n1
@@ -30,7 +29,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from numpy.fft import fftfreq
+from numpy.fft import fft, fftfreq, ifft
 
 from .awgn_mi import (LN2, POSTERIOR_CHUNK, _neg_log_posterior, _posterior_work,
                       _require_unit_power)
@@ -267,13 +266,6 @@ def rrc_spectrum(freq_hz: np.ndarray, baud_hz: float, rolloff: float) -> np.ndar
     return np.sqrt(h)
 
 
-def _scipy_fft():
-    """``scipy.fft``, imported at the first transform: design commands load no scipy."""
-    import scipy.fft
-
-    return scipy.fft
-
-
 def _four_step(n: int) -> np.ndarray:
     """Twiddles of the four-step FFT of length n = n1 * n2, n1 the largest
     divisor of n at most sqrt(n): a (2, n1, n2) array holding w[k1, j2] =
@@ -301,10 +293,9 @@ def _row_pass(y, response, twiddles) -> None:
     """The rows of the four-step view ``y``, (2, n1, n2), in place: the
     twiddles, FFTs over n2, ``response``, inverse FFTs and the conjugate
     twiddles, on about KERR_BLOCK samples per polarization at a time, so
-    each block stays in cache through the five passes. scipy.fft
-    transforms an aligned complex128 view in place when it may overwrite
-    it."""
-    fft = _scipy_fft()
+    each block stays in cache through the five passes. ``numpy.fft``
+    with ``out=`` set to its input transforms the strided block view in
+    place, one row at a time, without a copy of the block."""
     forward, inverse = twiddles
     n1 = y.shape[1]
     rows = max(1, KERR_BLOCK // y.shape[2])
@@ -312,9 +303,9 @@ def _row_pass(y, response, twiddles) -> None:
         part = slice(start, min(start + rows, n1))
         block = y[:, part]
         block *= forward[part]
-        fft.fft(block, axis=2, overwrite_x=True)
+        fft(block, axis=2, out=block)
         block *= response[part]
-        fft.ifft(block, axis=2, overwrite_x=True)
+        ifft(block, axis=2, out=block)
         block *= inverse[part]
 
 
@@ -325,11 +316,10 @@ def _spectral_filter(x: np.ndarray, response: np.ndarray, twiddles: np.ndarray) 
     as (2, n1, n2), FFTs over n1, then the row pass (twiddles, FFTs over
     n2, ``response``, given in ``_pass_order``, and the inverse of both),
     then inverse FFTs over n1."""
-    fft = _scipy_fft()
     y = x.reshape(2, *response.shape)
-    fft.fft(y, axis=1, overwrite_x=True)
+    fft(y, axis=1, out=y)
     _row_pass(y, response, twiddles)
-    fft.ifft(y, axis=1, overwrite_x=True)
+    ifft(y, axis=1, out=y)
     return x
 
 
@@ -338,6 +328,17 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _require_seeds(**seeds: int) -> None:
+    """Raise a ValueError naming the first argument that is not a
+    non-negative integer, before any compute. numpy integers pass, as in
+    LinkConfig; bools do not."""
+    for name, seed in seeds.items():
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"{name} must be at least 0, got {seed}")
 
 
 def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -364,8 +365,8 @@ def generate_wdm(
     is exactly periodic and the matched filter is exactly Nyquist on the
     grid.
     """
+    _require_seeds(seed=seed)
     _require_finite(launch_dbm=launch_dbm)
-    fft = _scipy_fft()
     rng = np.random.default_rng(seed)
     nsym = config.symbols_per_channel
     sps = config.samples_per_symbol
@@ -381,7 +382,7 @@ def generate_wdm(
     for ch in range(config.channels):
         for pol in range(2):
             tx_symbols[ch, pol] = _draw_symbols(modulation, nsym, rng)
-        tiles = fft.fft(tx_symbols[ch], axis=-1)[:, None, :]
+        tiles = fft(tx_symbols[ch], axis=-1)[:, None, :]
         np.multiply(tiles, shaping.reshape(sps, nsym), out=shaped.reshape(2, sps, nsym))
         # Parseval: the dual-pol power of the waveform is sum |X|^2 / n^2.
         shaped *= math.sqrt(p_target * n * n / np.vdot(shaped, shaped).real)
@@ -389,7 +390,7 @@ def generate_wdm(
         spectrum[:, k:] += shaped[:, : n - k]
         spectrum[:, :k] += shaped[:, n - k :]
 
-    samples = fft.ifft(spectrum, axis=-1, overwrite_x=True)
+    samples = ifft(spectrum, axis=-1, out=spectrum)
     return DualPolField(samples, fs, config.center_wavelength_nm, tx_symbols)
 
 
@@ -474,6 +475,7 @@ def ase_psd_w_per_hz(gain_db: float, nf_db: float, wavelength_nm: float) -> floa
 
 def amplify(field: DualPolField, gain_db: float, nf_db: float, seed: int) -> DualPolField:
     """Flat-gain amplifier with white circular ASE per polarization."""
+    _require_seeds(seed=seed)
     _require_finite(gain_db=gain_db, nf_db=nf_db)
     if gain_db <= 0.0:
         raise ValueError(f"gain_db must be positive, got {gain_db}")
@@ -508,7 +510,6 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
     scaling (which absorbs any constant phase). Returns a (2, nsym) array
     aligned with ``field.tx_symbols[channel_index]``."""
     k = config.channel_bins(channel_index)
-    fft = _scipy_fft()
     sps = config.samples_per_symbol
     freq = fftfreq(field.samples.shape[1], 1.0 / field.sample_rate_hz)
 
@@ -516,11 +517,11 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
                            (2.0 * np.pi * freq) ** 2)
     np.exp(response, out=response)
     response *= np.roll(rrc_spectrum(freq, config.baud_ghz * 1e9, config.rrc_rolloff), k)
-    e = fft.fft(field.samples, axis=-1)
+    e = fft(field.samples, axis=-1)
     e *= response
     folded = np.roll(e.reshape(2, sps, -1).sum(axis=1), -k, axis=-1)
     folded /= sps
-    symbols = fft.ifft(folded, axis=-1, overwrite_x=True)
+    symbols = ifft(folded, axis=-1, out=folded)
     return _gain_removed(symbols, field.tx_symbols[channel_index])
 
 
@@ -649,6 +650,7 @@ def transmission_run(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transmit, propagate, amplify by the span loss, and receive the
     center channel. Returns (rx symbols, tx symbols), each (2, nsym)."""
+    _require_seeds(tx_seed=tx_seed, amp_seed=amp_seed)
     field = generate_wdm(config, modulation, launch_dbm, tx_seed)
     field = propagate(field, config)
     field = amplify(field, config.span_loss_db, config.edfa_nf_db, amp_seed)
@@ -667,9 +669,10 @@ def power_sweep(
     (in whole milli-dBm) and the modulation's name, so a point draws the
     same symbols and noise whatever else the sweep holds: sweeps can be
     split, extended or resumed point by point. Gaussian-modulated runs
-    report the Gaussian-input MI 2 log2(1 + SNR). The runs are spread
-    over the usable CPUs (see ``_runs``); the result is the serial
-    loop's, bit for bit, and a failing run raises as in the serial loop.
+    report the Gaussian-input MI 2 log2(1 + SNR). The runs are spread by
+    ``forks.forked_map`` over one process per usable CPU, each run on one
+    thread; the result is the serial loop's, bit for bit, and a failing
+    run raises as in the serial loop.
     """
     powers = [float(p) for p in power_grid_dbm]
     modulations = list(modulations)
@@ -706,17 +709,7 @@ def power_sweep(
             mi_4d = 2.0 * mi_from_samples(rx, tx, unit, modulation.pmf)
         return SweepResult(launch_dbm, modulation.name, snr_db, mi_4d, modulation.kurtosis)
 
-    return _runs(run, len(runs))
-
-
-def _runs(run, count: int) -> list:
-    """``[run(i) for i in range(count)]`` for independent transmission runs,
-    spread by ``forks.forked_map`` over one process per usable CPU, each
-    run on one thread. The results do not depend on the split.
-    ``scipy.fft`` is imported here, before any fork, so the workers
-    inherit it."""
-    _scipy_fft()
-    return forked_map(run, count, fork_count(count))
+    return forked_map(run, len(runs), fork_count(len(runs)))
 
 
 def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
@@ -730,6 +723,7 @@ def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
     gain and the ideal CD compensation undo exactly. So the transmitted
     field is received back to back, with no dispersion to compensate.
     """
+    _require_seeds(seed=seed)
     tx_seed, _ = _run_seed(seed, 0xBA5E)
     field = generate_wdm(config, gaussian_modulation(), 0.0, tx_seed)
     center = config.channels // 2
@@ -783,7 +777,7 @@ def estimate_c(
             )
         return ProbeResult(probe.name, probe.kurtosis, snr_db, nli_rel * p_w)
 
-    rows = _runs(run, len(probes))
+    rows = forked_map(run, len(probes), fork_count(len(probes)))
     kurt = np.array([r.kurtosis for r in rows])
     y = np.array([r.nli_variance_w for r in rows]) / p_w**3
     design = np.vstack([np.ones_like(kurt), kurt]).T

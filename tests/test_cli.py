@@ -514,10 +514,11 @@ def fresh_run(code: str) -> tuple[set[str], int]:
 
 
 class TestImportBudget:
-    """scipy.optimize takes about 0.6 s to import and scipy.fft about 0.3 s;
-    the design commands need neither. A single design point starts no
-    worker process and does not import multiprocessing. Nothing imports
-    concurrent.futures: parallel work runs in forked processes."""
+    """scipy.optimize takes about 0.6 s to import and scipy.fft about 0.3 s.
+    No command but estimate-c loads any scipy: the design commands need
+    none, and the link's FFTs go through numpy.fft. A single design point
+    starts no worker process and does not import multiprocessing. Nothing
+    imports concurrent.futures: parallel work runs in forked processes."""
 
     def test_package_import_loads_no_scipy(self):
         assert fresh_run("import nlshaping, nlshaping.cli") == (set(), 0)
@@ -540,14 +541,13 @@ class TestImportBudget:
         assert not any(m.startswith("scipy") for m in modules)
         assert forks == 1
 
-    def test_simulate_loads_fft_but_not_optimize(self, tmp_path):
+    def test_simulate_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "link.cfg"
         cfg.write_text(TINY_CFG, encoding="utf-8")
         argv = ["simulate", "--config", str(cfg), "--order", "16", "--families", "opt",
                 "--power-min", "0", "--power-max", "0", "--out", str(tmp_path / "sim.csv")]
         loaded, _ = fresh_run(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0")
-        assert "scipy.fft" in loaded
-        assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)
+        assert not any(m.startswith("scipy") for m in loaded)
 
     def test_two_run_simulate_forks_once(self, tmp_path):
         # Two CPUs and two runs: the caller takes one and a forked worker
@@ -560,8 +560,7 @@ class TestImportBudget:
                 f"from nlshaping import cli\nassert cli.main({argv!r}) == 0\n"
                 "import multiprocessing\nassert multiprocessing.active_children() == []")
         loaded, forks = fresh_run(code)
-        assert "scipy.fft" in loaded
-        assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in loaded)
+        assert not any(m.startswith("scipy") for m in loaded)
         assert forks == 1
 
     def test_physical_constants_equal_scipy(self):

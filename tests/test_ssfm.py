@@ -3,6 +3,8 @@
 import math
 import multiprocessing
 import os
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +65,16 @@ def tiny_config(**overrides) -> LinkConfig:
 def uniform_mod(order=16) -> Modulation:
     c = square_qam(order)
     return Modulation("uniform", c, uniform_pmf(c))
+
+
+def traced_peak(call):
+    """(result, peak bytes that tracemalloc saw allocated) of ``call()``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_propagate(field, config: LinkConfig) -> np.ndarray:
@@ -427,6 +439,19 @@ class TestPropagate:
         np.testing.assert_array_equal(first.samples, second.samples)
         assert not np.shares_memory(first.samples, field.samples)
 
+    def test_allocates_nothing_per_step(self):
+        # The field, its working copy, the twiddles, the two responses and
+        # what building them takes: about 3.5 field sizes. A whole-field
+        # temporary inside a step, such as an FFT that copies its input,
+        # would raise the peak; anything kept per step would grow it with
+        # the step count.
+        field = generate_wdm(tiny_config(), uniform_mod(), 6.0, seed=30)
+        propagate(field, tiny_config())
+        peaks = [traced_peak(lambda: propagate(field, tiny_config(steps=steps)))[1]
+                 for steps in (100, 200)]
+        assert abs(peaks[1] - peaks[0]) <= 1024
+        assert max(peaks) <= 4 * field.samples.nbytes
+
     def test_sample_rate_mismatch(self):
         cfg = tiny_config()
         field = generate_wdm(cfg, uniform_mod(), 0.0, seed=10)
@@ -459,6 +484,17 @@ class TestSpectralFilter:
         got = _spectral_filter(buffer, _pass_order(response, n1), twiddles)
         assert got is buffer
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
+
+    def test_transforms_in_place(self):
+        # Every pass writes into the buffer it reads: no copy of the field,
+        # nor of a row block, is allocated.
+        n = 1 << 17
+        twiddles = _four_step(n)
+        response = _pass_order(np.exp(1j * np.linspace(0.0, 1.0, n)), twiddles.shape[1])
+        buffer = np.ones((2, n), dtype=np.complex128)
+        got, peak = traced_peak(lambda: _spectral_filter(buffer, response, twiddles))
+        assert got is buffer
+        assert peak < buffer.nbytes / 64
 
 
 class TestAmplify:
@@ -1066,3 +1102,41 @@ class TestLinearCrosstalk:
         oracle = float(np.sum(np.abs(rx - tx) ** 2) / np.sum(np.abs(tx) ** 2))
         assert oracle > 1e-3
         assert linear_crosstalk_fraction(cfg, cfg.seed) == pytest.approx(oracle, rel=1e-12)
+
+
+# A negative seed failed deep in numpy with a bare "expected non-negative
+# integer", and a float with a TypeError from SeedSequence.
+BAD_SEEDS = [(-1, "must be at least 0, got -1"),
+             (1.5, "must be an integer, got 1.5"),
+             (True, "must be an integer, got True")]
+
+
+@pytest.mark.parametrize("seed, message", BAD_SEEDS)
+class TestBadSeeds:
+    def test_generate_wdm(self, seed, message):
+        with pytest.raises(ValueError, match=re.escape(f"seed {message}")):
+            generate_wdm(tiny_config(), gaussian_modulation(), 0.0, seed=seed)
+
+    def test_amplify(self, seed, message):
+        field = generate_wdm(tiny_config(), uniform_mod(), 0.0, seed=31)
+        with pytest.raises(ValueError, match=re.escape(f"seed {message}")):
+            amplify(field, 10.0, 5.0, seed=seed)
+
+    def test_linear_crosstalk_fraction(self, seed, message, monkeypatch):
+        _no_link_compute(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(f"seed {message}")):
+            linear_crosstalk_fraction(tiny_config(), seed)
+
+    def test_transmission_run_checks_amp_seed_before_propagating(self, seed, message, monkeypatch):
+        _no_link_compute(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(f"amp_seed {message}")):
+            transmission_run(tiny_config(), uniform_mod(), 0.0, tx_seed=1, amp_seed=seed)
+
+
+def test_numpy_integer_seeds_taken_as_integers():
+    cfg = tiny_config()
+    field = generate_wdm(cfg, uniform_mod(), 0.0, seed=np.int64(5))
+    assert np.array_equal(field.samples, generate_wdm(cfg, uniform_mod(), 0.0, seed=5).samples)
+    assert np.array_equal(amplify(field, 10.0, 5.0, seed=np.uint32(6)).samples,
+                          amplify(field, 10.0, 5.0, seed=6).samples)
+    assert linear_crosstalk_fraction(cfg, np.int32(7)) == linear_crosstalk_fraction(cfg, 7)
