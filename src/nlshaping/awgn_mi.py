@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .constellation import Constellation
+from .constellation import Constellation, _int_at_least
 from .shaping import Pmf, entropy
 
 LN2 = float(np.log(2.0))
@@ -81,8 +81,9 @@ def gauss_hermite(order: int) -> QuadratureRule:
 
     Exact for polynomials up to degree 2*order - 1 against exp(-t^2).
     """
-    if not isinstance(order, int) or not 2 <= order <= 64:
-        raise ValueError(f"quadrature order must be an integer in [2, 64], got {order!r}")
+    order = _int_at_least("quadrature order", order, 2)
+    if order > 64:
+        raise ValueError(f"quadrature order must be at most 64, got {order}")
     nodes, weights = hermgauss(order)
     return QuadratureRule(nodes, weights, order)
 
@@ -276,8 +277,7 @@ def mi_monte_carlo(
     Gaussian conditional densities and subtracts it from the analytic
     entropy. Deterministic for a given seed.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer count, got {samples!r}")
+    samples = _int_at_least("samples", samples, 1)
     if samples < 10_000:
         raise ValueError(f"need at least 1e4 samples for a stable estimate, got {samples}")
     _require_unit_power(constellation, pmf)

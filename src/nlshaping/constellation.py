@@ -110,13 +110,26 @@ class Constellation:
 def square_qam(order: int) -> Constellation:
     """Build the square QAM constellation of the given order on the
     odd-integer grid."""
-    if not isinstance(order, int) or order not in SUPPORTED_ORDERS:
+    order = _int_at_least("order", order, 1)
+    if order not in SUPPORTED_ORDERS:
         raise ValueError(
             f"order {order!r} outside the supported range: square QAM of "
             f"order {', '.join(map(str, SUPPORTED_ORDERS))}"
         )
     m = math.isqrt(order)
     return Constellation(np.arange(-(m - 1), m, 2, dtype=np.float64))
+
+
+def _int_at_least(name: str, value, least: int) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, not a bool, of
+    at least ``least``; otherwise a ValueError naming ``name``. A numpy
+    integer would carry its width, or its lack of a sign, into later
+    arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def _check_pmf_length(constellation: Constellation, probs: np.ndarray) -> None:

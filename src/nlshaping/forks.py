@@ -1,11 +1,22 @@
 """Independent tasks on every usable CPU: the caller and forked workers.
 
-``fork_count`` decides how many processes share a batch of independent
-tasks, and ``forked_map`` runs the batch on them: task i runs in share
-i mod w, the caller computes share 0 and a forked process each other
-share. The result is the list a serial loop gives, bit for bit, and a
-failure raises what the serial loop would raise first. ``multiprocessing``
-is imported only when a batch forks, not with this module.
+``forked_map(task, count)`` gives ``[task(i) for i in range(count)]``,
+bit for bit. It shares the tasks among w processes, one per usable CPU
+and at most one per task: task i runs in share i mod w, the caller
+computes share 0 and a forked process each other share. The rules:
+
+- The tasks run serially in the caller (w = 1) on one usable CPU (a
+  platform without ``os.sched_getaffinity`` counts one), when other
+  Python threads are alive (forking a threaded process is unsafe), and
+  when the caller is a daemonic process, which may not start processes,
+  as in a ``multiprocessing.Pool`` worker.
+- A share whose process cannot be started (no process or pipe to be
+  had) is computed by the caller too.
+- A failing task raises its own exception, that of the lowest failing
+  index, as the serial loop does.
+
+``multiprocessing`` is imported only when a batch forks, not with this
+module.
 """
 
 from __future__ import annotations
@@ -14,13 +25,8 @@ import os
 import threading
 
 
-def fork_count(tasks: int) -> int:
-    """Processes to share ``tasks`` independent tasks: one per usable CPU,
-    at most one per task and at least one. It is 1, the serial loop in
-    the caller, when other Python threads are alive (forking a threaded
-    process is unsafe), when the caller is a daemonic process (which may
-    not start processes, as in a ``multiprocessing.Pool`` worker), or on a
-    platform without ``os.sched_getaffinity``, which counts one CPU."""
+def _fork_count(tasks: int) -> int:
+    """Processes to share ``tasks`` tasks, by the rules of this module."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = max(1, min(tasks, cpus)) if threading.active_count() == 1 else 1
     if workers > 1:
@@ -65,16 +71,12 @@ def _start_worker(ctx, task, count: int, first: int, stride: int):
     return proc, recv
 
 
-def forked_map(task, count: int, workers: int) -> list:
-    """``[task(i) for i in range(count)]``, with task i in share i mod
-    ``workers``, as ``fork_count(count)`` gives them. The caller computes
-    share 0 and forks a process for each other share; a share whose process
-    cannot be started (no process or pipe to be had) is computed by the
-    caller too. With one worker this is the serial loop. A failing task
-    raises its own exception, that of the lowest failing index, as the
-    serial loop does. Every process is joined before this returns or
-    raises; an exception in the caller, such as an interrupt, ends the
-    workers at once."""
+def forked_map(task, count: int) -> list:
+    """``[task(i) for i in range(count)]`` on the caller and forked
+    workers, by the rules of this module. Every process is joined before
+    this returns or raises; an exception in the caller, such as an
+    interrupt, ends the workers at once."""
+    workers = _fork_count(count)
     procs = []
     received = False
     try:

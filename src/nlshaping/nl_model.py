@@ -18,7 +18,7 @@ import numpy as np
 
 from .awgn_mi import mi_awgn_2d
 from .constellation import Constellation, normalized
-from .forks import fork_count, forked_map
+from .forks import forked_map
 from .search import bounded_brent, nelder_mead
 from .shaping import (
     Family,
@@ -335,15 +335,8 @@ def mi_curve(
     tailored search reuses the MB optimum of its grid point, so every
     family subset gives the same points as the full curve.
 
-    The points are spread over w = min(grid points, usable CPUs)
-    processes, the caller and w - 1 forked workers, each taking every
-    w-th point; the result is the one a serial run gives, bit for bit.
-    The grid runs serially in the caller when w is 1 (a platform without
-    ``os.sched_getaffinity`` counts one CPU), when other Python threads
-    are alive (forking a threaded process is unsafe) or when the caller
-    is a daemonic process; if a worker cannot be started, the caller
-    computes its points too. A failing search raises its own exception,
-    that of the lowest failing grid point, as a serial run does.
+    The points are spread over processes by ``forks.forked_map``, whose
+    result and failures are the serial loop's (see ``forks``).
     """
     grid = [float(s) for s in snr_grid_db]
     if not grid:
@@ -355,5 +348,4 @@ def mi_curve(
         raise ValueError(f"families must be a non-empty subset of ({names})")
     NlChannelModel(c, grid[0])  # checks c before any search or worker
 
-    return forked_map(lambda i: _curve_point(constellation, c, grid[i], families),
-                      len(grid), fork_count(len(grid)))
+    return forked_map(lambda i: _curve_point(constellation, c, grid[i], families), len(grid))

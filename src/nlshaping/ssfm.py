@@ -13,14 +13,14 @@ overwritten; the link loads no scipy.
 
 The linear step of the split-step is a four-step FFT of length
 n = n1 * n2, n1 the largest divisor of n at most sqrt(n): FFTs over n1
-of the (2, n1, n2) view, then a row pass (twiddles, FFTs over n2, the
-response, the inverse FFTs and the conjugate twiddles, on row blocks
-that stay in cache), then inverse FFTs over n1. The response is kept in
-the order the passes leave the spectrum in, so nothing is transposed.
-Every transmission run steps on one thread. ``power_sweep`` and
-``estimate_c`` spread their independent runs over one process per
-usable CPU (``forks.forked_map``); the output does not depend on the
-process count.
+of the (2, n1, n2) view, then a row pass over the whole view (twiddles,
+FFTs over n2, the response, the inverse FFTs and the conjugate
+twiddles), then inverse FFTs over n1. The response is kept in the order
+the passes leave the spectrum in, so nothing is transposed. The Kerr
+phase runs in cache-sized blocks. Every transmission run steps on one
+thread. ``power_sweep`` and ``estimate_c`` spread their independent runs
+over processes with ``forks.forked_map``; the output does not depend on
+the process count.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from numpy.fft import fft, fftfreq, ifft
 
 from .awgn_mi import (LN2, POSTERIOR_CHUNK, _neg_log_posterior, _posterior_work,
                       _require_unit_power)
-from .constellation import Constellation, normalized
-from .forks import fork_count, forked_map
+from .constellation import Constellation, _int_at_least, normalized
+from .forks import forked_map
 from .shaping import Pmf, entropy, excess_kurtosis
 
 LN10 = float(np.log(10.0))
@@ -47,9 +47,8 @@ PLANCK = 6.62607015e-34
 # return infinity.
 SNR_CAP_DB = 100.0
 
-# Samples per block of the Kerr phase, and per polarization of the
-# four-step row pass: the two Kerr block buffers take 192 KiB and a row
-# block 256 KiB, so they stay in cache.
+# Samples per block of the Kerr phase: its two block buffers take
+# 192 KiB, so they stay in cache.
 KERR_BLOCK = 1 << 13
 
 # Largest distance of spacing * symbols / baud from an integer for the
@@ -94,15 +93,9 @@ class LinkConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
                 # The seed may be 0; every other integer field counts something.
                 least = 0 if f.name == "seed" else 1
-                if value < least:
-                    raise ValueError(f"{f.name} must be at least {least}, got {value}")
-                # A numpy integer would carry its width, or its lack of a
-                # sign, into the sample and bin arithmetic.
-                object.__setattr__(self, f.name, int(value))
+                object.__setattr__(self, f.name, _int_at_least(f.name, value, least))
             elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         # A noise factor F below 1 would make the ASE density negative.
@@ -289,36 +282,22 @@ def _pass_order(values: np.ndarray, n1: int) -> np.ndarray:
     return np.ascontiguousarray(values.reshape(-1, n1).T)
 
 
-def _row_pass(y, response, twiddles) -> None:
-    """The rows of the four-step view ``y``, (2, n1, n2), in place: the
-    twiddles, FFTs over n2, ``response``, inverse FFTs and the conjugate
-    twiddles, on about KERR_BLOCK samples per polarization at a time, so
-    each block stays in cache through the five passes. ``numpy.fft``
-    with ``out=`` set to its input transforms the strided block view in
-    place, one row at a time, without a copy of the block."""
-    forward, inverse = twiddles
-    n1 = y.shape[1]
-    rows = max(1, KERR_BLOCK // y.shape[2])
-    for start in range(0, n1, rows):
-        part = slice(start, min(start + rows, n1))
-        block = y[:, part]
-        block *= forward[part]
-        fft(block, axis=2, out=block)
-        block *= response[part]
-        ifft(block, axis=2, out=block)
-        block *= inverse[part]
-
-
 def _spectral_filter(x: np.ndarray, response: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
     """ifft(fft(x) * response) along the last axis of the (2, n) field
     ``x``, computed in its buffer, which is overwritten and returned. The
     transform is the four-step FFT of ``twiddles = _four_step(n)``: viewed
     as (2, n1, n2), FFTs over n1, then the row pass (twiddles, FFTs over
     n2, ``response``, given in ``_pass_order``, and the inverse of both),
-    then inverse FFTs over n1."""
+    then inverse FFTs over n1. ``numpy.fft`` with ``out=`` set to its
+    input transforms the strided view in place, without a copy."""
+    forward, inverse = twiddles
     y = x.reshape(2, *response.shape)
     fft(y, axis=1, out=y)
-    _row_pass(y, response, twiddles)
+    y *= forward
+    fft(y, axis=2, out=y)
+    y *= response
+    ifft(y, axis=2, out=y)
+    y *= inverse
     ifft(y, axis=1, out=y)
     return x
 
@@ -335,10 +314,7 @@ def _require_seeds(**seeds: int) -> None:
     non-negative integer, before any compute. numpy integers pass, as in
     LinkConfig; bools do not."""
     for name, seed in seeds.items():
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {seed!r}")
-        if seed < 0:
-            raise ValueError(f"{name} must be at least 0, got {seed}")
+        _int_at_least(name, seed, 0)
 
 
 def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -423,8 +399,7 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
     domain; the nonlinear step applies the polarization-averaged Kerr
     phase (8/9 factor) from the instantaneous local power. Runs on the
     calling thread. Deterministic, and bit-identical to a whole-field
-    loop: the Kerr phase and the four-step row pass go block by block
-    through the field.
+    loop: the Kerr phase goes block by block through the field.
     """
     if not math.isclose(field.sample_rate_hz, config.sample_rate_hz, rel_tol=1e-12):
         raise ValueError(
@@ -669,10 +644,9 @@ def power_sweep(
     (in whole milli-dBm) and the modulation's name, so a point draws the
     same symbols and noise whatever else the sweep holds: sweeps can be
     split, extended or resumed point by point. Gaussian-modulated runs
-    report the Gaussian-input MI 2 log2(1 + SNR). The runs are spread by
-    ``forks.forked_map`` over one process per usable CPU, each run on one
-    thread; the result is the serial loop's, bit for bit, and a failing
-    run raises as in the serial loop.
+    report the Gaussian-input MI 2 log2(1 + SNR). Each run steps on one
+    thread, and the runs are spread over processes by ``forks.forked_map``,
+    whose result and failures are the serial loop's (see ``forks``).
     """
     powers = [float(p) for p in power_grid_dbm]
     modulations = list(modulations)
@@ -709,7 +683,7 @@ def power_sweep(
             mi_4d = 2.0 * mi_from_samples(rx, tx, unit, modulation.pmf)
         return SweepResult(launch_dbm, modulation.name, snr_db, mi_4d, modulation.kurtosis)
 
-    return forked_map(run, len(runs), fork_count(len(runs)))
+    return forked_map(run, len(runs))
 
 
 def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
@@ -743,7 +717,7 @@ def estimate_c(
     variance is the measured total noise minus the analytic ASE budget
     and the calibrated linear crosstalk baseline. A straight-line fit of
     NLI / P^3 against excess kurtosis yields (eta1, eta2). The probe runs
-    are spread over the usable CPUs as ``power_sweep``'s runs are.
+    are spread over processes by ``forks.forked_map`` (see ``forks``).
     """
     _require_finite(probe_power_dbm=probe_power_dbm)
     probes = list(probes)
@@ -777,7 +751,7 @@ def estimate_c(
             )
         return ProbeResult(probe.name, probe.kurtosis, snr_db, nli_rel * p_w)
 
-    rows = forked_map(run, len(probes), fork_count(len(probes)))
+    rows = forked_map(run, len(probes))
     kurt = np.array([r.kurtosis for r in rows])
     y = np.array([r.nli_variance_w for r in rows]) / p_w**3
     design = np.vstack([np.ones_like(kurt), kurt]).T

@@ -35,7 +35,7 @@ from nlshaping import (
     uniform_pmf,
 )
 from nlshaping.cli import default_probes, main as cli_main
-from nlshaping.forks import fork_count, forked_map
+from nlshaping.forks import forked_map
 from nlshaping.ssfm import analytic_ase_snr_db, linear_crosstalk_fraction, transmission_run
 
 RULE = gauss_hermite(16)
@@ -169,7 +169,7 @@ class TestCriterion7SsfmPhysics:
             return (total_rel - ase_rel - xtalk) * p_w
 
         # The independent runs go one per usable CPU.
-        nli = forked_map(nli_w, len(powers), fork_count(len(powers)))
+        nli = forked_map(nli_w, len(powers))
         slope = np.polyfit(np.log([1e-3 * 10 ** (p / 10) for p in powers]),
                            np.log(nli), 1)[0]
         assert slope == pytest.approx(3.0, abs=0.3)
@@ -193,7 +193,7 @@ class TestCriterion7SsfmPhysics:
             cfg = LinkConfig(seed=1234, steps=steps[i])
             return estimate_snr(*transmission_run(cfg, mod, 6.0, tx_seed=777, amp_seed=778))
 
-        snrs = forked_map(snr, len(steps), fork_count(len(steps)))
+        snrs = forked_map(snr, len(steps))
         assert abs(snrs[0] - snrs[1]) < 0.05
         print("ACCEPTANCE 7c PASS: step doubling moves SNR by "
               f"{abs(snrs[0] - snrs[1]):.4f} dB")

@@ -1,6 +1,7 @@
 """Quadrature and Monte-Carlo MI tests with independent oracles."""
 
 import math
+import re
 import resource
 import sys
 import threading
@@ -329,6 +330,18 @@ class TestGaussHermite:
     def test_order_out_of_range(self, order):
         with pytest.raises(ValueError):
             gauss_hermite(order)
+
+    @pytest.mark.parametrize("order", [16.0, np.float64(16.0), True])
+    def test_non_integer_order_rejected(self, order):
+        message = f"quadrature order must be an integer, got {order!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gauss_hermite(order)
+
+    @pytest.mark.parametrize("order", [np.int64(16), np.uint8(23)])
+    def test_numpy_integer_order(self, order):
+        rule = gauss_hermite(order)
+        assert type(rule.order) is int and rule.order == order
+        np.testing.assert_array_equal(rule.nodes, gauss_hermite(int(order)).nodes)
 
 
 class TestMiQuadrature:

@@ -1,6 +1,7 @@
 """Geometry tests: grids, rings, moments, normalization."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -55,8 +56,16 @@ class TestSquareQam:
             square_qam(bad)
 
     def test_non_integer_rejected(self):
-        with pytest.raises(ValueError):
-            square_qam(16.0)
+        for bad in (16.0, np.float64(64.0), True, "256"):
+            message = f"order must be an integer, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                square_qam(bad)
+
+    @pytest.mark.parametrize("order", [np.int64(256), np.int32(16), np.uint16(64)])
+    def test_numpy_integer_order(self, order):
+        c = square_qam(order)
+        assert c == square_qam(int(order))
+        assert type(c.order) is int
 
     def test_point_ordering_row_major(self):
         c = square_qam(16)
