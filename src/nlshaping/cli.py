@@ -180,7 +180,7 @@ def cmd_mi_curve(args):
     metadata = base_metadata(order=args.order, c=args.c,
                              snr_grid_db=f"{args.snr_min}:{args.snr_max}:{args.snr_step}",
                              families=",".join(args.families),
-                             optimizer="coarse-grid + bounded/simplex refinement")
+                             optimizer="coarse-grid + bounded Brent/BFGS refinement")
     header = ["snr_gauss_db", "family", "lambda", "nu1", "nu2", "kurtosis",
               "effective_snr_db", "mi_4d", "delta_mi_4d"]
     return metadata, header, rows

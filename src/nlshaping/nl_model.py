@@ -4,9 +4,18 @@ The nonlinear interference power of a launch-power-optimized link is
 modeled as (eta1 + eta2 * kurtosis) * P^3, which makes the achievable
 SNR at optimum power a one-third-power function of the modulation's
 excess kurtosis. Shaping families are optimized against the resulting
-effective-SNR AWGN channel. The searches are the package's own
-Nelder-Mead and bounded Brent (``search``), so this module and every
-design command run on numpy alone, without importing scipy.
+effective-SNR AWGN channel. The searches are the package's own BFGS and
+bounded Brent (``search``), so this module and every design command run
+on numpy alone, without importing scipy.
+
+The tailored and per-ring searches use the exact gradient of the
+quadrature MI. A pmf moves the MI three ways: through the pmf grid
+directly, through the unit-power scale s of the levels, and through the
+effective SNR, which the kurtosis sets. Since I(s L, sigma) = I(L,
+sigma / s), the last two enter as one derivative in sigma. The pmf
+families then chain in: dp/dnu_k = -p (T_k - E[T_k]) with T_1 = |x|^2
+and T_2 = |x|^4 for the tailored family, and the softmax of the ring
+logits for the per-ring family.
 """
 
 from __future__ import annotations
@@ -16,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .awgn_mi import mi_awgn_2d
+from .awgn_mi import _mi_and_gradient, mi_awgn_2d
 from .constellation import Constellation, normalized
 from .forks import forked_map
-from .search import bounded_brent, nelder_mead
+from .search import bfgs, bounded_brent
 from .shaping import (
     Family,
     ShapingParams,
@@ -42,6 +51,10 @@ _COARSE_NU1 = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
 _COARSE_NU2 = np.array([-0.5, -0.2, 0.0, 0.2, 0.5, 1.0, 2.0])
 
 _MI_TIE_TOL = 1e-9
+
+# Gradient tolerance of the tailored and per-ring searches, on -mi_4d
+# (bit/4D) per unit of their parameters.
+_GTOL = 1e-9
 
 # Evaluation caps of the MB, tailored and per-ring searches.
 _MB_MAXFEV = 200
@@ -123,11 +136,23 @@ def evaluate_family(
 ) -> MiCurvePoint:
     """Build the pmf for ``params`` and score it on the effective channel,
     with the default Gauss-Hermite rule, as every design function does."""
+    return _score(constellation, params, model, gradient=False)
+
+
+def _score(constellation, params, model, gradient):
+    """``evaluate_family``'s point; with ``gradient``, also the pmf and
+    d mi_4d / dp over the points, the pmf's own dependence on its
+    parameters left to the caller."""
     pmf = build_pmf(constellation, params)
     kurt = excess_kurtosis(constellation, pmf)
     eff_db = effective_snr_db(model, kurt)
-    mi_4d = 2.0 * mi_awgn_2d(normalized(constellation, pmf), pmf, eff_db)
-    return MiCurvePoint(
+    unit = normalized(constellation, pmf)
+    if gradient:
+        mi, d_grid, d_sigma = _mi_and_gradient(unit, pmf, eff_db)
+    else:
+        mi = mi_awgn_2d(unit, pmf, eff_db)
+    mi_4d = 2.0 * mi
+    point = MiCurvePoint(
         snr_gauss_db=model.snr_gauss_db,
         family=params.family,
         params=params,
@@ -136,10 +161,26 @@ def evaluate_family(
         mi_4d=mi_4d,
         delta_mi_4d=_delta_mi(mi_4d, model.snr_gauss_db),
     )
+    if not gradient:
+        return point
+    # sigma over the level scale: sigma^2 = 10^(-eff_db/10) with
+    # d ln sigma / d kurtosis = c / (6 (1 + c kurtosis)), and the scale
+    # s = m2^(-1/2) with d ln s / dp = -|x|^2 / (2 m2).
+    r2 = constellation.sq_magnitudes
+    m2 = float(pmf.probs @ r2)
+    m4 = float(pmf.probs @ (r2 * r2))
+    d_kurt = (r2 * r2) / (m2 * m2) - (2.0 * m4 / m2**3) * r2
+    d_log_sigma = (model.c / (6.0 * (1.0 + model.c * kurt))) * d_kurt + r2 / (2.0 * m2)
+    sigma = 10.0 ** (-eff_db / 20.0)
+    return point, pmf, 2.0 * (d_grid.ravel() + (d_sigma * sigma) * d_log_sigma)
 
 
 def _grid_power(constellation: Constellation) -> float:
     return float(np.mean(constellation.sq_magnitudes))
+
+
+def _failure(status: int, cap: int) -> str:
+    return f"hit its cap of {cap} evaluations" if status == 1 else "met a NaN MI"
 
 
 def optimize_mb(
@@ -168,9 +209,8 @@ def optimize_mb(
     hi = _COARSE_U[min(best_i + 1, _COARSE_U.size - 1)]
     u, fun, _, status = bounded_brent(neg_mi, lo, hi, xatol=1e-6, maxiter=_MB_MAXFEV)
     if status != 0:
-        reason = f"hit its cap of {_MB_MAXFEV} evaluations" if status == 1 else "met a NaN MI"
         raise OptimizationError(
-            f"Maxwell-Boltzmann rate search did not converge: it {reason}",
+            f"Maxwell-Boltzmann rate search did not converge: it {_failure(status, _MB_MAXFEV)}",
             best=(u / pu, -fun),
         )
     u_star = float(u) if fun < values[best_i] else float(_COARSE_U[best_i])
@@ -184,9 +224,9 @@ def optimize_tailored(
 ) -> tuple[float, float, MiCurvePoint]:
     """Best (nu1, nu2) of the kurtosis-tailored family.
 
-    One cold search per call: simplex searches start from the
-    Maxwell-Boltzmann optimum and from the best cell of a coarse 2-D
-    grid. ``mb`` is the ``optimize_mb`` result for the same
+    One cold search per call: BFGS searches on the exact MI gradient
+    start from the Maxwell-Boltzmann optimum and from the best cell of a
+    coarse 2-D grid. ``mb`` is the ``optimize_mb`` result for the same
     constellation and model, when the caller has it; otherwise it
     is searched here. That optimum is itself a candidate, at its exact
     rate and nu2 = 0 (the family contains MB there), so the returned MI
@@ -198,29 +238,26 @@ def optimize_tailored(
     lam_star, mb_point = mb if mb is not None else optimize_mb(constellation, model)
     scored = {}
 
-    def neg_mi(v) -> float:
-        nu1, nu2 = v[0] / pu, v[1] / (pu * pu)
-        params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2)
-        point = scored[float(nu1), float(nu2)] = evaluate_family(constellation, params, model)
-        return -point.mi_4d
+    def neg_mi(v):
+        point, grad = _tailored_gradient(constellation, model, v)
+        scored[point.params.nu1, point.params.nu2] = point
+        return -point.mi_4d, -grad
 
     grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
-    grid_vals = [neg_mi(np.array(g)) for g in grid]
-    starts = [np.array([lam_star * pu, 0.0]), np.array(grid[int(np.argmin(grid_vals))])]
+    grid_vals = [-evaluate_family(constellation, _tailored(g, pu), model).mi_4d for g in grid]
+    starts = [(lam_star * pu, 0.0), grid[int(np.argmin(grid_vals))]]
 
     # (neg MI, nu1, nu2) per candidate
     candidates = [(-mb_point.mi_4d, lam_star, 0.0)]
     for start in starts:
-        x, fun, _, status = nelder_mead(
-            neg_mi, start, xatol=2e-4, fatol=1e-10, maxfev=_TAILORED_MAXFEV
-        )
+        x, fun, _, status = bfgs(neg_mi, start, gtol=_GTOL, maxfev=_TAILORED_MAXFEV)
+        params = _tailored(x, pu)
         if status != 0:
             raise OptimizationError(
-                "tailored-family search did not converge: it hit its cap of "
-                f"{_TAILORED_MAXFEV} evaluations",
-                best=(x[0] / pu, x[1] / (pu * pu), -fun),
+                f"tailored-family search did not converge: it {_failure(status, _TAILORED_MAXFEV)}",
+                best=(params.nu1, params.nu2, -fun),
             )
-        candidates.append((float(fun), float(x[0] / pu), float(x[1] / (pu * pu))))
+        candidates.append((float(fun), params.nu1, params.nu2))
 
     best_fun = min(c[0] for c in candidates)
     # Deterministic tie-break: among MI-equal optima prefer small |nu2|.
@@ -233,9 +270,44 @@ def optimize_tailored(
     return nu1_star, nu2_star, point
 
 
+def _tailored(v, pu: float) -> ShapingParams:
+    """Tailored-family parameters from the scaled (nu1 pu, nu2 pu^2)."""
+    return ShapingParams(Family.KURTOSIS_TAILORED,
+                         nu1=float(v[0] / pu), nu2=float(v[1] / (pu * pu)))
+
+
+def _tailored_gradient(constellation, model, v) -> tuple[MiCurvePoint, np.ndarray]:
+    """The tailored family's point at the scaled parameters ``v`` and
+    d mi_4d / dv, through dp/dv_k = -p (T_k - E[T_k]) with T_1 = |x|^2 / pu
+    and T_2 = T_1^2."""
+    pu = _grid_power(constellation)
+    point, pmf, grad = _score(constellation, _tailored(v, pu), model, gradient=True)
+    t1 = constellation.sq_magnitudes / pu
+    stats = np.stack([t1, t1 * t1])
+    weighted = pmf.probs * grad
+    return point, weighted.sum() * (stats @ pmf.probs) - stats @ weighted
+
+
 def _logits_from_masses(masses: np.ndarray) -> np.ndarray:
     z = np.log(np.maximum(masses, 1e-12))
     return (z - z[0])[1:]
+
+
+def _masses_from_logits(z: np.ndarray) -> np.ndarray:
+    full = np.concatenate([[0.0], z])
+    e = np.exp(full - full.max())
+    return e / e.sum()
+
+
+def _per_ring_gradient(constellation, model, z) -> tuple[MiCurvePoint, np.ndarray]:
+    """The per-ring point at the ring logits ``z`` (first ring pinned at
+    0) and d mi_4d / dz. A point carries its ring's mass over the ring
+    size, and the softmax chains in as dq_r / dz_k = q_r (delta_rk - q_k)."""
+    masses = _masses_from_logits(z)
+    params = ShapingParams(Family.PER_RING, ring_probs=tuple(masses))
+    point, _, grad = _score(constellation, params, model, gradient=True)
+    ring_grad = np.bincount(constellation.ring_index, weights=grad) / constellation.ring_sizes
+    return point, (masses * (ring_grad - masses @ ring_grad))[1:]
 
 
 def optimize_per_ring(
@@ -245,27 +317,22 @@ def optimize_per_ring(
     """Free search over ring-constant pmfs on the probability simplex.
 
     Ring masses are parameterized by softmax logits (first ring pinned),
-    so every iterate satisfies the simplex constraint exactly. Searches
-    start from the tailored optimum, the Maxwell-Boltzmann optimum, and
-    uniform; the best point is never worse than its starts.
+    so every iterate satisfies the simplex constraint exactly. BFGS
+    searches on the exact MI gradient start from the tailored optimum,
+    the Maxwell-Boltzmann optimum, and uniform; each only ever accepts
+    a lower value, so the best point is never worse than its starts.
     """
     n_rings = constellation.ring_sizes.size
     if n_rings == 1:
         params = ShapingParams(Family.PER_RING, ring_probs=(1.0,))
         return np.array([1.0]), evaluate_family(constellation, params, model)
 
-    def masses_from_logits(z: np.ndarray) -> np.ndarray:
-        full = np.concatenate([[0.0], z])
-        e = np.exp(full - full.max())
-        return e / e.sum()
-
     scored = {}
 
-    def neg_mi(z: np.ndarray) -> float:
-        masses = masses_from_logits(z)
-        params = ShapingParams(Family.PER_RING, ring_probs=tuple(masses))
-        point = scored[tuple(z)] = evaluate_family(constellation, params, model)
-        return -point.mi_4d
+    def neg_mi(z):
+        point, grad = _per_ring_gradient(constellation, model, z)
+        scored[tuple(z)] = point
+        return -point.mi_4d, -grad
 
     (mb_point, tailored_point), = mi_curve(
         constellation, model.c, [model.snr_gauss_db],
@@ -280,22 +347,16 @@ def optimize_per_ring(
 
     best_z, best_fun = None, np.inf
     for start in starts:
-        z, fun, _, status = nelder_mead(
-            neg_mi, start, xatol=1e-5, fatol=1e-11, maxfev=_PER_RING_MAXFEV,
-            adaptive=n_rings > 5,
-        )
+        z, fun, _, status = bfgs(neg_mi, start, gtol=_GTOL, maxfev=_PER_RING_MAXFEV)
         if status != 0:
             raise OptimizationError(
-                "per-ring search did not converge: it hit its cap of "
-                f"{_PER_RING_MAXFEV} evaluations",
-                best=(masses_from_logits(z), -fun),
+                f"per-ring search did not converge: it {_failure(status, _PER_RING_MAXFEV)}",
+                best=(_masses_from_logits(z), -fun),
             )
-        # Nelder-Mead keeps its start as a simplex vertex, so fun is never
-        # above the start's value.
         if fun < best_fun:
             best_fun, best_z = fun, z
 
-    return masses_from_logits(best_z), scored[tuple(best_z)]
+    return _masses_from_logits(best_z), scored[tuple(best_z)]
 
 
 def _curve_point(

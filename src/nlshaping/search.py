@@ -1,140 +1,97 @@
-"""Derivative-free searches used by the shaping optimizers.
+"""Searches used by the shaping optimizers.
 
-``nelder_mead`` is the downhill simplex method (Nelder & Mead, Comput. J.
-7(4) 1965), with the dimension-adapted coefficients of Gao & Han
-(Comput. Optim. Appl. 51(1) 2012) when ``adaptive``. ``bounded_brent``
-is Brent's bounded scalar minimizer, golden-section steps with parabolic
-interpolation (Brent, Algorithms for Minimization Without Derivatives,
-1973). Both are operation-for-operation ports of SciPy 1.17's
-``scipy.optimize._optimize._minimize_neldermead`` (without bounds,
-callback, initial simplex or ``return_all``) and
-``_minimize_scalar_bounded``, so they return the same points, values
-and evaluation counts as ``scipy.optimize.minimize(method="Nelder-Mead")``
-with only ``maxfev`` set, and ``scipy.optimize.minimize_scalar(
-method="bounded")``. SciPy is Copyright (c) 2001-2002 Enthought, Inc. and
-2003 onward, SciPy Developers, under the BSD 3-clause license.
+``bfgs`` is the quasi-Newton method of Broyden, Fletcher, Goldfarb and
+Shanno (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006,
+Algorithm 6.1) on an objective that returns its value and gradient.
+It steps with Armijo backtracking and scales its first inverse-Hessian
+estimate as Shanno & Phua (Math. Program. 14(1) 1978) do.
 
-Keeping them here lets the design commands run on numpy alone; importing
-``scipy.optimize`` costs about 0.6 s per process.
+``bounded_brent`` is Brent's bounded scalar minimizer, golden-section
+steps with parabolic interpolation (Brent, Algorithms for Minimization
+Without Derivatives, 1973), an operation-for-operation port of SciPy
+1.17's ``scipy.optimize._optimize._minimize_scalar_bounded``: it returns
+the same points, values and evaluation counts as
+``scipy.optimize.minimize_scalar(method="bounded")``. SciPy is Copyright
+(c) 2001-2002 Enthought, Inc. and 2003 onward, SciPy Developers, under
+the BSD 3-clause license.
+
+Keeping the searches here lets the design commands run on numpy alone;
+importing ``scipy.optimize`` costs about 0.6 s per process.
 
 Each returns ``(x, fun, nfev, status)``: the best point, its value, the
-number of objective calls, and 0 on convergence or 1 at the evaluation
-cap (``bounded_brent`` also gives 2 when the objective returned NaN).
+number of objective calls, and 0 on convergence, 1 at the evaluation cap
+or 2 when the objective returned NaN.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-class _EvaluationCap(RuntimeError):
-    pass
-
-
-def _by_value(sim, fsim):
-    """Simplex vertices and their values, reordered by ascending value."""
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+# Sufficient-decrease constant of the Armijo condition.
+_ARMIJO = 1e-4
 
 
-def nelder_mead(func, x0, xatol: float, fatol: float, maxfev: int, adaptive: bool = False):
-    """Minimize ``func`` from ``x0`` by the Nelder-Mead simplex method.
+def bfgs(func, x0, gtol: float, maxfev: int):
+    """Minimize ``func`` from ``x0`` by BFGS; ``func(x)`` returns the value
+    and the gradient at a copy of ``x``.
 
-    Stops when every vertex is within ``xatol`` of the best one in each
-    coordinate and every vertex value within ``fatol`` of the best value,
-    or when ``maxfev`` evaluations are spent (status 1). The cap is
-    checked before each call, so it can stop a shrink halfway. ``func``
-    gets a copy of each point.
+    Stops with status 0 when the gradient's largest entry is at most
+    ``gtol``, or when the step along a descent direction must shrink
+    until the decrease the gradient predicts is below the rounding of
+    the value, so no lower value can be resolved. Status 1 when
+    ``maxfev`` calls are spent first (the cap is checked before each
+    call), status 2 when the objective is not finite at ``x0``, or
+    when the search stops at that floor after a non-finite trial. The
+    point returned is the last one accepted, with its value as
+    returned.
     """
-    x0 = np.atleast_1d(x0).flatten()
-    dtype = x0.dtype if np.issubdtype(x0.dtype, np.inexact) else np.float64
-    x0 = np.asarray(x0, dtype=dtype)
-    N = len(x0)
-
-    if adaptive:
-        dim = float(N)
-        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
-    else:
-        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-
-    # Initial simplex: each coordinate moved by 5%, or to 0.00025 if zero.
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _EvaluationCap
-        nfev += 1
-        return func(np.copy(x))
-
-    try:
-        for k in range(N + 1):
-            fsim[k] = f(sim[k])
-    except _EvaluationCap:
-        pass
-    # Sorted twice, as scipy does: argsort need not be stable, so the
-    # second sort may reorder tied vertices.
-    sim, fsim = _by_value(*_by_value(sim, fsim))
-
-    while nfev < maxfev:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    x = np.array(x0, dtype=np.float64).ravel()
+    nfev = 1
+    fun, grad = func(x.copy())
+    fun, grad = float(fun), np.asarray(grad, dtype=np.float64)
+    if not (np.isfinite(fun) and np.isfinite(grad).all()):
+        return x, fun, nfev, 2
+    inv_hess = np.eye(x.size)
+    scaled = False
+    while np.abs(grad).max() > gtol:
+        direction = -inv_hess @ grad
+        slope = float(grad @ direction)
+        if not slope < 0.0:  # lost to rounding: restart from steepest descent
+            inv_hess, scaled = np.eye(x.size), False
+            direction, slope = -grad, -float(grad @ grad)
+        step = 1.0
+        while True:
+            if nfev >= maxfev:
+                return x, fun, nfev, 1
+            trial = x + step * direction
+            nfev += 1
+            trial_fun, trial_grad = func(trial.copy())
+            trial_fun = float(trial_fun)
+            finite = np.isfinite(trial_fun) and np.isfinite(trial_grad).all()
+            if finite and trial_fun <= fun + _ARMIJO * step * slope:
                 break
-
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = f(xr)
-            doshrink = 0
-
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1] = xe
-                    fsim[-1] = fxe
-                else:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-            elif fxr < fsim[-2]:
-                sim[-1] = xr
-                fsim[-1] = fxr
+            if finite:
+                # Minimum of the quadratic through fun, slope and trial_fun,
+                # kept within [0.1, 0.5] of the step.
+                shrink = -0.5 * step * slope / (trial_fun - fun - step * slope)
+                step *= min(max(shrink, 0.1), 0.5)
             else:
-                if fxr < fsim[-1]:
-                    # Outside contraction.
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = f(xc)
-                    if fxc <= fxr:
-                        sim[-1] = xc
-                        fsim[-1] = fxc
-                    else:
-                        doshrink = 1
-                else:
-                    # Inside contraction.
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
-                    fxcc = f(xcc)
-                    if fxcc < fsim[-1]:
-                        sim[-1] = xcc
-                        fsim[-1] = fxcc
-                    else:
-                        doshrink = 1
-                if doshrink:
-                    for j in range(1, N + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _EvaluationCap:
-            pass
-        sim, fsim = _by_value(sim, fsim)
-
-    return sim[0], np.min(fsim), nfev, int(nfev >= maxfev)
+                step *= 0.5
+            if -step * slope <= 4.0 * np.finfo(np.float64).eps * max(abs(fun), 1e-300):
+                return x, fun, nfev, 0 if finite else 2
+        trial_grad = np.asarray(trial_grad, dtype=np.float64)
+        s, y = trial - x, trial_grad - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if not scaled:
+                inv_hess *= sy / float(y @ y)
+                scaled = True
+            rho_s = s / sy
+            hy = inv_hess @ y
+            inv_hess += (sy + y @ hy) * np.outer(rho_s, rho_s) - (
+                np.outer(hy, rho_s) + np.outer(rho_s, hy))
+        x, fun, grad = trial, trial_fun, trial_grad
+    return x, fun, nfev, 0
 
 
 def bounded_brent(func, lo: float, hi: float, xatol: float, maxiter: int):

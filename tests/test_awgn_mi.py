@@ -5,6 +5,7 @@ import re
 import resource
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.integrate import quad
 from nlshaping import (
     Constellation,
     Pmf,
+    awgn_mi,
     entropy,
     gauss_hermite,
     mb_pmf,
@@ -33,6 +35,7 @@ from nlshaping.awgn_mi import (
     POSTERIOR_CHUNK,
     PROB_TINY,
     _is_dihedral,
+    _mi_and_gradient,
     _neg_log_posterior,
     _posterior_work,
     _require_unit_power,
@@ -681,3 +684,105 @@ class TestWorkArrays:
         got = _neg_log_posterior(y, i, q, c.levels, grid, sigma2, _posterior_work(4, y.size))
         want = allocating_neg_log_posterior(y, i, q, c.levels, grid, sigma2)
         assert np.array_equal(got, want)
+
+
+GRADIENT_KINDS = ("uniform", "mb", "tailored", "per_ring", "asymmetric")
+
+
+def gradient_case_pmf(raw, kind, rng):
+    """A pmf of the named kind with random parameters, full support."""
+    pu = float(np.mean(raw.sq_magnitudes))
+    if kind == "uniform":
+        return uniform_pmf(raw)
+    if kind == "mb":
+        return mb_pmf(raw, rng.uniform(0.0, 3.0) / pu)
+    if kind == "tailored":
+        return tailored_pmf(raw, rng.uniform(-1.0, 3.0) / pu, rng.uniform(0.0, 3.0) / pu**2)
+    if kind == "per_ring":
+        return random_pmf(raw, "ring_constant", 1.0, rng)
+    return random_pmf(raw, "asymmetric", 1.0, rng)
+
+
+def sigma_of(snr_db: float) -> float:
+    return 10.0 ** (-snr_db / 20.0)
+
+
+class TestGradient:
+    """``_mi_and_gradient`` against central differences of ``mi_awgn_2d``.
+
+    Directions over the pmf grid keep the pmf's sum and the mean power,
+    so every perturbed pmf is a unit-power pmf ``mi_awgn_2d`` accepts;
+    they are random, so the perturbed pmfs take the full-point path.
+    Steps are 1e-4 relative, and each change of MI across a step must
+    agree with the gradient's prediction to 1e-7 of its scale (the sum
+    of the terms' magnitudes) plus 1e-11 bit: the differences carry
+    about 1e-8 relative truncation and 1e-14 bit of rounding. Over 150
+    seeded cases the largest error was 0.17 of that bound.
+    """
+
+    @given(
+        order=st.sampled_from([16, 64, 256, 1024]),
+        snr_db=st.floats(0.0, 30.0),
+        kind=st.sampled_from(GRADIENT_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_central_differences(self, order, snr_db, kind, seed):
+        rng = np.random.default_rng(seed)
+        raw = square_qam(order)
+        pmf = gradient_case_pmf(raw, kind, rng)
+        c = normalized(raw, pmf)
+        mi, d_grid, d_sigma = _mi_and_gradient(c, pmf, snr_db)
+        assert mi == mi_awgn_2d(c, pmf, snr_db)
+
+        # v = p (n - alpha - beta |x|^2), with alpha and beta solving
+        # sum v = 0 and sum v |x|^2 = 0.
+        p, r2 = pmf.probs, c.sq_magnitudes
+        basis = np.stack([np.ones(order), r2])
+        n = rng.standard_normal(order)
+        coef = np.linalg.solve((basis * p) @ basis.T, (basis * p) @ n)
+        rel = n - coef @ basis
+        h = 1e-4 / np.abs(rel).max()
+        v = h * p * rel
+        fd = (mi_awgn_2d(c, Pmf(p + v), snr_db) - mi_awgn_2d(c, Pmf(p - v), snr_db)) / 2.0
+        assert abs(d_grid.ravel() @ v - fd) <= 1e-7 * np.abs(d_grid.ravel() * v).sum() + 1e-11
+
+        sigma = sigma_of(snr_db)
+        step = 1e-4 * sigma
+        snr_up, snr_down = (-20.0 * math.log10(sigma + s) for s in (step, -step))
+        fd = (mi_awgn_2d(c, pmf, snr_up) - mi_awgn_2d(c, pmf, snr_down)) / 2.0
+        assert abs(d_sigma * step - fd) <= 1e-7 * abs(d_sigma * step) + 1e-11
+
+    @given(
+        order=st.sampled_from([16, 64, 256, 1024]),
+        snr_db=st.floats(0.0, 30.0),
+        kind=st.sampled_from(GRADIENT_KINDS[:4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_orbit_reduction_matches_full_path(self, order, snr_db, kind, seed):
+        raw = square_qam(order)
+        pmf = gradient_case_pmf(raw, kind, np.random.default_rng(seed))
+        c = normalized(raw, pmf)
+        m = int(math.isqrt(order))
+        assert _is_dihedral(pmf.probs.reshape(m, m))
+        mi, d_grid, d_sigma = _mi_and_gradient(c, pmf, snr_db)
+        with mock.patch.object(awgn_mi, "_is_dihedral", return_value=False):
+            full_mi, full_grid, full_sigma = _mi_and_gradient(c, pmf, snr_db)
+        assert mi == pytest.approx(full_mi, rel=0.0, abs=1e-12)
+        np.testing.assert_allclose(d_grid, full_grid, rtol=0.0,
+                                   atol=1e-10 * np.abs(full_grid).max())
+        assert d_sigma == pytest.approx(full_sigma, rel=1e-10, abs=1e-12)
+
+    def test_other_rules_and_work_array_reuse(self):
+        # Alternating value and gradient calls over shapes and rules: the
+        # value stays mi_awgn_2d's bit for bit.
+        rng = np.random.default_rng(5)
+        for order, kind, rule in ((64, "tailored", 32), (1024, "asymmetric", 16),
+                                  (256, "per_ring", 16), (64, "tailored", 32)):
+            raw = square_qam(order)
+            pmf = gradient_case_pmf(raw, kind, rng)
+            c = normalized(raw, pmf)
+            gh = gauss_hermite(rule)
+            for snr_db in (6.0, 18.0):
+                assert _mi_and_gradient(c, pmf, snr_db, gh)[0] == mi_awgn_2d(c, pmf, snr_db, gh)

@@ -28,9 +28,10 @@ from nlshaping import (
     uniform_pmf,
 )
 from nlshaping import nl_model
-from nlshaping.nl_model import _grid_power
+from nlshaping.nl_model import _grid_power, _per_ring_gradient, _tailored, _tailored_gradient
 
 RULE = gauss_hermite(16)
+MODEL_18 = NlChannelModel(c=0.69, snr_gauss_db=18.0)
 
 
 def scan_best(constellation, model, u1, u2) -> float:
@@ -242,6 +243,66 @@ class TestOptimizePerRing:
         assert ring_point.mi_4d >= tailored_point.mi_4d - 1e-12
         assert ring_point.mi_4d - tailored_point.mi_4d < 1e-4
         assert ring_probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_64qam_10db_converges(self):
+        # The simplex search this replaced hit its 4000-evaluation cap here.
+        c = square_qam(64)
+        model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
+        _, _, tailored_point = optimize_tailored(c, model)
+        ring_probs, ring_point = optimize_per_ring(c, model)
+        margin = ring_point.mi_4d - tailored_point.mi_4d
+        assert margin >= -1e-12
+        assert ring_probs.sum() == pytest.approx(1.0, abs=1e-12)
+        print(f"per-ring over tailored at 64QAM, 10 dB: {margin:.4e} bit/4D")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("order", [256, 1024])
+    def test_paper_orders_within_1e3_of_tailored(self, order):
+        # The README's claim at the orders of the paper's gains.
+        c = square_qam(order)
+        _, _, tailored_point = optimize_tailored(c, MODEL_18)
+        _, ring_point = optimize_per_ring(c, MODEL_18)
+        margin = ring_point.mi_4d - tailored_point.mi_4d
+        assert margin >= -1e-12
+        assert margin < 1e-3
+        print(f"per-ring over tailored at {order}QAM, 18 dB: {margin:.4e} bit/4D")
+
+
+class TestSearchGradients:
+    """The searches' gradients against central differences of
+    ``evaluate_family``: the chain through the pmf grid, the unit-power
+    scale and the kurtosis-set SNR, then the family's parameters. Steps
+    of 1e-5; each derivative must agree to 1e-6 of its size plus 1e-8
+    bit/4D per unit."""
+
+    @pytest.mark.parametrize("order, c, snr", [(16, 0.69, 6.0), (64, 0.0, 14.0),
+                                               (256, 0.69, 18.0), (1024, 0.9, 18.0)])
+    def test_tailored(self, order, c, snr):
+        raw = square_qam(order)
+        model = NlChannelModel(c=c, snr_gauss_db=snr)
+        pu = _grid_power(raw)
+        for v in ([0.5, 0.2], [-0.3, 3.7], [2.0, -0.1]):
+            point, grad = _tailored_gradient(raw, model, v)
+            assert point == evaluate_family(raw, _tailored(v, pu), model)
+            for k in range(2):
+                step = np.zeros(2)
+                step[k] = 1e-5
+                up, down = (evaluate_family(raw, _tailored(np.add(v, s), pu), model).mi_4d
+                            for s in (step, -step))
+                assert grad[k] == pytest.approx((up - down) / 2e-5, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("order, snr", [(16, 10.0), (64, 18.0), (256, 18.0)])
+    def test_per_ring(self, order, snr):
+        raw = square_qam(order)
+        model = NlChannelModel(c=0.69, snr_gauss_db=snr)
+        rng = np.random.default_rng(order)
+        z = rng.normal(0.0, 1.0, raw.ring_sizes.size - 1) - 0.1 * np.arange(1, raw.ring_sizes.size)
+        point, grad = _per_ring_gradient(raw, model, z)
+        for k in sorted(rng.choice(z.size, size=min(z.size, 4), replace=False)):
+            step = np.zeros(z.size)
+            step[k] = 1e-5
+            up, down = (_per_ring_gradient(raw, model, z + s)[0].mi_4d for s in (step, -step))
+            assert grad[k] == pytest.approx((up - down) / 2e-5, rel=1e-6, abs=1e-8)
 
 
 class TestSearchCaps:

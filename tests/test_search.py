@@ -1,10 +1,11 @@
 """The in-house searches against scipy.optimize, their oracle.
 
-``nelder_mead`` and ``bounded_brent`` are ports of scipy's Nelder-Mead
-and bounded Brent, so each must give scipy's point, value, evaluation
-count and status exactly, and ask for the same points in the same order.
-scipy is imported here only; the package itself never loads
-``scipy.optimize`` for a design.
+``bounded_brent`` is a port of scipy's bounded Brent, so it must give
+scipy's point, value, evaluation count and status exactly, and ask for
+the same points in the same order. ``bfgs`` is the package's own
+quasi-Newton search: it must reach the minimizer that scipy's BFGS,
+given the same gradient, reaches. scipy is imported here only; the
+package itself never loads ``scipy.optimize`` for a design.
 """
 
 import numpy as np
@@ -14,42 +15,39 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from nlshaping import NlChannelModel, square_qam
-from nlshaping.nl_model import _grid_power, evaluate_family
-from nlshaping.search import bounded_brent, nelder_mead
+from nlshaping.nl_model import _grid_power, _tailored_gradient, evaluate_family
+from nlshaping.search import bfgs, bounded_brent
 from nlshaping.shaping import Family, ShapingParams
 
 QAM16 = square_qam(16)
 PU16 = _grid_power(QAM16)
 
 
-def neg_mi_16qam(v) -> float:
-    """The tailored search's objective at 16QAM and 14 dB, in its scaled units."""
-    nu1, nu2 = v[0] / PU16, v[1] / (PU16 * PU16)
-    params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2)
-    point = evaluate_family(QAM16, params, NlChannelModel(c=0.69, snr_gauss_db=14.0))
-    return -point.mi_4d
-
-
-def objective(kind: str, dim: int, seed: int):
-    """(objective, start) of one test problem; the objective returns a float."""
+def problem(kind: str, dim: int, seed: int):
+    """(objective returning value and gradient, start, minimizer) of one
+    test problem."""
     rng = np.random.default_rng(seed)
-    shift = rng.normal(0.0, 2.0, dim)
     start = rng.normal(0.0, 2.0, dim)
-    start[rng.random(dim) < 0.25] = 0.0  # zero coordinates take the 0.00025 step
     if kind == "quadratic":
+        shift = rng.normal(0.0, 2.0, dim)
         curvature = np.exp(rng.normal(0.0, 2.0, dim))
-        return (lambda x: float(np.sum(curvature * (x - shift) ** 2))), start
-    if kind == "rosenbrock":
-        def rosenbrock(x):
-            if x.size == 1:
-                return float((1.0 - x[0]) ** 2)
-            return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-        return rosenbrock, start
-    if kind == "plateaus":
-        # Piecewise constant: every simplex move meets ties.
-        return (lambda x: float(np.sum(np.floor(2.0 * np.abs(x - shift))))), start
-    assert kind == "neg_mi_16qam"
-    return neg_mi_16qam, np.array([rng.uniform(0.0, 2.0), rng.uniform(-0.5, 0.5)])
+        # A random rotation makes the Hessian non-diagonal.
+        rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        hessian = rotation @ np.diag(curvature) @ rotation.T
+
+        def quadratic(x):
+            return 0.5 * float((x - shift) @ hessian @ (x - shift)), hessian @ (x - shift)
+        return quadratic, start, shift
+    assert kind == "rosenbrock"
+
+    def rosenbrock(x):
+        head, tail = x[:-1], x[1:]
+        value = float(np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2))
+        grad = np.zeros_like(x)
+        grad[:-1] = -400.0 * head * (tail - head**2) - 2.0 * (1.0 - head)
+        grad[1:] += 200.0 * (tail - head**2)
+        return value, grad
+    return rosenbrock, start, np.ones(dim)
 
 
 def logged(func):
@@ -68,75 +66,108 @@ def assert_same_calls(mine, theirs):
         assert np.array_equal(a, b, equal_nan=True)
 
 
-def check_nelder_mead(func, start, xatol, fatol, maxfev, adaptive):
-    ours, our_calls = logged(func)
-    x, fun, nfev, status = nelder_mead(ours, start, xatol=xatol, fatol=fatol,
-                                       maxfev=maxfev, adaptive=adaptive)
-    theirs, their_calls = logged(func)
-    res = optimize.minimize(theirs, start, method="Nelder-Mead",
-                            options={"xatol": xatol, "fatol": fatol,
-                                     "maxfev": maxfev, "adaptive": adaptive})
-    assert np.array_equal(x, res.x)
-    assert fun == res.fun
-    assert nfev == res.nfev
-    assert status == res.status
-    assert_same_calls(our_calls, their_calls)
-    return nfev, status
-
-
-class TestNelderMead:
+class TestBfgs:
+    # Rosenbrock from dimension 4 on has a second local minimum, which
+    # either search may reach from a far start.
     @given(
-        kind=st.sampled_from(["quadratic", "rosenbrock", "plateaus", "neg_mi_16qam"]),
-        dim=st.integers(1, 9),
+        kind_dim=st.one_of(st.tuples(st.just("quadratic"), st.integers(1, 9)),
+                           st.tuples(st.just("rosenbrock"), st.integers(2, 3))),
         seed=st.integers(0, 2**32 - 1),
-        adaptive=st.booleans(),
-        xatol=st.sampled_from([1e-1, 1e-4, 2e-4, 1e-5, 1e-8]),
-        fatol=st.sampled_from([1e-2, 1e-6, 1e-10, 1e-11]),
-        maxfev=st.one_of(st.integers(1, 40), st.sampled_from([200, 600, 2000])),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_matches_scipy(self, kind, dim, seed, adaptive, xatol, fatol, maxfev):
-        func, start = objective(kind, dim, seed)
-        check_nelder_mead(func, start, xatol, fatol, maxfev, adaptive)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy(self, kind_dim, seed):
+        func, start, minimizer = problem(*kind_dim, seed)
+        x, fun, nfev, status = bfgs(func, start, gtol=1e-9, maxfev=5000)
+        res = optimize.minimize(func, start, jac=True, method="BFGS",
+                                options={"gtol": 1e-9, "maxiter": 5000})
+        assert status == 0
+        np.testing.assert_allclose(x, res.x, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(x, minimizer, rtol=0.0, atol=1e-6)
+        assert abs(fun - res.fun) < 1e-10
+        assert nfev < 5000
 
-    @pytest.mark.parametrize("adaptive", [False, True])
-    @pytest.mark.parametrize("dim", [3, 6])
-    def test_cap_inside_a_shrink(self, dim, adaptive):
-        # On a constant objective every iteration is a reflection, an
-        # inside contraction and a shrink of all ``dim`` vertices, so these
-        # caps fall after 1..dim-1 of a shrink's evaluations.
-        start = np.arange(1.0, dim + 1.0)
-        per_iteration = dim + 2
-        for iteration in range(3):
-            shrink_start = dim + 1 + iteration * per_iteration + 2
-            for done in range(1, dim):
-                nfev, status = check_nelder_mead(lambda x: 0.0, start, 1e-12, 1.0,
-                                                 shrink_start + done, adaptive)
-                assert (nfev, status) == (shrink_start + done, 1)
+    def test_tailored_objective_matches_scipy(self):
+        # The tailored search's objective at 16QAM and 14 dB with its exact
+        # gradient, from the coarse cell the search would start from.
+        model = NlChannelModel(c=0.69, snr_gauss_db=14.0)
 
-    def test_cap_before_the_first_simplex_is_scored(self):
-        nfev, status = check_nelder_mead(lambda x: float(np.sum(x * x)), np.ones(5),
-                                         1e-8, 1e-8, 3, False)
-        assert (nfev, status) == (3, 1)
+        def neg_mi(v):
+            point, grad = _tailored_gradient(QAM16, model, v)
+            return -point.mi_4d, -grad
+
+        x, fun, _, status = bfgs(neg_mi, [1.0, 0.2], gtol=1e-9, maxfev=600)
+        res = optimize.minimize(neg_mi, [1.0, 0.2], jac=True, method="BFGS",
+                                options={"gtol": 1e-9})
+        assert status == 0
+        np.testing.assert_allclose(x, res.x, rtol=0.0, atol=1e-5)
+        assert abs(fun - res.fun) < 1e-12
+
+    @pytest.mark.parametrize("maxfev", [1, 2, 5, 17])
+    def test_cap_status(self, maxfev):
+        func, start, _ = problem("rosenbrock", 3, 5)
+        counted, calls = logged(func)
+        x, fun, nfev, status = bfgs(counted, start, gtol=1e-12, maxfev=maxfev)
+        assert (nfev, status) == (maxfev, 1)
+        assert len(calls) == maxfev
+        # The point returned is the best accepted one, with its value.
+        assert fun == func(x)[0]
+        assert fun <= func(start)[0]
 
     def test_converged_search_reports_status_0(self):
-        func, start = objective("quadratic", 4, 7)
-        nfev, status = check_nelder_mead(func, start, 1e-6, 1e-10, 4000, False)
-        assert status == 0 and nfev < 4000
+        func, start, _ = problem("quadratic", 4, 7)
+        x, _, nfev, status = bfgs(func, start, gtol=1e-10, maxfev=4000)
+        assert status == 0 and nfev < 100
+        assert np.abs(func(x)[1]).max() <= 1e-10
+
+    @pytest.mark.parametrize("where", ["start", "everywhere"])
+    def test_nan_objective(self, where):
+        def func(x):
+            if where == "everywhere" or float(x[0]) == 0.5:
+                return np.nan, np.full_like(x, np.nan)
+            return float((x[0] - 2.0) ** 2), 2.0 * (x - 2.0)
+
+        x, fun, nfev, status = bfgs(func, [0.5], gtol=1e-9, maxfev=100)
+        assert (nfev, status) == (1, 2)
+        assert np.isnan(fun) and x.tolist() == [0.5]
+
+    def test_steps_around_a_nan_region(self):
+        # NaN beyond x = 3: the first three trials land there, and the
+        # search backtracks, then goes on to the minimum at 2.5.
+        def func(x):
+            if x[0] > 3.0:
+                return np.nan, np.full_like(x, np.nan)
+            return float(3.0 * (x[0] - 2.5) ** 2), 6.0 * (x - 2.5)
+
+        counted, calls = logged(func)
+        x, _, _, status = bfgs(counted, [-10.0], gtol=1e-9, maxfev=200)
+        assert status == 0
+        assert x[0] == pytest.approx(2.5, abs=1e-9)
+        assert sum(float(c[0]) > 3.0 for c in calls) == 3
+
+    def test_deterministic(self):
+        func, start, _ = problem("rosenbrock", 2, 11)
+        first, first_calls = logged(func)
+        second, second_calls = logged(func)
+        a = bfgs(first, start, gtol=1e-9, maxfev=2000)
+        b = bfgs(second, start, gtol=1e-9, maxfev=2000)
+        assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+        assert_same_calls(first_calls, second_calls)
 
     def test_objective_gets_a_copy(self):
-        def clobbering(x):
-            value = float(np.sum((x - 1.5) ** 2))
-            x[:] = np.nan  # must not reach the simplex
-            return value
+        func, start, minimizer = problem("quadratic", 3, 2)
 
-        _, status = check_nelder_mead(clobbering, np.array([0.3, -0.2, 2.0]),
-                                      1e-8, 1e-12, 400, False)
+        def clobbering(x):
+            result = func(x)
+            x[:] = np.nan  # must not reach the search
+            return result
+
+        x, _, _, status = bfgs(clobbering, start, gtol=1e-9, maxfev=400)
         assert status == 0
+        np.testing.assert_allclose(x, minimizer, rtol=0.0, atol=1e-6)
 
     def test_integer_start_is_promoted(self):
-        x, _, _, _ = nelder_mead(lambda x: float(np.sum((x - 0.5) ** 2)), [1, 2],
-                                 xatol=1e-6, fatol=1e-12, maxfev=500)
+        x, _, _, _ = bfgs(lambda x: (float(np.sum((x - 0.5) ** 2)), 2.0 * (x - 0.5)), [1, 2],
+                          gtol=1e-9, maxfev=500)
         assert x.dtype == np.float64
 
 
