@@ -14,8 +14,8 @@ directly, through the unit-power scale s of the levels, and through the
 effective SNR, which the kurtosis sets. Since I(s L, sigma) = I(L,
 sigma / s), the last two enter as one derivative in sigma. The pmf
 families then chain in: dp/dnu_k = -p (T_k - E[T_k]) with T_1 = |x|^2
-and T_2 = |x|^4 for the tailored family, and the softmax of the ring
-logits for the per-ring family.
+and T_2 = |x|^4 for the tailored family, and the ring masses' squared
+amplitudes for the per-ring family.
 """
 
 from __future__ import annotations
@@ -288,26 +288,25 @@ def _tailored_gradient(constellation, model, v) -> tuple[MiCurvePoint, np.ndarra
     return point, weighted.sum() * (stats @ pmf.probs) - stats @ weighted
 
 
-def _logits_from_masses(masses: np.ndarray) -> np.ndarray:
-    z = np.log(np.maximum(masses, 1e-12))
-    return (z - z[0])[1:]
+def _amplitudes_from_masses(masses: np.ndarray) -> np.ndarray:
+    return np.sqrt(masses[1:] / masses[0])
 
 
-def _masses_from_logits(z: np.ndarray) -> np.ndarray:
-    full = np.concatenate([[0.0], z])
-    e = np.exp(full - full.max())
-    return e / e.sum()
+def _masses_from_amplitudes(y: np.ndarray) -> np.ndarray:
+    full = np.concatenate([[1.0], y]) ** 2
+    return full / full.sum()
 
 
-def _per_ring_gradient(constellation, model, z) -> tuple[MiCurvePoint, np.ndarray]:
-    """The per-ring point at the ring logits ``z`` (first ring pinned at
-    0) and d mi_4d / dz. A point carries its ring's mass over the ring
-    size, and the softmax chains in as dq_r / dz_k = q_r (delta_rk - q_k)."""
-    masses = _masses_from_logits(z)
+def _per_ring_gradient(constellation, model, y) -> tuple[MiCurvePoint, np.ndarray]:
+    """The per-ring point at the ring amplitudes ``y`` (the first ring's
+    pinned at 1) and d mi_4d / dy. A point carries its ring's mass over
+    the ring size, and with q_r = y_r^2 / S, S = sum_r y_r^2, the masses
+    chain in as dq_r / dy_k = (2 y_k / S) (delta_rk - q_r)."""
+    masses = _masses_from_amplitudes(y)
     params = ShapingParams(Family.PER_RING, ring_probs=tuple(masses))
     point, _, grad = _score(constellation, params, model, gradient=True)
     ring_grad = np.bincount(constellation.ring_index, weights=grad) / constellation.ring_sizes
-    return point, (masses * (ring_grad - masses @ ring_grad))[1:]
+    return point, (2.0 * y / (1.0 + y @ y)) * (ring_grad[1:] - masses @ ring_grad)
 
 
 def optimize_per_ring(
@@ -316,11 +315,15 @@ def optimize_per_ring(
 ) -> tuple[np.ndarray, MiCurvePoint]:
     """Free search over ring-constant pmfs on the probability simplex.
 
-    Ring masses are parameterized by softmax logits (first ring pinned),
-    so every iterate satisfies the simplex constraint exactly. BFGS
-    searches on the exact MI gradient start from the tailored optimum,
-    the Maxwell-Boltzmann optimum, and uniform; each only ever accepts
-    a lower value, so the best point is never worse than its starts.
+    Ring masses are parameterized by amplitudes, q_r proportional to
+    y_r^2 with the first ring's pinned at 1, so every iterate satisfies
+    the simplex constraint exactly and a ring's mass reaches 0 at the
+    regular point y_r = 0; softmax logits would have to run to -inf,
+    and the vanishing gradients of the outer rings' logits leave a
+    search on them ill-conditioned. BFGS searches on the exact MI
+    gradient start from the tailored optimum, the Maxwell-Boltzmann
+    optimum, and uniform; each only ever accepts a lower value, so the
+    best point is never worse than its starts.
     """
     n_rings = constellation.ring_sizes.size
     if n_rings == 1:
@@ -329,9 +332,9 @@ def optimize_per_ring(
 
     scored = {}
 
-    def neg_mi(z):
-        point, grad = _per_ring_gradient(constellation, model, z)
-        scored[tuple(z)] = point
+    def neg_mi(y):
+        point, grad = _per_ring_gradient(constellation, model, y)
+        scored[tuple(y)] = point
         return -point.mi_4d, -grad
 
     (mb_point, tailored_point), = mi_curve(
@@ -339,24 +342,24 @@ def optimize_per_ring(
         (Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED),
     )
     starts = [
-        _logits_from_masses(ring_masses(constellation, pmf))
+        _amplitudes_from_masses(ring_masses(constellation, pmf))
         for pmf in (build_pmf(constellation, tailored_point.params),
                     build_pmf(constellation, mb_point.params),
                     uniform_pmf(constellation))
     ]
 
-    best_z, best_fun = None, np.inf
+    best_y, best_fun = None, np.inf
     for start in starts:
-        z, fun, _, status = bfgs(neg_mi, start, gtol=_GTOL, maxfev=_PER_RING_MAXFEV)
+        y, fun, _, status = bfgs(neg_mi, start, gtol=_GTOL, maxfev=_PER_RING_MAXFEV)
         if status != 0:
             raise OptimizationError(
                 f"per-ring search did not converge: it {_failure(status, _PER_RING_MAXFEV)}",
-                best=(_masses_from_logits(z), -fun),
+                best=(_masses_from_amplitudes(y), -fun),
             )
         if fun < best_fun:
-            best_fun, best_z = fun, z
+            best_fun, best_y = fun, y
 
-    return _masses_from_logits(best_z), scored[tuple(best_z)]
+    return _masses_from_amplitudes(best_y), scored[tuple(best_y)]
 
 
 def _curve_point(

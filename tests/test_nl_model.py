@@ -296,12 +296,12 @@ class TestSearchGradients:
         raw = square_qam(order)
         model = NlChannelModel(c=0.69, snr_gauss_db=snr)
         rng = np.random.default_rng(order)
-        z = rng.normal(0.0, 1.0, raw.ring_sizes.size - 1) - 0.1 * np.arange(1, raw.ring_sizes.size)
-        point, grad = _per_ring_gradient(raw, model, z)
-        for k in sorted(rng.choice(z.size, size=min(z.size, 4), replace=False)):
-            step = np.zeros(z.size)
+        y = rng.uniform(0.2, 1.5, raw.ring_sizes.size - 1) * np.exp(-0.1 * np.arange(1, raw.ring_sizes.size))
+        point, grad = _per_ring_gradient(raw, model, y)
+        for k in sorted(rng.choice(y.size, size=min(y.size, 4), replace=False)):
+            step = np.zeros(y.size)
             step[k] = 1e-5
-            up, down = (_per_ring_gradient(raw, model, z + s)[0].mi_4d for s in (step, -step))
+            up, down = (_per_ring_gradient(raw, model, y + s)[0].mi_4d for s in (step, -step))
             assert grad[k] == pytest.approx((up - down) / 2e-5, rel=1e-6, abs=1e-8)
 
 
