@@ -14,7 +14,10 @@ dihedrally symmetric (P = P^T = P[::-1] = P[:, ::-1]), every point of a
 symmetry orbit contributes the same term, and the outer expectation runs
 over one representative per orbit. The sample-based estimators, the
 Monte-Carlo check here and ``ssfm.mi_from_samples``, evaluate it per
-received sample through one posterior kernel, ``_neg_log_posterior``.
+received sample through one posterior kernel, ``_neg_log_posterior``. Its
+sqrt(M) x sqrt(M) product runs on one thread in column blocks of samples,
+each small enough that BLAS does not thread it: on a 2-core host the
+threaded product took twice the CPU for no gain in wall time.
 
 The quadrature also gives its exact gradient in the pmf grid and in the
 noise scale, from the same kernels (``_mi_and_gradient``); the shaping
@@ -61,6 +64,19 @@ MIX_FLOOR = float(np.exp(EXP_UNDERFLOW) / np.finfo(np.float64).eps)
 
 # Samples per chunk of the sample-based estimators.
 POSTERIOR_CHUNK = 1 << 15
+
+# OpenBLAS runs a gemm of m x n x k multiply-adds on one thread at or below
+# SMP_THRESHOLD_MIN (65536) x GEMM_MULTITHREAD_THRESHOLD (4), the bound in
+# its interface/gemm.c; each block of the posterior's level product stays
+# within it.
+BLAS_ONE_THREAD_MNK = 1 << 18
+
+# Floats of padding after each row of the posterior's work arrays when a
+# chunk takes more than one block. Rows of 2^15 samples would lie a power of
+# two apart and share cache sets, which made the blocked level product 3-4x
+# slower at 32 and 64 levels. A one-block chunk keeps contiguous rows, which
+# a lone sample's matrix-vector product needs to keep its bits.
+ROW_SKEW = 8
 
 # Largest entry-wise asymmetry of the pmf grid that still counts as
 # dihedral symmetry for the orbit reduction.
@@ -279,11 +295,22 @@ def _quadrature(constellation, pmf, snr_db, rule, gradient):
     return mi, d_grid / LN2, float(d_sigma) / LN2
 
 
+def _posterior_layout(m: int, n: int) -> tuple[int, int, int]:
+    """(blocks, width, stride) of ``_neg_log_posterior``'s arrays for a
+    chunk of n samples at m levels. The chunk is split into blocks of
+    ``width`` samples, the last one padded, with the most samples that keep
+    one (m x m) @ (m x width) product within ``BLAS_ONE_THREAD_MNK``; each
+    array is (m, blocks * width), its rows ``stride`` floats apart."""
+    width = min(max(1, BLAS_ONE_THREAD_MNK // (m * m)), n)
+    blocks = -(-n // width)
+    return blocks, width, blocks * width + (ROW_SKEW if blocks > 1 else 0)
+
+
 def _posterior_work(m: int, samples: int) -> tuple[np.ndarray, ...]:
     """Work arrays of ``_neg_log_posterior`` for m levels and chunks of
     at most ``POSTERIOR_CHUNK`` of ``samples``: three flat float arrays,
     allocated once per estimator call."""
-    size = m * min(samples, POSTERIOR_CHUNK)
+    size = m * _posterior_layout(m, min(samples, POSTERIOR_CHUNK))[2]
     return np.empty(size), np.empty(size), np.empty(size)
 
 
@@ -300,25 +327,35 @@ def _neg_log_posterior(y, i, q, levels, grid, sigma2, work):
     entries below exp(EXP_UNDERFLOW) moves it by at most one rounding.
     Below the floor, for a sample far from all mass whose nearest cells
     carry none, the sample is recomputed exactly by a dense log-sum-exp
-    over the support. ``work`` holds three flat float arrays of at least
-    levels * y.size entries (see ``_posterior_work``).
+    over the support. ``work`` holds three flat float arrays, sized by
+    ``_posterior_work``.
+
+    The product P^T k_I runs on one thread, as one BLAS product per column
+    block of samples (``_posterior_layout``), batched into one matmul: on a
+    2-core host, the threaded product took twice the CPU for no gain in
+    wall time.
     """
     m, n = levels.size, y.size
-    ell_i, ell_q, pk_i = (buf[: m * n].reshape(m, n) for buf in work)
+    blocks, width, stride = _posterior_layout(m, n)
+    cols = blocks * width
+    ell_i, ell_q, pk_i = (buf[: m * stride].reshape(m, stride)[:, :cols] for buf in work)
     samples = np.arange(n)
     log_p = np.where(grid > 0.0, np.log(np.maximum(grid, PROB_TINY)), -np.inf)
     neg = -log_p[i, q]
     for coord, sent, ell in ((y.real, i, ell_i), (y.imag, q, ell_q)):
         # Levels along the first axis: the reductions over levels are then
-        # elementwise passes over contiguous rows of samples.
-        np.subtract(levels[:, None], coord, out=ell)      # (sqrt(M), chunk)
+        # elementwise passes over contiguous rows of samples. The padding
+        # of the last block repeats samples from the start of the chunk.
+        np.subtract(levels[:, None], np.resize(coord, cols) if cols > n else coord, out=ell)
         np.square(ell, out=ell)
         ell /= -sigma2
         ell -= ell.max(axis=0)
         neg -= ell[sent, samples]
         np.maximum(ell, EXP_UNDERFLOW, out=ell)
         np.exp(ell, out=ell)
-    mix = np.einsum("js,js->s", np.matmul(grid.T, ell_i, out=pk_i), ell_q)
+    np.matmul(grid.T, ell_i.reshape(m, blocks, width).swapaxes(0, 1),
+              out=pk_i.reshape(m, blocks, width).swapaxes(0, 1))
+    mix = np.einsum("js,js->s", pk_i[:, :n], ell_q[:, :n])
     if mix.min() >= MIX_FLOOR:
         return neg + np.log(mix)
 

@@ -29,6 +29,7 @@ from nlshaping import (
     uniform_pmf,
 )
 from nlshaping.awgn_mi import (
+    BLAS_ONE_THREAD_MNK,
     EXP_UNDERFLOW,
     LN2,
     MIX_FLOOR,
@@ -37,10 +38,13 @@ from nlshaping.awgn_mi import (
     _is_dihedral,
     _mi_and_gradient,
     _neg_log_posterior,
+    _posterior_layout,
     _posterior_work,
     _require_unit_power,
     _snr_to_sigma2,
 )
+from nlshaping.constellation import SUPPORTED_ORDERS
+from nlshaping.ssfm import mi_from_samples
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -684,6 +688,103 @@ class TestWorkArrays:
         got = _neg_log_posterior(y, i, q, c.levels, grid, sigma2, _posterior_work(4, y.size))
         want = allocating_neg_log_posterior(y, i, q, c.levels, grid, sigma2)
         assert np.array_equal(got, want)
+
+
+class TestBlockedProduct:
+    """The posterior's level product runs as one BLAS product per block of
+    samples; the bits must be those of the whole product."""
+
+    @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+    def test_block_width_within_one_thread_bound(self, order):
+        m = math.isqrt(order)
+        blocks, width, _ = _posterior_layout(m, POSTERIOR_CHUNK)
+        assert 1 <= width and m * m * width <= BLAS_ONE_THREAD_MNK
+        assert blocks * width == POSTERIOR_CHUNK
+        assert width == {16: 16384, 64: 4096, 256: 1024, 1024: 256, 4096: 64}[order]
+
+    @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+    def test_every_product_within_one_thread_bound(self, order):
+        # Two full chunks and a short one, through the estimator.
+        matmul = np.matmul
+        sizes = []
+
+        def spy(a, b, *args, **kwargs):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        c = square_qam(order)
+        pmf = uniform_pmf(c)
+        with mock.patch.object(np, "matmul", spy):
+            mi_monte_carlo(normalized(c, pmf), pmf, 12.0, 2 * POSTERIOR_CHUNK + 5, seed=1)
+        assert len(sizes) == 3 and max(sizes) <= BLAS_ONE_THREAD_MNK
+
+    @staticmethod
+    def product_of_chunk(m, n, rng_seed):
+        """The first n samples of a seeded chunk through the kernel: its
+        exponentiated I kernel and its level product, (m, n) each."""
+        rng = np.random.default_rng(rng_seed)
+        levels = np.arange(1.0 - m, m, 2.0)
+        grid = rng.random((m, m)) ** 3
+        grid /= grid.sum()
+        i, q = rng.integers(0, m, (2, POSTERIOR_CHUNK))
+        y = levels[i] + 1j * levels[q] + 0.7 * (rng.standard_normal(POSTERIOR_CHUNK)
+                                                + 1j * rng.standard_normal(POSTERIOR_CHUNK))
+        work = _posterior_work(m, n)
+        for buf in work:
+            buf.fill(np.nan)
+        _neg_log_posterior(y[:n], i[:n], q[:n], levels, grid, 0.98, work)
+        stride = _posterior_layout(m, n)[2]
+        ell_i, _, pk_i = (buf[: m * stride].reshape(m, stride)[:, :n] for buf in work)
+        return grid, ell_i, pk_i
+
+    @pytest.mark.parametrize("length", ["1", "w-1", "w", "w+1", "chunk-1", "chunk"])
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+    def test_matches_whole_product(self, m, length):
+        # The whole product of a chunk that is not a multiple of 8 samples
+        # long may round its last n mod 8 columns in an edge kernel of its
+        # own (OpenBLAS does at 64 levels), so the oracle for a short chunk
+        # is the whole product of the full chunk it starts: a sample's
+        # product must not depend on where it sits in its chunk. A lone
+        # sample is one matrix-vector product either way.
+        _, w, _ = _posterior_layout(m, POSTERIOR_CHUNK)
+        n = {"1": 1, "w-1": w - 1, "w": w, "w+1": w + 1,
+             "chunk-1": POSTERIOR_CHUNK - 1, "chunk": POSTERIOR_CHUNK}[length]
+        grid, ell_full, pk_full = self.product_of_chunk(m, POSTERIOR_CHUNK, m)
+        assert np.array_equal(pk_full, grid.T @ ell_full)
+        _, ell, pk = self.product_of_chunk(m, n, m)
+        assert np.array_equal(ell, ell_full[:, :n])
+        want = grid.T @ ell if n == 1 else pk_full[:, :n]
+        assert np.array_equal(pk, want)
+
+
+class TestPinnedEstimates:
+    """Seeded estimates, pinned bit for bit to the values the whole-product
+    kernel gave, with sample counts that end in a short chunk."""
+
+    @staticmethod
+    def mb_256qam():
+        c = square_qam(256)
+        pmf = mb_pmf(c, 1.0 / float(np.mean(c.sq_magnitudes)))
+        return normalized(c, pmf), pmf
+
+    def test_mi_monte_carlo_256qam_mb(self):
+        unit, pmf = self.mb_256qam()
+        mi, se = mi_monte_carlo(unit, pmf, 10.0, 100_007, seed=2110)
+        assert (mi.hex(), se.hex()) == ("0x1.b4c9312ade04ap+1", "0x1.266134fb742eep-8")
+
+    def test_mi_monte_carlo_1024qam_uniform(self):
+        c = square_qam(1024)
+        pmf = uniform_pmf(c)
+        mi, se = mi_monte_carlo(normalized(c, pmf), pmf, 18.0, 100_007, seed=2118)
+        assert (mi.hex(), se.hex()) == ("0x1.6a544a73927c6p+2", "0x1.2b9756e5d905fp-8")
+
+    def test_mi_from_samples_256qam_mb(self):
+        unit, pmf = self.mb_256qam()
+        rng = np.random.default_rng(2156)
+        n = 50_000
+        tx = unit.points[rng.choice(256, size=n, p=pmf.probs)]
+        rx = tx + np.sqrt(0.05) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert mi_from_samples(rx, tx, unit, pmf).hex() == "0x1.b4bde6b96022ap+1"
 
 
 GRADIENT_KINDS = ("uniform", "mb", "tailored", "per_ring", "asymmetric")
