@@ -19,6 +19,13 @@ sqrt(M) x sqrt(M) product runs on one thread in column blocks of samples,
 each small enough that BLAS does not thread it: on a 2-core host the
 threaded product took twice the CPU for no gain in wall time.
 
+The Monte-Carlo check draws its sent points, like the split-step's
+transmitter, through ``shaping._inverse_cdf``: a guide table over the
+pmf's CDF, built once per call, maps each chunk's one ``rng.random`` draw
+to exactly the indices ``Generator.choice`` would return, with a binary
+search for at most 1/64 of the samples instead of all of them. The
+generator's stream, and so every estimate, is what ``choice`` gave.
+
 The quadrature also gives its exact gradient in the pmf grid and in the
 noise scale, from the same kernels (``_mi_and_gradient``); the shaping
 searches follow it.
@@ -40,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .constellation import Constellation, _int_at_least
-from .shaping import Pmf, entropy
+from .constellation import Constellation, _check_pmf_length, _int_at_least
+from .shaping import Pmf, _inverse_cdf, entropy
 
 LN2 = float(np.log(2.0))
 
@@ -116,6 +123,7 @@ def _snr_to_sigma2(snr_db: float) -> float:
 
 
 def _require_unit_power(constellation: Constellation, pmf: Pmf) -> None:
+    _check_pmf_length(constellation, pmf.probs)
     power = float(pmf.probs @ constellation.sq_magnitudes)
     if abs(power - 1.0) > UNIT_POWER_TOL:
         raise ValueError(
@@ -383,8 +391,9 @@ def mi_monte_carlo(
 
     Estimates H(X|Y) from sampled symbol/noise pairs using the exact
     Gaussian conditional densities and subtracts it from the analytic
-    entropy. Deterministic for a given seed.
+    entropy. Deterministic for a given seed, a non-negative integer.
     """
+    seed = _int_at_least("seed", seed, 0)
     samples = _int_at_least("samples", samples, 1)
     if samples < 10_000:
         raise ValueError(f"need at least 1e4 samples for a stable estimate, got {samples}")
@@ -393,17 +402,17 @@ def mi_monte_carlo(
 
     rng = np.random.default_rng(seed)
     x = constellation.points
-    p = pmf.probs
     m = constellation.levels.size
-    grid = p.reshape(m, m)
+    grid = pmf.probs.reshape(m, m)
 
+    inverse_cdf = _inverse_cdf(pmf)
     work = _posterior_work(m, samples)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         k = min(POSTERIOR_CHUNK, samples - done)
-        idx = rng.choice(x.size, size=k, p=p)
+        idx = inverse_cdf(rng.random(k))  # Generator.choice's indices
         noise = np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(k) + 1j * rng.standard_normal(k)
         )

@@ -21,6 +21,11 @@ PROB_FLOOR = 1e-300
 
 PMF_SUM_TOL = 1e-12
 
+# Buckets of the guide table per pmf entry, before rounding the bucket
+# count up to a power of two: at most 1/64 of the uniforms land in a bucket
+# that holds a CDF step and need a binary search.
+GUIDE_BUCKETS_PER_POINT = 64
+
 
 class Family(enum.Enum):
     UNIFORM = "uniform"
@@ -142,6 +147,40 @@ def excess_kurtosis(constellation: Constellation, pmf: Pmf) -> float:
         raise ValueError("mean power must be positive to define kurtosis")
     m4 = float(pmf.probs @ (r2 * r2))
     return m4 / (m2 * m2) - 2.0
+
+
+def _inverse_cdf(pmf: Pmf):
+    """The map from uniforms u in [0, 1) to point indices that
+    ``Generator.choice(len(pmf), size, p=pmf.probs)`` applies to its one
+    ``random(size)`` draw: ``cdf.searchsorted(u, side="right")`` with
+    ``cdf = p.cumsum(); cdf /= cdf[-1]``. So ``inverse(rng.random(k))``
+    returns choice's indices bit for bit and leaves ``rng`` in the same
+    state.
+
+    A guide table (Chen & Asau 1974; Devroye 1986, sec. III.2) gives the
+    index without a search for almost every u. There are T buckets, T a
+    power of two so that u * T and b / T are exact. edges[b] =
+    ``cdf.searchsorted(b / T, side="right")`` counts the CDF values at most
+    b / T, those with ceil(cdf * T) <= b, so one bincount of the ceilings
+    gives every edge. The search result is nondecreasing in u, so it is
+    edges[b] for every u in [b / T, (b + 1) / T) when edges[b] ==
+    edges[b + 1]. The uniforms in the other buckets, which hold a CDF step,
+    go through the search.
+    """
+    cdf = pmf.probs.cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (GUIDE_BUCKETS_PER_POINT * cdf.size - 1).bit_length()
+    edges = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1).cumsum()
+    guide = edges[:-1]
+    guide[edges[1:] != guide] = -1  # a bucket with a step: search it
+
+    def inverse(u: np.ndarray) -> np.ndarray:
+        idx = guide[(u * buckets).astype(np.intp)]
+        stepped = np.flatnonzero(idx < 0)
+        idx[stepped] = cdf.searchsorted(u[stepped], side="right")
+        return idx
+
+    return inverse
 
 
 def entropy(pmf: Pmf) -> float:

@@ -33,9 +33,9 @@ from numpy.fft import fft, fftfreq, ifft
 
 from .awgn_mi import (LN2, POSTERIOR_CHUNK, _neg_log_posterior, _posterior_work,
                       _require_unit_power)
-from .constellation import Constellation, _int_at_least, normalized
+from .constellation import Constellation, _check_pmf_length, _int_at_least, normalized
 from .forks import forked_map
-from .shaping import Pmf, entropy, excess_kurtosis
+from .shaping import Pmf, _inverse_cdf, entropy, excess_kurtosis
 
 LN10 = float(np.log(10.0))
 
@@ -188,6 +188,8 @@ class Modulation:
     def __post_init__(self):
         if (self.constellation is None) != (self.pmf is None):
             raise ValueError("constellation and pmf must be given together")
+        if self.pmf is not None:
+            _check_pmf_length(self.constellation, self.pmf.probs)
 
     @property
     def is_gaussian(self) -> bool:
@@ -317,11 +319,13 @@ def _require_seeds(**seeds: int) -> None:
         _int_at_least(name, seed, 0)
 
 
-def _draw_symbols(modulation: Modulation, count: int, rng: np.random.Generator) -> np.ndarray:
-    if modulation.is_gaussian:
+def _draw_symbols(points, inverse_cdf, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` unit-power symbols: complex Gaussian when ``points`` is
+    None, else ``points`` at the indices ``inverse_cdf`` (from
+    ``shaping._inverse_cdf``) maps one uniform draw to."""
+    if points is None:
         return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
-    unit = normalized(modulation.constellation, modulation.pmf)
-    return unit.points[rng.choice(unit.order, size=count, p=modulation.pmf.probs)]
+    return points[inverse_cdf(rng.random(count))]
 
 
 def generate_wdm(
@@ -351,13 +355,18 @@ def generate_wdm(
     shaping = rrc_spectrum(fftfreq(n, 1.0 / fs), config.baud_ghz * 1e9, config.rrc_rolloff)
     p_target = 1e-3 * 10.0 ** (launch_dbm / 10.0)
 
+    points = inverse_cdf = None
+    if not modulation.is_gaussian:
+        points = normalized(modulation.constellation, modulation.pmf).points
+        inverse_cdf = _inverse_cdf(modulation.pmf)
+
     spectrum = np.zeros((2, n), dtype=np.complex128)
     tx_symbols = np.zeros((config.channels, 2, nsym), dtype=np.complex128)
     # One buffer holds each channel's shaped spectrum in turn.
     shaped = np.empty((2, n), dtype=np.complex128)
     for ch in range(config.channels):
         for pol in range(2):
-            tx_symbols[ch, pol] = _draw_symbols(modulation, nsym, rng)
+            tx_symbols[ch, pol] = _draw_symbols(points, inverse_cdf, nsym, rng)
         tiles = fft(tx_symbols[ch], axis=-1)[:, None, :]
         np.multiply(tiles, shaping.reshape(sps, nsym), out=shaped.reshape(2, sps, nsym))
         # Parseval: the dual-pol power of the waveform is sum |X|^2 / n^2.

@@ -499,6 +499,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="integer"):
             mi_monte_carlo(c, pmf, 10.0, samples, seed=1)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, None])
+    def test_rejects_bad_seed_before_drawing(self, seed, monkeypatch):
+        c, pmf = unit(16)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(ValueError, match="seed"):
+            mi_monte_carlo(c, pmf, 10.0, 20_000, seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        c, pmf = unit(16)
+        assert mi_monte_carlo(c, pmf, 10.0, 20_000, seed=np.uint32(6)) == mi_monte_carlo(
+            c, pmf, 10.0, 20_000, seed=6
+        )
+
     def test_accepts_numpy_integer_samples(self):
         c, pmf = unit(16)
         assert mi_monte_carlo(c, pmf, 10.0, np.int64(20_000), seed=6) == mi_monte_carlo(
@@ -522,6 +535,36 @@ class TestMonteCarlo:
             got = mi_monte_carlo(cn, pmf, snr_db, 40_000, seed=order + int(snr_db))
             want = dense_mi_monte_carlo(cn, pmf, snr_db, 40_000, seed=order + int(snr_db))
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def no_generator(*args, **kwargs):
+    raise AssertionError("a random generator was made before the arguments were checked")
+
+
+class TestPmfLength:
+    """A pmf of another order fails before any compute, naming both sizes."""
+
+    @staticmethod
+    def mismatch():
+        c16, c64 = square_qam(16), square_qam(64)
+        return normalized(c16, uniform_pmf(c16)), uniform_pmf(c64)
+
+    def test_quadrature(self):
+        c, pmf = self.mismatch()
+        with pytest.raises(ValueError, match=r"pmf length \(64,\) does not match constellation order 16"):
+            mi_awgn_2d(c, pmf, 10.0)
+
+    def test_monte_carlo_before_drawing(self, monkeypatch):
+        c, pmf = self.mismatch()
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(ValueError, match=r"\(64,\) does not match constellation order 16"):
+            mi_monte_carlo(c, pmf, 10.0, 20_000, seed=1)
+
+    def test_from_samples(self):
+        c, pmf = self.mismatch()
+        tx = np.full(20_000, c.points[0])
+        with pytest.raises(ValueError, match=r"\(64,\) does not match constellation order 16"):
+            mi_from_samples(tx + 0.1, tx, c, pmf)
 
 
 class TestPosterior:

@@ -25,7 +25,7 @@ from nlshaping import (
     tailored_pmf,
     uniform_pmf,
 )
-from nlshaping.shaping import ring_masses
+from nlshaping.shaping import _inverse_cdf, ring_masses
 from test_awgn_mi import is_ring_constant
 
 
@@ -288,3 +288,82 @@ class TestRingPmf:
     def test_per_ring_requires_masses(self):
         with pytest.raises(ValueError, match="ring_probs"):
             build_pmf(square_qam(16), ShapingParams(Family.PER_RING))
+
+
+def choice_cdf(probs):
+    """The CDF Generator.choice searches: cumsum, divided by its last value."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sampler_pmfs():
+    """Pmfs, each a pytest.param with its label: the three families at every
+    supported order, then pmfs with zero masses in awkward places."""
+    cases = []
+    for order in (16, 64, 256, 1024, 4096):
+        c = square_qam(order)
+        pu = float(np.mean(c.sq_magnitudes))
+        cases += [
+            pytest.param(uniform_pmf(c), id=f"uniform-{order}"),
+            pytest.param(mb_pmf(c, 1.0 / pu), id=f"mb-{order}"),
+            pytest.param(tailored_pmf(c, -1e-3 * 170.0 / pu, 4.4e-5 * (170.0 / pu) ** 2),
+                         id=f"tailored-{order}"),
+        ]
+    c = square_qam(256)
+    q = np.zeros(c.ring_sizes.size)
+    q[1::3] = 1.0  # the innermost ring and two in every three after it stay empty,
+    q[-1] = 0.0    # and the outermost, so the first point has no mass
+    cases.append(pytest.param(ring_pmf(c, q / q.sum()), id="per-ring-empty-rings"))
+    trailing = np.zeros(256)
+    trailing[:150] = np.random.default_rng(3).random(150)
+    cases.append(pytest.param(Pmf(trailing / trailing.sum()), id="trailing-zeros"))
+    spike = np.full(1024, 1e-9 / 1023)
+    spike[517] = 1.0 - 1e-9
+    cases.append(pytest.param(Pmf(spike), id="one-point"))
+    return cases
+
+
+SAMPLER_PMFS = sampler_pmfs()
+
+
+class TestInverseCdf:
+    """shaping._inverse_cdf against Generator.choice: the same indices
+    from the same single draw, whatever the pmf."""
+
+    @pytest.mark.parametrize("pmf", SAMPLER_PMFS)
+    @pytest.mark.parametrize("size", [1, 1 << 15, 40_000])
+    def test_equals_generator_choice(self, pmf, size):
+        inverse = _inverse_cdf(pmf)
+        ours, theirs = np.random.default_rng(size + 7), np.random.default_rng(size + 7)
+        for _ in range(2):
+            got = inverse(ours.random(size))
+            want = theirs.choice(len(pmf), size=size, p=pmf.probs)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_bucket_edges_and_cdf_values(self):
+        # Uniform 16QAM: j/16 is a CDF value and a bucket edge, so choice's
+        # search puts u = j/16 exactly at index j.
+        pmf = uniform_pmf(square_qam(16))
+        inverse = _inverse_cdf(pmf)
+        j = np.arange(16)
+        assert np.array_equal(inverse(j / 16.0), j)
+        buckets = 1 << 10  # 64 per point for 16 points
+        edges = np.arange(buckets) / buckets
+        u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+                            [np.nextafter(1.0, 0.0)]])
+        assert np.array_equal(inverse(u), choice_cdf(pmf.probs).searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("pmf", SAMPLER_PMFS[3:6] + SAMPLER_PMFS[-3:])
+    def test_on_and_beside_cdf_values(self, pmf):
+        cdf = choice_cdf(pmf.probs)
+        inside = cdf[cdf < 1.0]
+        u = np.concatenate([[0.0], inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0)])
+        assert np.array_equal(_inverse_cdf(pmf)(u), cdf.searchsorted(u, side="right"))
+
+    def test_zero_masses_never_drawn(self):
+        pmf = SAMPLER_PMFS[-2].values[0]  # trailing zeros
+        idx = _inverse_cdf(pmf)(np.random.default_rng(1).random(1 << 15))
+        assert np.all(pmf.probs[idx] > 0.0)

@@ -365,6 +365,24 @@ class TestGenerateWdm:
         with pytest.raises(ValueError, match="launch_dbm must be finite"):
             generate_wdm(tiny_config(), uniform_mod(), launch_dbm, seed=5)
 
+    def test_symbols_are_generator_choice_draws(self):
+        # Every channel and polarization in turn draws Generator.choice's
+        # indices from the one seeded generator.
+        c = square_qam(64)
+        pmf = mb_pmf(c, 1.0 / 42.0)
+        cfg = tiny_config(channels=3, samples_per_symbol=8, spacing_ghz=66.0)
+        field = generate_wdm(cfg, Modulation("mb", c, pmf), 0.0, seed=31)
+        rng, points = np.random.default_rng(31), normalized(c, pmf).points
+        for ch in range(cfg.channels):
+            for pol in range(2):
+                want = points[rng.choice(64, size=cfg.symbols_per_channel, p=pmf.probs)]
+                np.testing.assert_array_equal(field.tx_symbols[ch, pol], want)
+
+    def test_modulation_rejects_pmf_of_another_order(self):
+        c16, c64 = square_qam(16), square_qam(64)
+        with pytest.raises(ValueError, match=r"pmf length \(64,\) does not match constellation order 16"):
+            Modulation("x", c16, uniform_pmf(c64))
+
     def test_seed_determinism(self):
         cfg = tiny_config()
         a = generate_wdm(cfg, uniform_mod(), 0.0, seed=5)
