@@ -28,6 +28,7 @@ from . import __version__
 from .awgn_mi import DEFAULT_ORDER
 from .constellation import SUPPORTED_ORDERS, normalized, square_qam
 from .nl_model import CURVE_FAMILIES, DEFAULT_C, Family, MiCurvePoint, NlChannelModel, mi_curve
+from .search import bisect
 from .shaping import ShapingParams, build_pmf, excess_kurtosis, mb_pmf, uniform_pmf
 from .ssfm import (
     LinkConfig,
@@ -180,7 +181,7 @@ def cmd_mi_curve(args):
     metadata = base_metadata(order=args.order, c=args.c,
                              snr_grid_db=f"{args.snr_min}:{args.snr_max}:{args.snr_step}",
                              families=",".join(args.families),
-                             optimizer="coarse-grid + bounded Brent/BFGS refinement")
+                             optimizer="coarse-grid + BFGS refinement")
     header = ["snr_gauss_db", "family", "lambda", "nu1", "nu2", "kurtosis",
               "effective_snr_db", "mi_4d", "delta_mi_4d"]
     return metadata, header, rows
@@ -260,13 +261,11 @@ def default_probes(order: int = 64):
     well-separated kurtosis values for the NLI fit.
 
     The deep probe's rate is the root of kurtosis = DEEP_PROBE_KURTOSIS
-    on u = lam * P_u in [1e-3, hi]: hi starts at 60 and doubles until it
-    brackets the root (60 up to 64QAM, 240 at 256QAM, 960 at 1024QAM,
-    3840 at 4096QAM). Past DEEP_PROBE_U_CAP it raises ValueError.
+    on u = lam * P_u in [1e-3, hi], bisected to within 2e-12 (brentq's
+    default tolerance): hi starts at 60 and doubles until it brackets
+    the root (60 up to 64QAM, 240 at 256QAM, 960 at 1024QAM, 3840 at
+    4096QAM). Past DEEP_PROBE_U_CAP it raises ValueError.
     """
-    # scipy.optimize costs about 0.6 s to import; only this command needs it.
-    from scipy.optimize import brentq
-
     constellation = square_qam(order)
     pu = float(np.mean(constellation.sq_magnitudes))
 
@@ -282,7 +281,7 @@ def default_probes(order: int = 64):
                 f"no Maxwell-Boltzmann rate up to lam * P_u = {DEEP_PROBE_U_CAP:g} "
                 f"gives excess kurtosis {DEEP_PROBE_KURTOSIS} at {order}QAM"
             )
-    u_deep = brentq(excess, 1e-3, hi)
+    u_deep = bisect(excess, 1e-3, hi, xtol=2e-12)
     return [
         Modulation("uniform", constellation, uniform_pmf(constellation)),
         gaussian_modulation(),

@@ -4,18 +4,18 @@ The nonlinear interference power of a launch-power-optimized link is
 modeled as (eta1 + eta2 * kurtosis) * P^3, which makes the achievable
 SNR at optimum power a one-third-power function of the modulation's
 excess kurtosis. Shaping families are optimized against the resulting
-effective-SNR AWGN channel. The searches are the package's own BFGS and
-bounded Brent (``search``), so this module and every design command run
-on numpy alone, without importing scipy.
+effective-SNR AWGN channel. The searches are the package's own BFGS
+(``search``), so this module and every design command run on numpy
+alone, without importing scipy.
 
-The tailored and per-ring searches use the exact gradient of the
+The MB, tailored and per-ring searches use the exact gradient of the
 quadrature MI. A pmf moves the MI three ways: through the pmf grid
 directly, through the unit-power scale s of the levels, and through the
 effective SNR, which the kurtosis sets. Since I(s L, sigma) = I(L,
 sigma / s), the last two enter as one derivative in sigma. The pmf
 families then chain in: dp/dnu_k = -p (T_k - E[T_k]) with T_1 = |x|^2
-and T_2 = |x|^4 for the tailored family, and the ring masses' squared
-amplitudes for the per-ring family.
+and T_2 = |x|^4 for the tailored family, T_1 alone for MB, and the
+ring masses' squared amplitudes for the per-ring family.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .awgn_mi import _mi_and_gradient, mi_awgn_2d
 from .constellation import Constellation, normalized
 from .forks import forked_map
-from .search import bfgs, bounded_brent
+from .search import bfgs
 from .shaping import (
     Family,
     ShapingParams,
@@ -52,7 +52,7 @@ _COARSE_NU2 = np.array([-0.5, -0.2, 0.0, 0.2, 0.5, 1.0, 2.0])
 
 _MI_TIE_TOL = 1e-9
 
-# Gradient tolerance of the tailored and per-ring searches, on -mi_4d
+# Gradient tolerance of the MB, tailored and per-ring searches, on -mi_4d
 # (bit/4D) per unit of their parameters.
 _GTOL = 1e-9
 
@@ -189,32 +189,40 @@ def optimize_mb(
 ) -> tuple[float, MiCurvePoint]:
     """Best Maxwell-Boltzmann rate for this model.
 
-    One cold search per call: a coarse scan over a fixed log-spaced rate
-    grid, then bounded derivative-free refinement between the neighbours
-    of the best coarse rate. The result depends only on the
-    constellation and the model; the returned point is the one the
-    search scored.
+    One cold search per call: a coarse scan over a fixed log-spaced grid
+    of rates u = lam * P_u in [0, _U_MAX], then a BFGS search on the
+    exact MI derivative in u from the best scanned rate. The search is
+    not bounded, and at low SNR it can run below u = 0, where the MI of
+    an outward-leaning pmf is higher still; if it ends outside [0,
+    _U_MAX], or no higher than the scanned rate, the scanned point is
+    kept. The result depends only on the constellation and the model;
+    the returned point is the one the search or the scan scored.
     """
     pu = _grid_power(constellation)
+    t1 = constellation.sq_magnitudes[np.newaxis] / pu
     scored = {}
 
-    def neg_mi(u: float) -> float:
-        params = ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu)
-        point = scored[float(u)] = evaluate_family(constellation, params, model)
-        return -point.mi_4d
+    def mb(u) -> ShapingParams:
+        return ShapingParams(Family.MAXWELL_BOLTZMANN, lam=float(u / pu))
 
-    values = [neg_mi(u) for u in _COARSE_U]
-    best_i = int(np.argmin(values))
-    lo = _COARSE_U[max(best_i - 1, 0)]
-    hi = _COARSE_U[min(best_i + 1, _COARSE_U.size - 1)]
-    u, fun, _, status = bounded_brent(neg_mi, lo, hi, xatol=1e-6, maxiter=_MB_MAXFEV)
+    def neg_mi(v):
+        point, grad = _exp_gradient(constellation, model, mb(v[0]), t1)
+        scored[point.params.lam] = point
+        return -point.mi_4d, -grad
+
+    scan = [evaluate_family(constellation, mb(u), model) for u in _COARSE_U]
+    best_i = int(np.argmax([point.mi_4d for point in scan]))
+    best = scan[best_i]
+    u, fun, _, status = bfgs(neg_mi, [_COARSE_U[best_i]], gtol=_GTOL, maxfev=_MB_MAXFEV)
     if status != 0:
         raise OptimizationError(
             f"Maxwell-Boltzmann rate search did not converge: it {_failure(status, _MB_MAXFEV)}",
-            best=(u / pu, -fun),
+            best=(mb(u[0]).lam, -fun),
         )
-    u_star = float(u) if fun < values[best_i] else float(_COARSE_U[best_i])
-    return u_star / pu, scored[u_star]
+    if 0.0 <= u[0] <= _U_MAX and -fun > best.mi_4d:
+        point = scored[mb(u[0]).lam]
+        return point.params.lam, point
+    return best.params.lam, best
 
 
 def optimize_tailored(
@@ -281,9 +289,14 @@ def _tailored_gradient(constellation, model, v) -> tuple[MiCurvePoint, np.ndarra
     d mi_4d / dv, through dp/dv_k = -p (T_k - E[T_k]) with T_1 = |x|^2 / pu
     and T_2 = T_1^2."""
     pu = _grid_power(constellation)
-    point, pmf, grad = _score(constellation, _tailored(v, pu), model, gradient=True)
     t1 = constellation.sq_magnitudes / pu
-    stats = np.stack([t1, t1 * t1])
+    return _exp_gradient(constellation, model, _tailored(v, pu), np.stack([t1, t1 * t1]))
+
+
+def _exp_gradient(constellation, model, params, stats) -> tuple[MiCurvePoint, np.ndarray]:
+    """The point at ``params`` of a family p proportional to exp(-v @
+    ``stats``) and d mi_4d / dv, through dp/dv_k = -p (T_k - E[T_k])."""
+    point, pmf, grad = _score(constellation, params, model, gradient=True)
     weighted = pmf.probs * grad
     return point, weighted.sum() * (stats @ pmf.probs) - stats @ weighted
 

@@ -1,26 +1,19 @@
-"""Searches used by the shaping optimizers.
+"""Searches used by the shaping optimizers and the deep probe.
 
 ``bfgs`` is the quasi-Newton method of Broyden, Fletcher, Goldfarb and
 Shanno (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006,
 Algorithm 6.1) on an objective that returns its value and gradient.
 It steps with Armijo backtracking and scales its first inverse-Hessian
-estimate as Shanno & Phua (Math. Program. 14(1) 1978) do.
+estimate as Shanno & Phua (Math. Program. 14(1) 1978) do. It returns
+``(x, fun, nfev, status)``: the best point, its value, the number of
+objective calls, and 0 on convergence, 1 at the evaluation cap or 2
+when the objective returned NaN.
 
-``bounded_brent`` is Brent's bounded scalar minimizer, golden-section
-steps with parabolic interpolation (Brent, Algorithms for Minimization
-Without Derivatives, 1973), an operation-for-operation port of SciPy
-1.17's ``scipy.optimize._optimize._minimize_scalar_bounded``: it returns
-the same points, values and evaluation counts as
-``scipy.optimize.minimize_scalar(method="bounded")``. SciPy is Copyright
-(c) 2001-2002 Enthought, Inc. and 2003 onward, SciPy Developers, under
-the BSD 3-clause license.
+``bisect`` finds a root of a scalar function inside a bracket that
+holds a sign change.
 
-Keeping the searches here lets the design commands run on numpy alone;
+Keeping the searches here lets the package run on numpy alone;
 importing ``scipy.optimize`` costs about 0.6 s per process.
-
-Each returns ``(x, fun, nfev, status)``: the best point, its value, the
-number of objective calls, and 0 on convergence, 1 at the evaluation cap
-or 2 when the objective returned NaN.
 """
 
 from __future__ import annotations
@@ -94,97 +87,26 @@ def bfgs(func, x0, gtol: float, maxfev: int):
     return x, fun, nfev, 0
 
 
-def bounded_brent(func, lo: float, hi: float, xatol: float, maxiter: int):
-    """Minimize the scalar ``func`` on [``lo``, ``hi``] by Brent's method.
+def bisect(func, lo: float, hi: float, xtol: float) -> float:
+    """A root of the scalar ``func`` in [``lo``, ``hi``], to within ``xtol``.
 
-    Stops when the bracket around the best point shrinks below about
-    ``xatol`` (relative slack sqrt(2.2e-16) times the point), or after
-    ``maxiter`` evaluations (status 1); status 2 if the best point, its
-    value or the last value is NaN.
+    Halves the bracket until it is at most ``xtol`` wide (or no float
+    lies between its ends) and returns its midpoint. Raises ValueError
+    unless ``func`` is zero at an end or has opposite signs at the two.
     """
-    if not (np.size(lo) == 1 and np.isfinite(lo) and np.size(hi) == 1 and np.isfinite(hi)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if lo > hi:
-        raise ValueError("The lower bound exceeds the upper bound.")
-
-    flag = 0
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    fu = np.inf
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        if np.abs(e) > tol1:
-            # Parabolic fit through the three best points.
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and
-                    (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    f_lo, f_hi = func(lo), func(hi)
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+        raise ValueError(f"f({lo!r}) = {f_lo!r} and f({hi!r}) = {f_hi!r} must have opposite signs")
+    mid = 0.5 * (lo + hi)
+    while abs(hi - lo) > xtol and lo != mid != hi:
+        f_mid = func(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxiter:
-            flag = 1
-            break
-
-    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
-        flag = 2
-    return xf, fx, num, flag
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -515,10 +515,11 @@ def fresh_run(code: str) -> tuple[set[str], int]:
 
 class TestImportBudget:
     """scipy.optimize takes about 0.6 s to import and scipy.fft about 0.3 s.
-    No command but estimate-c loads any scipy: the design commands need
-    none, and the link's FFTs go through numpy.fft. A single design point
-    starts no worker process and does not import multiprocessing. Nothing
-    imports concurrent.futures: parallel work runs in forked processes."""
+    No command loads any scipy: the design commands and estimate-c's deep
+    probe search with the package's own routines, and the link's FFTs go
+    through numpy.fft. A single design point starts no worker process and
+    does not import multiprocessing. Nothing imports concurrent.futures:
+    parallel work runs in forked processes."""
 
     def test_package_import_loads_no_scipy(self):
         assert fresh_run("import nlshaping, nlshaping.cli") == (set(), 0)
@@ -547,6 +548,17 @@ class TestImportBudget:
         argv = ["simulate", "--config", str(cfg), "--order", "16", "--families", "opt",
                 "--power-min", "0", "--power-max", "0", "--out", str(tmp_path / "sim.csv")]
         loaded, _ = fresh_run(f"from nlshaping import cli\nassert cli.main({argv!r}) == 0")
+        assert not any(m.startswith("scipy") for m in loaded)
+
+    def test_estimate_c_loads_no_scipy(self, tmp_path):
+        # With scipy's entry set to None, any scipy import fails.
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text(TINY_CFG, encoding="utf-8")
+        argv = ["estimate-c", "--config", str(cfg), "--out", str(tmp_path / "fit.csv")]
+        code = ("import sys\nsys.modules['scipy'] = None\n"
+                f"from nlshaping import cli\nassert cli.main({argv!r}) == 0\n"
+                "del sys.modules['scipy']")
+        loaded, _ = fresh_run(code)
         assert not any(m.startswith("scipy") for m in loaded)
 
     def test_two_run_simulate_forks_once(self, tmp_path):
@@ -582,19 +594,30 @@ class TestDefaultProbes:
         kurt = excess_kurtosis(probe.constellation, probe.pmf)
         assert kurt == pytest.approx(-0.9, abs=1e-9)
 
-    @pytest.mark.parametrize("order", [16, 64])
-    def test_small_orders_keep_their_bits(self, order):
-        # Oracle: the search before the bracket could grow, on [1e-3, 60].
+    @pytest.mark.parametrize("order, hi", [(16, 60.0), (64, 60.0), (256, 240.0),
+                                           (1024, 960.0), (4096, 3840.0)])
+    def test_deep_rate_matches_brentq(self, order, hi, monkeypatch):
+        # Oracle: scipy's brentq on the documented bracket [1e-3, hi]. The
+        # bisection's midpoint lies within 1e-12 of the sign change and
+        # brentq within its xtol of 2e-12 plus 4 eps of the root.
         from scipy.optimize import brentq
 
+        from nlshaping.search import bisect
+
+        roots = []
+        monkeypatch.setattr(cli, "bisect", lambda *a, **k: roots.append(bisect(*a, **k)) or roots[-1])
         probe = default_probes(order)[2]
-        pu = float(np.mean(probe.constellation.sq_magnitudes))
+        constellation = probe.constellation
+        pu = float(np.mean(constellation.sq_magnitudes))
 
         def kurt_at(u):
-            return excess_kurtosis(probe.constellation, mb_pmf(probe.constellation, u / pu))
+            return excess_kurtosis(constellation, mb_pmf(constellation, u / pu))
 
-        u_deep = brentq(lambda u: kurt_at(u) + 0.9, 1e-3, 60.0)
-        assert np.array_equal(probe.pmf.probs, mb_pmf(probe.constellation, u_deep / pu).probs)
+        u_deep = brentq(lambda u: kurt_at(u) + 0.9, 1e-3, hi)
+        root, = roots
+        assert abs(root - u_deep) <= 3e-12 + 4 * np.finfo(np.float64).eps * u_deep
+        assert np.array_equal(probe.pmf.probs, mb_pmf(constellation, root / pu).probs)
+        assert kurt_at(root) == pytest.approx(-0.9, abs=1e-9)
 
     def test_cap_names_the_order(self, monkeypatch):
         monkeypatch.setattr(cli, "DEEP_PROBE_U_CAP", 100.0)

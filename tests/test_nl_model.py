@@ -28,7 +28,13 @@ from nlshaping import (
     uniform_pmf,
 )
 from nlshaping import nl_model
-from nlshaping.nl_model import _grid_power, _per_ring_gradient, _tailored, _tailored_gradient
+from nlshaping.nl_model import (
+    _exp_gradient,
+    _grid_power,
+    _per_ring_gradient,
+    _tailored,
+    _tailored_gradient,
+)
 
 RULE = gauss_hermite(16)
 MODEL_18 = NlChannelModel(c=0.69, snr_gauss_db=18.0)
@@ -155,6 +161,36 @@ class TestOptimizeMb:
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
         _, point = optimize_mb(c, model)
         assert point.mi_4d == pytest.approx(12.10, abs=0.05)
+
+    @pytest.mark.parametrize("order", [256, 1024])
+    def test_low_snr_rate_stays_in_domain(self, order):
+        # At 5 dB the MI keeps rising below u = 0, and the search on the
+        # derivative runs there (to u = -0.155 at 256QAM, -0.170 at
+        # 1024QAM); the rate returned is the scanned edge, exactly.
+        lam, point = optimize_mb(square_qam(order), NlChannelModel(c=0.69, snr_gauss_db=5.0))
+        assert lam == 0.0
+        assert point.params.lam == 0.0
+
+    def test_small_rate_found_from_the_scanned_zero(self):
+        # At 16QAM 18 dB the best scanned rate is u = 0, and the optimum
+        # is a small positive rate below the scan's first nonzero 0.05.
+        c = square_qam(16)
+        pu = _grid_power(c)
+        scan = [evaluate_family(c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu), MODEL_18).mi_4d
+                for u in nl_model._COARSE_U]
+        assert int(np.argmax(scan)) == 0
+        lam, point = optimize_mb(c, MODEL_18)
+        assert lam * pu == pytest.approx(1.512e-3, abs=1e-6)
+        assert point.mi_4d > scan[0]
+
+    @pytest.mark.parametrize("order, snr", [(16, 18.0), (64, 10.0), (256, 5.0), (256, 18.0),
+                                            (1024, 22.0)])
+    def test_returned_point_is_evaluate_family(self, order, snr):
+        c = square_qam(order)
+        model = NlChannelModel(c=0.69, snr_gauss_db=snr)
+        lam, point = optimize_mb(c, model)
+        assert point.params.lam == lam
+        assert point == evaluate_family(c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=lam), model)
 
 
 class TestOptimizeTailored:
@@ -290,6 +326,26 @@ class TestSearchGradients:
                 up, down = (evaluate_family(raw, _tailored(np.add(v, s), pu), model).mi_4d
                             for s in (step, -step))
                 assert grad[k] == pytest.approx((up - down) / 2e-5, rel=1e-6, abs=1e-8)
+
+    @pytest.mark.parametrize("order, snr", [(16, 18.0), (64, 5.0), (256, 18.0), (1024, 10.0)])
+    def test_mb(self, order, snr):
+        # The rate search's derivative in u = lam P_u: the tailored
+        # family's first derivative at nu2 = 0.
+        raw = square_qam(order)
+        model = NlChannelModel(c=0.69, snr_gauss_db=snr)
+        pu = _grid_power(raw)
+        t1 = raw.sq_magnitudes[np.newaxis] / pu
+
+        def mb(u):
+            return ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu)
+
+        for u in (-0.1, 0.0, 1.4, 6.0):
+            point, grad = _exp_gradient(raw, model, mb(u), t1)
+            assert point == evaluate_family(raw, mb(u), model)
+            assert grad[0] == pytest.approx(_tailored_gradient(raw, model, [u, 0.0])[1][0],
+                                            rel=1e-12, abs=1e-15)
+            up, down = (evaluate_family(raw, mb(u + s), model).mi_4d for s in (1e-5, -1e-5))
+            assert grad[0] == pytest.approx((up - down) / 2e-5, rel=1e-6, abs=1e-8)
 
     @pytest.mark.parametrize("order, snr", [(16, 10.0), (64, 18.0), (256, 18.0)])
     def test_per_ring(self, order, snr):

@@ -1,26 +1,23 @@
 """The in-house searches against scipy.optimize, their oracle.
 
-``bounded_brent`` is a port of scipy's bounded Brent, so it must give
-scipy's point, value, evaluation count and status exactly, and ask for
-the same points in the same order. ``bfgs`` is the package's own
-quasi-Newton search: it must reach the minimizer that scipy's BFGS,
-given the same gradient, reaches. scipy is imported here only; the
-package itself never loads ``scipy.optimize`` for a design.
+``bfgs`` is the package's own quasi-Newton search: it must reach the
+minimizer that scipy's BFGS, given the same gradient, reaches.
+``bisect`` must find the root that ``brentq`` finds, to within the two
+searches' tolerances. scipy is imported here only; the package itself
+never loads it.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
 from nlshaping import NlChannelModel, square_qam
-from nlshaping.nl_model import _grid_power, _tailored_gradient, evaluate_family
-from nlshaping.search import bfgs, bounded_brent
-from nlshaping.shaping import Family, ShapingParams
+from nlshaping.nl_model import _tailored_gradient
+from nlshaping.search import bfgs, bisect
 
 QAM16 = square_qam(16)
-PU16 = _grid_power(QAM16)
 
 
 def problem(kind: str, dim: int, seed: int):
@@ -171,75 +168,71 @@ class TestBfgs:
         assert x.dtype == np.float64
 
 
-def check_brent(func, lo, hi, xatol, maxiter):
-    ours, our_calls = logged(func)
-    x, fun, nfev, status = bounded_brent(ours, lo, hi, xatol=xatol, maxiter=maxiter)
-    theirs, their_calls = logged(func)
-    res = optimize.minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": xatol, "maxiter": maxiter})
-    assert np.array_equal(x, res.x, equal_nan=True)
-    assert np.array_equal(fun, res.fun, equal_nan=True)
-    assert nfev == res.nfev
-    assert status == res.status
-    assert_same_calls(our_calls, their_calls)
-    return x, nfev, status
+# brentq's default tolerances: it stops within xtol + rtol * |root|.
+BRENTQ_XTOL, BRENTQ_RTOL = 2e-12, 4 * np.finfo(np.float64).eps
 
 
-class TestBoundedBrent:
+class TestBisect:
+    # A monotone function of each shape: linear, cubic (flat at the
+    # root), saturating, and exponential (steep on one side).
+    SHAPES = {
+        "linear": lambda z: z,
+        "cubic": lambda z: z**3 + 1e-3 * z,
+        "tanh": np.tanh,
+        "exp": lambda z: np.expm1(np.minimum(z, 50.0)),
+    }
+
     @given(
-        center=st.floats(-10.0, 10.0),
-        width=st.floats(1e-3, 20.0),
-        lo=st.floats(-5.0, 5.0),
-        wiggle=st.floats(0.0, 3.0),
-        xatol=st.sampled_from([1e-2, 1e-6, 1e-9]),
-        maxiter=st.one_of(st.integers(1, 12), st.sampled_from([200, 500])),
+        shape=st.sampled_from(sorted(SHAPES)),
+        root=st.floats(-50.0, 50.0),
+        scale=st.floats(1e-2, 1e2),
+        sign=st.sampled_from([-1.0, 1.0]),
+        below=st.floats(1e-6, 100.0),
+        above=st.floats(1e-6, 100.0),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_scipy(self, center, width, lo, wiggle, xatol, maxiter):
-        # A quadratic bowl, possibly with its minimum outside the bracket,
-        # plus a ripple that makes the objective multimodal.
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brentq(self, shape, root, scale, sign, below, above):
+        # The bisection returns the midpoint of a bracket at most 2e-12
+        # wide around the sign change, so it lies within 1e-12 of it;
+        # brentq lies within its xtol + rtol * |root|.
         def func(x):
-            return float((x - center) ** 2 + wiggle * np.sin(5.0 * x))
+            return sign * float(self.SHAPES[shape](scale * (x - root)))
 
-        check_brent(func, lo, lo + width, xatol, maxiter)
+        lo, hi = root - below, root + above
+        assume(func(lo) * func(hi) < 0.0)  # rounding can close a tiny bracket
+        theirs = optimize.brentq(func, lo, hi)
+        ours = bisect(func, lo, hi, xtol=BRENTQ_XTOL)
+        assert lo <= ours <= hi
+        assert abs(ours - theirs) <= 1.5 * BRENTQ_XTOL + BRENTQ_RTOL * abs(theirs)
 
-    @pytest.mark.parametrize("edge", ["lo", "hi"])
-    def test_minimum_at_a_bracket_edge(self, edge):
-        lo, hi = 1.0, 3.0
-        target = lo - 5.0 if edge == "lo" else hi + 5.0
-        x, _, status = check_brent(lambda u: float((u - target) ** 2), lo, hi, 1e-6, 200)
-        assert status == 0
-        assert abs(x - (lo if edge == "lo" else hi)) < 1e-5
+    def test_stops_at_xtol(self):
+        calls = []
+        root = bisect(lambda x: calls.append(x) or x - 1.0 / 3.0, 0.0, 60.0, xtol=2e-12)
+        # ceil(log2(60 / 2e-12)) = 45 halvings, after the two ends.
+        assert len(calls) == 2 + 45
+        assert abs(root - 1.0 / 3.0) <= 1e-12
 
-    def test_maxiter_cap(self):
-        x, nfev, status = check_brent(lambda u: float(np.cos(u)), 0.0, 6.0, 1e-12, 4)
-        assert (nfev, status) == (4, 1)
+    def test_either_order_of_ends(self):
+        func = lambda x: x**3 - 2.0  # noqa: E731
+        assert bisect(func, 60.0, 0.0, xtol=2e-12) == bisect(func, 0.0, 60.0, xtol=2e-12)
 
-    # NaN everywhere; NaN above the minimum; and NaN only at the last of
-    # two evaluations (0.382, then 0.618), while the best point is finite.
-    @pytest.mark.parametrize("nan_from, maxiter", [(-np.inf, 50), (0.3, 50), (0.5, 2)])
-    def test_nan_objective(self, nan_from, maxiter):
-        def func(u):
-            return np.nan if u > nan_from else float((u - 0.2) ** 2)
+    def test_root_at_an_end(self):
+        assert bisect(lambda x: x - 2.0, 2.0, 5.0, xtol=1e-12) == 2.0
+        assert bisect(lambda x: x - 5.0, 2.0, 5.0, xtol=1e-12) == 5.0
 
-        _, _, status = check_brent(func, 0.0, 1.0, 1e-6, maxiter)
-        assert status == 2
+    def test_floor_of_the_float_grid(self):
+        # A tolerance below the floats' spacing stops when no float lies
+        # between the ends.
+        root = bisect(lambda x: x - 1e8 / 3.0, 0.0, 1e8, xtol=0.0)
+        assert abs(root - 1e8 / 3.0) <= np.spacing(1e8 / 3.0)
 
-    def test_mb_rate_search_matches(self):
-        # The bracket and options optimize_mb uses, on a 16QAM MB objective.
-        from nlshaping.nl_model import _COARSE_U
+    @pytest.mark.parametrize("lo, hi", [(2.0, 3.0), (-3.0, -2.0)])
+    def test_rejects_a_bracket_without_a_sign_change(self, lo, hi):
+        with pytest.raises(ValueError, match="opposite signs"):
+            bisect(lambda x: x * x - 1.0, lo, hi, xtol=1e-12)
+        with pytest.raises(ValueError):
+            optimize.brentq(lambda x: x * x - 1.0, lo, hi)
 
-        model = NlChannelModel(c=0.69, snr_gauss_db=12.0)
-
-        def neg_mi(u):
-            params = ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / PU16)
-            return -evaluate_family(QAM16, params, model).mi_4d
-
-        _, _, status = check_brent(neg_mi, _COARSE_U[3], _COARSE_U[5], 1e-6, 200)
-        assert status == 0
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError, match="finite"):
-            bounded_brent(lambda u: u, 0.0, np.inf, xatol=1e-6, maxiter=10)
-        with pytest.raises(ValueError, match="exceeds"):
-            bounded_brent(lambda u: u, 2.0, 1.0, xatol=1e-6, maxiter=10)
+    def test_rejects_a_nan_end(self):
+        with pytest.raises(ValueError, match="opposite signs"):
+            bisect(lambda x: np.nan if x > 1.0 else x, -1.0, 2.0, xtol=1e-12)
