@@ -8,20 +8,22 @@ effective-SNR AWGN channel. The searches are the package's own BFGS
 (``search``), so this module and every design command run on numpy
 alone, without importing scipy.
 
-The MB, tailored and per-ring searches use the exact gradient of the
-quadrature MI. A pmf moves the MI three ways: through the pmf grid
-directly, through the unit-power scale s of the levels, and through the
-effective SNR, which the kurtosis sets. Since I(s L, sigma) = I(L,
-sigma / s), the last two enter as one derivative in sigma. The pmf
-families then chain in: dp/dnu_k = -p (T_k - E[T_k]) with T_1 = |x|^2
-and T_2 = |x|^4 for the tailored family, T_1 alone for MB, and the
-ring masses' squared amplitudes for the per-ring family.
+The MB, tailored and per-ring searches share one driver, ``_bfgs_points``:
+BFGS on the exact gradient of the quadrature MI from each start, with one
+error contract, an OptimizationError that names the search when a run
+hits its evaluation cap or meets a NaN MI. A pmf moves the MI three ways:
+through the pmf grid directly, through the unit-power scale s of the
+levels, and through the effective SNR, which the kurtosis sets. Since
+I(s L, sigma) = I(L, sigma / s), the last two enter as one derivative in
+sigma. The pmf families then chain in: dp/dnu_k = -p (T_k - E[T_k]) with
+T_1 = |x|^2 and T_2 = |x|^4 for the tailored family, T_1 alone for MB,
+and the ring masses' squared amplitudes for the per-ring family.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +67,8 @@ CURVE_FAMILIES = (Family.UNIFORM, Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAIL
 
 
 class OptimizationError(RuntimeError):
-    """Raised when a shaping search hits its iteration cap.
+    """Raised when a shaping search hits its evaluation cap or meets a
+    NaN MI.
 
     Carries the best point found so far in ``best``.
     """
@@ -179,8 +182,28 @@ def _grid_power(constellation: Constellation) -> float:
     return float(np.mean(constellation.sq_magnitudes))
 
 
-def _failure(status: int, cap: int) -> str:
-    return f"hit its cap of {cap} evaluations" if status == 1 else "met a NaN MI"
+def _bfgs_points(name: str, gradient, starts, maxfev: int, best) -> list[MiCurvePoint]:
+    """The point each ``search.bfgs`` run on -mi_4d accepted, one per start,
+    exactly as ``gradient(v)`` scored it with d mi_4d / dv.
+
+    A run that hits ``maxfev`` or meets a NaN MI raises OptimizationError
+    naming the search, with ``best(point)`` of the last point it accepted.
+    """
+    scored = {}
+
+    def neg_mi(v):
+        point, grad = gradient(v)
+        scored[tuple(v)] = point
+        return -point.mi_4d, -grad
+
+    points = []
+    for start in starts:
+        x, _, _, status = bfgs(neg_mi, start, gtol=_GTOL, maxfev=maxfev)
+        points.append(scored[tuple(x)])
+        if status != 0:
+            failure = f"hit its cap of {maxfev} evaluations" if status == 1 else "met a NaN MI"
+            raise OptimizationError(f"{name} did not converge: it {failure}", best=best(points[-1]))
+    return points
 
 
 def optimize_mb(
@@ -200,28 +223,20 @@ def optimize_mb(
     """
     pu = _grid_power(constellation)
     t1 = constellation.sq_magnitudes[np.newaxis] / pu
-    scored = {}
 
     def mb(u) -> ShapingParams:
         return ShapingParams(Family.MAXWELL_BOLTZMANN, lam=float(u / pu))
 
-    def neg_mi(v):
-        point, grad = _exp_gradient(constellation, model, mb(v[0]), t1)
-        scored[point.params.lam] = point
-        return -point.mi_4d, -grad
-
     scan = [evaluate_family(constellation, mb(u), model) for u in _COARSE_U]
     best_i = int(np.argmax([point.mi_4d for point in scan]))
     best = scan[best_i]
-    u, fun, _, status = bfgs(neg_mi, [_COARSE_U[best_i]], gtol=_GTOL, maxfev=_MB_MAXFEV)
-    if status != 0:
-        raise OptimizationError(
-            f"Maxwell-Boltzmann rate search did not converge: it {_failure(status, _MB_MAXFEV)}",
-            best=(mb(u[0]).lam, -fun),
-        )
-    if 0.0 <= u[0] <= _U_MAX and -fun > best.mi_4d:
-        point = scored[mb(u[0]).lam]
-        return point.params.lam, point
+    (point,) = _bfgs_points(
+        "Maxwell-Boltzmann rate search",
+        lambda v: _exp_gradient(constellation, model, mb(v[0]), t1),
+        [[_COARSE_U[best_i]]], _MB_MAXFEV, lambda p: (p.params.lam, p.mi_4d),
+    )
+    if 0.0 <= point.params.lam <= _U_MAX / pu and point.mi_4d > best.mi_4d:
+        best = point
     return best.params.lam, best
 
 
@@ -238,44 +253,29 @@ def optimize_tailored(
     constellation and model, when the caller has it; otherwise it
     is searched here. That optimum is itself a candidate, at its exact
     rate and nu2 = 0 (the family contains MB there), so the returned MI
-    never falls below it. Among ties the smallest |nu2| wins. A winning
-    search point is returned as scored; only the MB candidate, which is
-    not a point of this family, is evaluated once more.
+    never falls below it. Among ties the smallest |nu2| wins. The point
+    returned is the one a search scored, or the MB optimum's own point.
     """
     pu = _grid_power(constellation)
     lam_star, mb_point = mb if mb is not None else optimize_mb(constellation, model)
-    scored = {}
-
-    def neg_mi(v):
-        point, grad = _tailored_gradient(constellation, model, v)
-        scored[point.params.nu1, point.params.nu2] = point
-        return -point.mi_4d, -grad
 
     grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
     grid_vals = [-evaluate_family(constellation, _tailored(g, pu), model).mi_4d for g in grid]
     starts = [(lam_star * pu, 0.0), grid[int(np.argmin(grid_vals))]]
+    points = _bfgs_points(
+        "tailored-family search", lambda v: _tailored_gradient(constellation, model, v),
+        starts, _TAILORED_MAXFEV, lambda p: (p.params.nu1, p.params.nu2, p.mi_4d),
+    )
 
-    # (neg MI, nu1, nu2) per candidate
-    candidates = [(-mb_point.mi_4d, lam_star, 0.0)]
-    for start in starts:
-        x, fun, _, status = bfgs(neg_mi, start, gtol=_GTOL, maxfev=_TAILORED_MAXFEV)
-        params = _tailored(x, pu)
-        if status != 0:
-            raise OptimizationError(
-                f"tailored-family search did not converge: it {_failure(status, _TAILORED_MAXFEV)}",
-                best=(params.nu1, params.nu2, -fun),
-            )
-        candidates.append((float(fun), params.nu1, params.nu2))
-
-    best_fun = min(c[0] for c in candidates)
+    # The MB optimum as a point of this family: tailored_pmf(lam, 0) is
+    # mb_pmf(lam) bit for bit, so only the labels change.
+    mb_params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=lam_star, nu2=0.0)
+    candidates = [replace(mb_point, family=Family.KURTOSIS_TAILORED, params=mb_params), *points]
+    best_mi = max(p.mi_4d for p in candidates)
     # Deterministic tie-break: among MI-equal optima prefer small |nu2|.
-    eligible = [c for c in candidates if c[0] <= best_fun + _MI_TIE_TOL]
-    _, nu1_star, nu2_star = min(eligible, key=lambda c: abs(c[2]))
-    point = scored.get((nu1_star, nu2_star))
-    if point is None:
-        params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1_star, nu2=nu2_star)
-        point = evaluate_family(constellation, params, model)
-    return nu1_star, nu2_star, point
+    eligible = [p for p in candidates if p.mi_4d >= best_mi - _MI_TIE_TOL]
+    point = min(eligible, key=lambda p: abs(p.params.nu2))
+    return point.params.nu1, point.params.nu2, point
 
 
 def _tailored(v, pu: float) -> ShapingParams:
@@ -338,20 +338,12 @@ def optimize_per_ring(
     optimum, and uniform; each only ever accepts a lower value, so the
     best point is never worse than its starts.
     """
-    n_rings = constellation.ring_sizes.size
-    if n_rings == 1:
+    if constellation.ring_sizes.size == 1:
         params = ShapingParams(Family.PER_RING, ring_probs=(1.0,))
         return np.array([1.0]), evaluate_family(constellation, params, model)
 
-    scored = {}
-
-    def neg_mi(y):
-        point, grad = _per_ring_gradient(constellation, model, y)
-        scored[tuple(y)] = point
-        return -point.mi_4d, -grad
-
-    (mb_point, tailored_point), = mi_curve(
-        constellation, model.c, [model.snr_gauss_db],
+    mb_point, tailored_point = _curve_point(
+        constellation, model.c, model.snr_gauss_db,
         (Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED),
     )
     starts = [
@@ -360,19 +352,12 @@ def optimize_per_ring(
                     build_pmf(constellation, mb_point.params),
                     uniform_pmf(constellation))
     ]
-
-    best_y, best_fun = None, np.inf
-    for start in starts:
-        y, fun, _, status = bfgs(neg_mi, start, gtol=_GTOL, maxfev=_PER_RING_MAXFEV)
-        if status != 0:
-            raise OptimizationError(
-                f"per-ring search did not converge: it {_failure(status, _PER_RING_MAXFEV)}",
-                best=(_masses_from_amplitudes(y), -fun),
-            )
-        if fun < best_fun:
-            best_fun, best_y = fun, y
-
-    return _masses_from_amplitudes(best_y), scored[tuple(best_y)]
+    points = _bfgs_points(
+        "per-ring search", lambda y: _per_ring_gradient(constellation, model, y),
+        starts, _PER_RING_MAXFEV, lambda p: (np.array(p.params.ring_probs), p.mi_4d),
+    )
+    point = max(points, key=lambda p: p.mi_4d)  # the first of equal bests
+    return np.array(point.params.ring_probs), point
 
 
 def _curve_point(

@@ -311,12 +311,13 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _require_seeds(**seeds: int) -> None:
-    """Raise a ValueError naming the first argument that is not a
-    non-negative integer, before any compute. numpy integers pass, as in
-    LinkConfig; bools do not."""
-    for name, seed in seeds.items():
-        _int_at_least(name, seed, 0)
+def _require_sample_rate(field: DualPolField, config: LinkConfig) -> None:
+    """Raise a ValueError unless the field was sampled at ``config``'s rate."""
+    if not math.isclose(field.sample_rate_hz, config.sample_rate_hz, rel_tol=1e-12):
+        raise ValueError(
+            f"field sample rate {field.sample_rate_hz} does not match the "
+            f"configuration ({config.sample_rate_hz})"
+        )
 
 
 def _draw_symbols(points, inverse_cdf, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -345,7 +346,7 @@ def generate_wdm(
     is exactly periodic and the matched filter is exactly Nyquist on the
     grid.
     """
-    _require_seeds(seed=seed)
+    _int_at_least("seed", seed, 0)
     _require_finite(launch_dbm=launch_dbm)
     rng = np.random.default_rng(seed)
     nsym = config.symbols_per_channel
@@ -410,11 +411,7 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
     calling thread. Deterministic, and bit-identical to a whole-field
     loop: the Kerr phase goes block by block through the field.
     """
-    if not math.isclose(field.sample_rate_hz, config.sample_rate_hz, rel_tol=1e-12):
-        raise ValueError(
-            f"field sample rate {field.sample_rate_hz} does not match the "
-            f"configuration ({config.sample_rate_hz})"
-        )
+    _require_sample_rate(field, config)
     if not np.all(np.isfinite(field.samples)):
         raise FloatingPointError(
             "field contains non-finite samples; increase steps or lower power"
@@ -459,7 +456,7 @@ def ase_psd_w_per_hz(gain_db: float, nf_db: float, wavelength_nm: float) -> floa
 
 def amplify(field: DualPolField, gain_db: float, nf_db: float, seed: int) -> DualPolField:
     """Flat-gain amplifier with white circular ASE per polarization."""
-    _require_seeds(seed=seed)
+    _int_at_least("seed", seed, 0)
     _require_finite(gain_db=gain_db, nf_db=nf_db)
     if gain_db <= 0.0:
         raise ValueError(f"gain_db must be positive, got {gain_db}")
@@ -493,6 +490,7 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
     nsym-point inverse FFT; and per-polarization data-aided complex
     scaling (which absorbs any constant phase). Returns a (2, nsym) array
     aligned with ``field.tx_symbols[channel_index]``."""
+    _require_sample_rate(field, config)
     k = config.channel_bins(channel_index)
     sps = config.samples_per_symbol
     freq = fftfreq(field.samples.shape[1], 1.0 / field.sample_rate_hz)
@@ -634,7 +632,8 @@ def transmission_run(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transmit, propagate, amplify by the span loss, and receive the
     center channel. Returns (rx symbols, tx symbols), each (2, nsym)."""
-    _require_seeds(tx_seed=tx_seed, amp_seed=amp_seed)
+    _int_at_least("tx_seed", tx_seed, 0)
+    _int_at_least("amp_seed", amp_seed, 0)
     field = generate_wdm(config, modulation, launch_dbm, tx_seed)
     field = propagate(field, config)
     field = amplify(field, config.span_loss_db, config.edfa_nf_db, amp_seed)
@@ -706,7 +705,7 @@ def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
     gain and the ideal CD compensation undo exactly. So the transmitted
     field is received back to back, with no dispersion to compensate.
     """
-    _require_seeds(seed=seed)
+    _int_at_least("seed", seed, 0)
     tx_seed, _ = _run_seed(seed, 0xBA5E)
     field = generate_wdm(config, gaussian_modulation(), 0.0, tx_seed)
     center = config.channels // 2

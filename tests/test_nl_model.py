@@ -303,6 +303,24 @@ class TestOptimizePerRing:
         assert margin < 1e-3
         print(f"per-ring over tailored at {order}QAM, 18 dB: {margin:.4e} bit/4D")
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("order", [64, 256])
+    @pytest.mark.parametrize("snr", [8.0, 10.0, 12.0, 14.0])
+    def test_range_within_1e3_of_tailored(self, order, snr):
+        # Where the README's 1e-3 bit/4D claim holds below 18 dB: from 12 dB
+        # up (margins of 6.0e-4 and 6.0e-4 at 12 dB, 4.2e-4 and 2.3e-4 at
+        # 14 dB, at 64 and 256QAM). At 10 dB the margin is 1.25e-3 and
+        # 1.44e-3, at 8 dB 3.5e-3 and 4.1e-3; there it is printed, not gated.
+        c = square_qam(order)
+        model = NlChannelModel(c=0.69, snr_gauss_db=snr)
+        _, _, tailored_point = optimize_tailored(c, model)
+        _, ring_point = optimize_per_ring(c, model)
+        margin = ring_point.mi_4d - tailored_point.mi_4d
+        print(f"per-ring over tailored at {order}QAM, {snr:g} dB: {margin:.4e} bit/4D")
+        assert margin >= -1e-12
+        if snr >= 12.0:
+            assert margin < 1e-3
+
 
 class TestSearchGradients:
     """The searches' gradients against central differences of
@@ -374,6 +392,58 @@ class TestSearchCaps:
         with pytest.raises(OptimizationError, match=f"{text} .* cap of 3 evaluations") as exc:
             search(square_qam(16), NlChannelModel(c=0.69, snr_gauss_db=12.0))
         assert math.isfinite(exc.value.best[-1])
+
+    # How each search's OptimizationError.best reads: its family's free
+    # parameters, as the search returns them, then the MI.
+    BEST_SHAPES = [
+        (optimize_mb, "_MB_MAXFEV", "Maxwell-Boltzmann rate search",
+         lambda lam: ShapingParams(Family.MAXWELL_BOLTZMANN, lam=lam)),
+        (optimize_tailored, "_TAILORED_MAXFEV", "tailored-family search",
+         lambda nu1, nu2: ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2)),
+        (optimize_per_ring, "_PER_RING_MAXFEV", "per-ring search",
+         lambda masses: ShapingParams(Family.PER_RING, ring_probs=tuple(masses))),
+    ]
+
+    @pytest.mark.parametrize("search, cap_name, text, params", BEST_SHAPES)
+    def test_best_is_the_last_point_as_scored(self, search, cap_name, text, params, monkeypatch):
+        from nlshaping import OptimizationError
+
+        c = square_qam(16)
+        model = NlChannelModel(c=0.69, snr_gauss_db=12.0)
+        monkeypatch.setattr(nl_model, cap_name, 3)
+        with pytest.raises(OptimizationError, match=f"^{text} did not converge") as exc:
+            search(c, model)
+        *free, mi = exc.value.best
+        if search is optimize_per_ring:
+            (masses,) = free
+            assert isinstance(masses, np.ndarray)
+            assert masses.shape == c.ring_sizes.shape
+            assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert all(type(value) is float for value in free)
+        assert type(mi) is float
+        assert mi == evaluate_family(c, params(*free), model).mi_4d
+
+    @pytest.mark.parametrize("search, cap_name, text, params", BEST_SHAPES)
+    def test_nan_mi_names_search(self, search, cap_name, text, params, monkeypatch):
+        # The MB and tailored optima that the tailored and per-ring
+        # searches start from are found first; then every value and
+        # gradient call returns a NaN MI, so each search fails at its start.
+        from nlshaping import OptimizationError
+
+        c = square_qam(16)
+        model = NlChannelModel(c=0.69, snr_gauss_db=12.0)
+        optima = nl_model._curve_point(c, model.c, model.snr_gauss_db,
+                                       (Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED))
+        real = nl_model._mi_and_gradient
+        monkeypatch.setattr(nl_model, "_mi_and_gradient", lambda *args: (math.nan, *real(*args)[1:]))
+        monkeypatch.setattr(nl_model, "_curve_point", lambda *args: optima)
+        kwargs = {"mb": (optima[0].params.lam, optima[0])} if search is optimize_tailored else {}
+        with pytest.raises(OptimizationError, match=f"^{text} did not converge: it met a NaN MI$") as exc:
+            search(c, model, **kwargs)
+        *free, mi = exc.value.best
+        assert len(free) == (2 if search is optimize_tailored else 1)
+        assert math.isnan(mi)
 
     def test_error_survives_pickling(self):
         from nlshaping import OptimizationError

@@ -625,6 +625,20 @@ class TestReceive:
         snr_edge = estimate_snr(receive(field, cfg, 0), field.tx_symbols[0])
         assert snr_center <= snr_edge
 
+    def test_sample_rate_mismatch_fails_before_any_fft(self, monkeypatch):
+        # Received as if at 32 GBd, a field sampled at 4 x 33 GBd put the
+        # matched filter on the wrong frequencies; its SNR read -13.5 dB.
+        cfg = tiny_config()
+        field = generate_wdm(cfg, uniform_mod(), 0.0, seed=23)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an FFT ran before the sample rate was checked")
+
+        for name in ("fft", "ifft", "fftfreq"):
+            monkeypatch.setattr(ssfm, name, fail)
+        with pytest.raises(ValueError, match="field sample rate .* does not match the configuration"):
+            receive(field, replace(cfg, baud_ghz=32.0), 0)
+
     def test_bad_channel_index(self):
         cfg = tiny_config()
         field = generate_wdm(cfg, uniform_mod(), 0.0, seed=23)
