@@ -101,6 +101,19 @@ def _out_path(text: str) -> str:
     return text
 
 
+def _config_path(text: str) -> str:
+    """Validate ``--config`` at parse time, as ``_out_path`` does
+    ``--out``: it must be a readable regular file."""
+    path = Path(text)
+    if not path.is_file():
+        problem = ("is a directory" if path.is_dir()
+                   else "is not a regular file" if path.exists() else "does not exist")
+        raise argparse.ArgumentTypeError(f"{text!r} {problem}")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"{text!r} is not readable")
+    return text
+
+
 def _finite(text: str) -> float:
     """A float argument that must be finite: nan and inf fail at parse
     time, naming the argument, before any compute."""
@@ -342,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pmf)
 
     p = sub.add_parser("simulate", help="launch-power sweep over the fiber link")
-    p.add_argument("--config", default=None, help="key = value config file")
+    p.add_argument("--config", type=_config_path, default=None,
+                   help="key = value config file")
     p.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=256)
     p.add_argument("--c", type=_finite, default=DEFAULT_C)
     p.add_argument("--cal-snr", type=_finite, default=18.0,
@@ -357,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate-c", help="fit eta2/eta1 from simulation probes")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", type=_config_path, default=None)
     p.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=64)
     p.add_argument("--probe-power", type=_finite, default=6.0)
     p.add_argument("--seed", type=int, default=None)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
 
-from .awgn_mi import (LN2, POSTERIOR_CHUNK, _neg_log_posterior, _posterior_work,
-                      _require_unit_power)
+from .awgn_mi import (LN2, POSTERIOR_BLOCK, POSTERIOR_CHUNK, _chunk_neg_log_posterior,
+                      _posterior_work, _require_unit_power)
 from .constellation import Constellation, _check_pmf_length, _int_at_least, normalized
 from .forks import forked_map
 from .shaping import Pmf, _inverse_cdf, entropy, excess_kurtosis
@@ -513,15 +513,26 @@ def _gain_removed(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
     return np.array([y / (np.vdot(x, y) / np.vdot(x, x)) for y, x in zip(rx, tx)])
 
 
+def _require_symbol_pair(rx: np.ndarray, tx: np.ndarray) -> None:
+    """Raise a ValueError unless received ``rx`` and sent ``tx`` have one
+    shape, at least ``MIN_MEASURED_SAMPLES`` samples, and no NaN or
+    infinite sample: one would make the estimate NaN."""
+    if rx.shape != tx.shape:
+        raise ValueError(f"shape mismatch: rx {rx.shape} vs tx {tx.shape}")
+    if rx.size < MIN_MEASURED_SAMPLES:
+        raise ValueError(f"need at least 1e4 symbols, got {rx.size}")
+    for name, values in (("rx_symbols", rx), ("tx_symbols", tx)):
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            raise ValueError(f"{name} must be finite: {bad} of {values.size} samples are not")
+
+
 def estimate_snr(rx_symbols: np.ndarray, tx_symbols: np.ndarray) -> float:
     """SNR in dB after per-polarization MMSE scaling, pooled over both
     polarizations, capped at ``SNR_CAP_DB``."""
     rx = np.atleast_2d(np.asarray(rx_symbols))
     tx = np.atleast_2d(np.asarray(tx_symbols))
-    if rx.shape != tx.shape:
-        raise ValueError(f"shape mismatch: rx {rx.shape} vs tx {tx.shape}")
-    if rx.size < MIN_MEASURED_SAMPLES:
-        raise ValueError(f"need at least 1e4 symbols, got {rx.size}")
+    _require_symbol_pair(rx, tx)
     signal = 0.0
     residual = 0.0
     for scaled, x in zip(_gain_removed(rx, tx), tx):
@@ -547,10 +558,7 @@ def mi_from_samples(
     """
     rx = np.asarray(rx_symbols).ravel()
     tx = np.asarray(tx_symbols).ravel()
-    if rx.shape != tx.shape:
-        raise ValueError(f"shape mismatch: rx {rx.shape} vs tx {tx.shape}")
-    if rx.size < MIN_MEASURED_SAMPLES:
-        raise ValueError(f"need at least 1e4 symbols, got {rx.size}")
+    _require_symbol_pair(rx, tx)
     _require_unit_power(constellation, pmf)
 
     sigma2 = float(np.mean(np.abs(rx - tx) ** 2))
@@ -561,11 +569,12 @@ def mi_from_samples(
     levels = constellation.levels
     grid = pmf.probs.reshape(levels.size, levels.size)
     i, q = np.divmod(_nearest_indices(constellation, tx), levels.size)
-    work = _posterior_work(levels.size, rx.size)
+    work = _posterior_work(levels.size, POSTERIOR_BLOCK)
     total = 0.0
     for lo in range(0, rx.size, POSTERIOR_CHUNK):
         part = slice(lo, lo + POSTERIOR_CHUNK)
-        neg_log_post = _neg_log_posterior(rx[part], i[part], q[part], levels, grid, sigma2, work)
+        neg_log_post = _chunk_neg_log_posterior(rx[part], i[part], q[part], levels, grid, sigma2,
+                                                work)
         total += float(neg_log_post.sum())
     mi = h_bits - total / rx.size / LN2
     return float(np.clip(mi, 0.0, h_bits))

@@ -5,6 +5,7 @@ import re
 import resource
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from nlshaping import (
     normalized,
     ring_pmf,
     square_qam,
+    ssfm,
     tailored_pmf,
     uniform_pmf,
 )
@@ -33,8 +35,11 @@ from nlshaping.awgn_mi import (
     EXP_UNDERFLOW,
     LN2,
     MIX_FLOOR,
+    POSTERIOR_BLOCK,
     POSTERIOR_CHUNK,
     PROB_TINY,
+    ROW_SKEW,
+    _chunk_neg_log_posterior,
     _is_dihedral,
     _mi_and_gradient,
     _neg_log_posterior,
@@ -44,6 +49,7 @@ from nlshaping.awgn_mi import (
     _snr_to_sigma2,
 )
 from nlshaping.constellation import SUPPORTED_ORDERS
+from nlshaping.shaping import GUIDE_BUCKETS_PER_POINT
 from nlshaping.ssfm import mi_from_samples
 
 SQRT_PI = math.sqrt(math.pi)
@@ -732,6 +738,74 @@ class TestWorkArrays:
         want = allocating_neg_log_posterior(y, i, q, c.levels, grid, sigma2)
         assert np.array_equal(got, want)
 
+    @staticmethod
+    def whole_chunk_oracle(y, i, q, levels, grid, sigma2):
+        """The allocating oracle on a whole chunk. Run on the chunk repeated
+        out to a multiple of 8 samples: a product whose width is not one
+        may round its last columns in an edge kernel of its own (see
+        ``TestBlockedProduct.test_matches_whole_product``). A lone sample
+        is one matrix-vector product either way."""
+        n = y.size
+        cols = n if n == 1 else -(-n // 8) * 8
+        padded = (np.resize(v, cols) for v in (y, i, q))
+        return allocating_neg_log_posterior(*padded, levels, grid, sigma2)[:n]
+
+    @pytest.mark.parametrize("length", ["1", "b-1", "b", "b+1", "c-1", "c", "2c+5"])
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+    def test_posterior_blocks_match_allocating_oracle(self, m, length):
+        # Both estimators draw and sum in chunks and evaluate each chunk in
+        # blocks of at most POSTERIOR_BLOCK samples. They take at least 1e4
+        # samples, so one full chunk comes first and the last chunk has the
+        # named length; "2c+5" ends in two full chunks and five samples.
+        # Every chunk must hold the bits of one evaluation of it whole.
+        b, c = POSTERIOR_BLOCK, POSTERIOR_CHUNK
+        n = {"1": c + 1, "b-1": c + b - 1, "b": c + b, "b+1": c + b + 1,
+             "c-1": 2 * c - 1, "c": 2 * c, "2c+5": 2 * c + 5}[length]
+        raw = square_qam(m * m)
+        rng = np.random.default_rng(m)
+        pmf = random_pmf(raw, "asymmetric", 1.0, rng)
+        unit = normalized(raw, pmf)
+        chunks = []
+
+        def spy(y, i, q, levels, grid, sigma2, work):
+            got = _chunk_neg_log_posterior(y, i, q, levels, grid, sigma2, work)
+            chunks.append((got, self.whole_chunk_oracle(y, i, q, levels, grid, sigma2)))
+            return got
+
+        idx = rng.choice(m * m, size=n, p=pmf.probs)
+        tx = unit.points[idx]
+        rx = tx + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        with mock.patch.object(awgn_mi, "_chunk_neg_log_posterior", spy):
+            mi_monte_carlo(unit, pmf, 12.0, n, seed=m)
+        with mock.patch.object(ssfm, "_chunk_neg_log_posterior", spy):
+            mi_from_samples(rx, tx, unit, pmf)
+        last = [n - c] if n <= 2 * c else [c, n - 2 * c]
+        assert [got.size for got, _ in chunks] == 2 * ([c] + last)
+        for got, want in chunks:
+            assert np.array_equal(got, want)
+
+    def test_posterior_memory_is_one_block(self):
+        # One estimate at 4096QAM over two chunks. Its traced peak is the
+        # posterior's three work arrays for one block, 3 x 64 x
+        # (POSTERIOR_BLOCK + ROW_SKEW) floats (12 MiB), the sampler's guide
+        # table of GUIDE_BUCKETS_PER_POINT intp per point (2 MiB), and the
+        # arrays of a chunk: its draws, noise, received samples, level
+        # indices and posterior values, 12.6 floats per sample as measured,
+        # allowed 16 (4 MiB). Work arrays for a whole chunk are 48 MiB.
+        c = square_qam(4096)
+        pmf = uniform_pmf(c)
+        unit = normalized(c, pmf)
+        mi_monte_carlo(unit, pmf, 12.0, 1 << 16, seed=1)
+        tracemalloc.start()
+        try:
+            mi_monte_carlo(unit, pmf, 12.0, 1 << 16, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work = 3 * 64 * (POSTERIOR_BLOCK + ROW_SKEW) * 8
+        guide = GUIDE_BUCKETS_PER_POINT * 4096 * 8
+        assert peak <= work + guide + 16 * POSTERIOR_CHUNK * 8
+
 
 class TestBlockedProduct:
     """The posterior's level product runs as one BLAS product per block of
@@ -747,7 +821,9 @@ class TestBlockedProduct:
 
     @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
     def test_every_product_within_one_thread_bound(self, order):
-        # Two full chunks and a short one, through the estimator.
+        # Two full chunks and a short one, through the estimator: one
+        # product per block of each full chunk, and one for the five
+        # samples of the last.
         matmul = np.matmul
         sizes = []
 
@@ -759,7 +835,8 @@ class TestBlockedProduct:
         pmf = uniform_pmf(c)
         with mock.patch.object(np, "matmul", spy):
             mi_monte_carlo(normalized(c, pmf), pmf, 12.0, 2 * POSTERIOR_CHUNK + 5, seed=1)
-        assert len(sizes) == 3 and max(sizes) <= BLAS_ONE_THREAD_MNK
+        assert len(sizes) == 2 * POSTERIOR_CHUNK // POSTERIOR_BLOCK + 1
+        assert max(sizes) <= BLAS_ONE_THREAD_MNK
 
     @staticmethod
     def product_of_chunk(m, n, rng_seed):

@@ -83,6 +83,32 @@ class TestExitCodes:
         assert "link.cfg:2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--order", "16", "--power-min", "0", "--power-max", "0"],
+        ["estimate-c", "--order", "16"],
+    ])
+    @pytest.mark.parametrize("config, message", [
+        ("missing.cfg", "'missing.cfg' does not exist"),
+        (".", "'.' is a directory"),
+    ])
+    def test_bad_config_is_2_before_compute(self, argv, config, message, tmp_path,
+                                            monkeypatch, capsys):
+        # Both ended in a traceback from open() in read_config.
+        from nlshaping import ssfm
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran before --config was checked")
+
+        for name in ("build_modulations", "power_sweep", "estimate_c", "default_probes"):
+            monkeypatch.setattr(cli, name, no_compute)
+        for name in ("generate_wdm", "propagate"):
+            monkeypatch.setattr(ssfm, name, no_compute)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--config", config])
+        assert exc.value.code == 2
+        assert f"error: argument --config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["mi-curve", "--order", "16", "--snr-min", "10", "--snr-max", "10"],
         ["pmf", "--order", "16", "--snr", "18", "--family", "mb"],
         ["simulate", "--order", "16", "--families", "mb",

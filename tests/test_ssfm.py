@@ -673,6 +673,20 @@ class TestEstimateSnr:
         with pytest.raises(ValueError, match="1e4"):
             estimate_snr(x[:100], x[:100])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("name", ["rx_symbols", "tx_symbols"])
+    def test_non_finite_sample_named(self, name, bad, monkeypatch):
+        # One such sample used to make the SNR NaN, with RuntimeWarnings only.
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the estimate ran on a non-finite sample")
+
+        monkeypatch.setattr(ssfm, "_gain_removed", no_compute)
+        x = np.ones((2, 10_000), dtype=complex)
+        pair = {"rx_symbols": x.copy(), "tx_symbols": x.copy()}
+        pair[name][1, 7] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite: 1 of 20000 samples are not"):
+            estimate_snr(**pair)
+
 
 def dense_mi_from_samples(rx, tx, constellation, pmf):
     """Oracle: the auxiliary-channel MI with the dense (samples, M)
@@ -756,6 +770,22 @@ class TestMiFromSamples:
         y, x = self.synthetic(18.0)
         with pytest.raises(ValueError, match="unit power"):
             mi_from_samples(y, x, self.c, self.pmf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("name", ["rx_symbols", "tx_symbols"])
+    def test_non_finite_sample_named(self, name, bad, monkeypatch):
+        # One such sample in 20,000 used to make the MI NaN, with
+        # RuntimeWarnings only.
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the estimate ran on a non-finite sample")
+
+        for fn in ("_nearest_indices", "_chunk_neg_log_posterior"):
+            monkeypatch.setattr(ssfm, fn, no_compute)
+        y, x = self.synthetic(18.0, n=20_000)
+        pair = {"rx_symbols": y, "tx_symbols": x}
+        pair[name][123] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite: 1 of 20000 samples are not"):
+            mi_from_samples(**pair, constellation=self.unit, pmf=self.pmf)
 
     @pytest.mark.parametrize("order", [256, 1024])
     def test_matches_dense_oracle(self, order):
