@@ -8,10 +8,11 @@ effective-SNR AWGN channel. The searches are the package's own BFGS
 (``search``), so this module and every design command run on numpy
 alone, without importing scipy.
 
-The MB, tailored and per-ring searches share one driver, ``_bfgs_points``:
-BFGS on the exact gradient of the quadrature MI from each start, with one
-error contract, an OptimizationError that names the search when a run
-hits its evaluation cap or meets a NaN MI. A pmf moves the MI three ways:
+The MB, tailored and per-ring searches each return the MiCurvePoint they
+chose and share one driver, ``_bfgs_points``: BFGS on the exact gradient
+of the quadrature MI from each start, with one error contract, an
+OptimizationError that names the search when a run hits its evaluation
+cap or meets a NaN MI. A pmf moves the MI three ways:
 through the pmf grid directly, through the unit-power scale s of the
 levels, and through the effective SNR, which the kurtosis sets. Since
 I(s L, sigma) = I(L, sigma / s), the last two enter as one derivative in
@@ -70,7 +71,7 @@ class OptimizationError(RuntimeError):
     """Raised when a shaping search hits its evaluation cap or meets a
     NaN MI.
 
-    Carries the best point found so far in ``best``.
+    ``best`` is the MiCurvePoint the failing run last accepted.
     """
 
     def __init__(self, message: str, best):
@@ -95,19 +96,24 @@ class NlChannelModel:
         # >= 1 - c > 0 when c is in [0, 1); outside it no such bound holds.
         if not 0.0 <= self.c < 1.0:
             raise ValueError(f"c must be in [0, 1), got {self.c}")
+        if not math.isfinite(self.snr_gauss_db):
+            raise ValueError(f"snr_gauss_db must be finite, got {self.snr_gauss_db}")
 
 
 @dataclass(frozen=True)
 class MiCurvePoint:
-    """One evaluated (family, SNR) operating point."""
+    """One evaluated operating point: a family's ``params`` at one SNR."""
 
     snr_gauss_db: float
-    family: Family
     params: ShapingParams
     kurtosis: float
     effective_snr_db: float
     mi_4d: float
     delta_mi_4d: float
+
+    @property
+    def family(self) -> Family:
+        return self.params.family
 
 
 def snr_ratio(kurt_a: float, kurt_b: float, c: float) -> float:
@@ -157,7 +163,6 @@ def _score(constellation, params, model, gradient):
     mi_4d = 2.0 * mi
     point = MiCurvePoint(
         snr_gauss_db=model.snr_gauss_db,
-        family=params.family,
         params=params,
         kurtosis=kurt,
         effective_snr_db=eff_db,
@@ -182,12 +187,12 @@ def _grid_power(constellation: Constellation) -> float:
     return float(np.mean(constellation.sq_magnitudes))
 
 
-def _bfgs_points(name: str, gradient, starts, maxfev: int, best) -> list[MiCurvePoint]:
+def _bfgs_points(name: str, gradient, starts, maxfev: int) -> list[MiCurvePoint]:
     """The point each ``search.bfgs`` run on -mi_4d accepted, one per start,
     exactly as ``gradient(v)`` scored it with d mi_4d / dv.
 
     A run that hits ``maxfev`` or meets a NaN MI raises OptimizationError
-    naming the search, with ``best(point)`` of the last point it accepted.
+    naming the search, with the last point it accepted as ``best``.
     """
     scored = {}
 
@@ -202,15 +207,15 @@ def _bfgs_points(name: str, gradient, starts, maxfev: int, best) -> list[MiCurve
         points.append(scored[tuple(x)])
         if status != 0:
             failure = f"hit its cap of {maxfev} evaluations" if status == 1 else "met a NaN MI"
-            raise OptimizationError(f"{name} did not converge: it {failure}", best=best(points[-1]))
+            raise OptimizationError(f"{name} did not converge: it {failure}", best=points[-1])
     return points
 
 
 def optimize_mb(
     constellation: Constellation,
     model: NlChannelModel,
-) -> tuple[float, MiCurvePoint]:
-    """Best Maxwell-Boltzmann rate for this model.
+) -> MiCurvePoint:
+    """The point of the best Maxwell-Boltzmann rate for this model.
 
     One cold search per call: a coarse scan over a fixed log-spaced grid
     of rates u = lam * P_u in [0, _U_MAX], then a BFGS search on the
@@ -219,7 +224,7 @@ def optimize_mb(
     an outward-leaning pmf is higher still; if it ends outside [0,
     _U_MAX], or no higher than the scanned rate, the scanned point is
     kept. The result depends only on the constellation and the model;
-    the returned point is the one the search or the scan scored.
+    it is the point the search or the scan scored.
     """
     pu = _grid_power(constellation)
     t1 = constellation.sq_magnitudes[np.newaxis] / pu
@@ -230,52 +235,48 @@ def optimize_mb(
     scan = [evaluate_family(constellation, mb(u), model) for u in _COARSE_U]
     best_i = int(np.argmax([point.mi_4d for point in scan]))
     best = scan[best_i]
-    (point,) = _bfgs_points(
-        "Maxwell-Boltzmann rate search",
-        lambda v: _exp_gradient(constellation, model, mb(v[0]), t1),
-        [[_COARSE_U[best_i]]], _MB_MAXFEV, lambda p: (p.params.lam, p.mi_4d),
-    )
+    (point,) = _bfgs_points("Maxwell-Boltzmann rate search",
+                            lambda v: _exp_gradient(constellation, model, mb(v[0]), t1),
+                            [[_COARSE_U[best_i]]], _MB_MAXFEV)
     if 0.0 <= point.params.lam <= _U_MAX / pu and point.mi_4d > best.mi_4d:
         best = point
-    return best.params.lam, best
+    return best
 
 
 def optimize_tailored(
     constellation: Constellation,
     model: NlChannelModel,
-    mb: tuple[float, MiCurvePoint] | None = None,
-) -> tuple[float, float, MiCurvePoint]:
-    """Best (nu1, nu2) of the kurtosis-tailored family.
+    mb: MiCurvePoint | None = None,
+) -> MiCurvePoint:
+    """The point of the best (nu1, nu2) of the kurtosis-tailored family.
 
     One cold search per call: BFGS searches on the exact MI gradient
     start from the Maxwell-Boltzmann optimum and from the best cell of a
-    coarse 2-D grid. ``mb`` is the ``optimize_mb`` result for the same
+    coarse 2-D grid. ``mb`` is the ``optimize_mb`` point for the same
     constellation and model, when the caller has it; otherwise it
     is searched here. That optimum is itself a candidate, at its exact
     rate and nu2 = 0 (the family contains MB there), so the returned MI
     never falls below it. Among ties the smallest |nu2| wins. The point
-    returned is the one a search scored, or the MB optimum's own point.
+    returned is the one a search scored, or the MB optimum's, relabeled.
     """
     pu = _grid_power(constellation)
-    lam_star, mb_point = mb if mb is not None else optimize_mb(constellation, model)
+    mb = mb if mb is not None else optimize_mb(constellation, model)
 
     grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
     grid_vals = [-evaluate_family(constellation, _tailored(g, pu), model).mi_4d for g in grid]
-    starts = [(lam_star * pu, 0.0), grid[int(np.argmin(grid_vals))]]
-    points = _bfgs_points(
-        "tailored-family search", lambda v: _tailored_gradient(constellation, model, v),
-        starts, _TAILORED_MAXFEV, lambda p: (p.params.nu1, p.params.nu2, p.mi_4d),
-    )
+    starts = [(mb.params.lam * pu, 0.0), grid[int(np.argmin(grid_vals))]]
+    points = _bfgs_points("tailored-family search",
+                          lambda v: _tailored_gradient(constellation, model, v),
+                          starts, _TAILORED_MAXFEV)
 
     # The MB optimum as a point of this family: tailored_pmf(lam, 0) is
-    # mb_pmf(lam) bit for bit, so only the labels change.
-    mb_params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=lam_star, nu2=0.0)
-    candidates = [replace(mb_point, family=Family.KURTOSIS_TAILORED, params=mb_params), *points]
+    # mb_pmf(lam) bit for bit, so only the params change.
+    mb_params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=mb.params.lam, nu2=0.0)
+    candidates = [replace(mb, params=mb_params), *points]
     best_mi = max(p.mi_4d for p in candidates)
     # Deterministic tie-break: among MI-equal optima prefer small |nu2|.
     eligible = [p for p in candidates if p.mi_4d >= best_mi - _MI_TIE_TOL]
-    point = min(eligible, key=lambda p: abs(p.params.nu2))
-    return point.params.nu1, point.params.nu2, point
+    return min(eligible, key=lambda p: abs(p.params.nu2))
 
 
 def _tailored(v, pu: float) -> ShapingParams:
@@ -325,8 +326,8 @@ def _per_ring_gradient(constellation, model, y) -> tuple[MiCurvePoint, np.ndarra
 def optimize_per_ring(
     constellation: Constellation,
     model: NlChannelModel,
-) -> tuple[np.ndarray, MiCurvePoint]:
-    """Free search over ring-constant pmfs on the probability simplex.
+) -> MiCurvePoint:
+    """Best point of a free search over ring-constant pmfs on the probability simplex.
 
     Ring masses are parameterized by amplitudes, q_r proportional to
     y_r^2 with the first ring's pinned at 1, so every iterate satisfies
@@ -340,7 +341,7 @@ def optimize_per_ring(
     """
     if constellation.ring_sizes.size == 1:
         params = ShapingParams(Family.PER_RING, ring_probs=(1.0,))
-        return np.array([1.0]), evaluate_family(constellation, params, model)
+        return evaluate_family(constellation, params, model)
 
     mb_point, tailored_point = _curve_point(
         constellation, model.c, model.snr_gauss_db,
@@ -352,12 +353,9 @@ def optimize_per_ring(
                     build_pmf(constellation, mb_point.params),
                     uniform_pmf(constellation))
     ]
-    points = _bfgs_points(
-        "per-ring search", lambda y: _per_ring_gradient(constellation, model, y),
-        starts, _PER_RING_MAXFEV, lambda p: (np.array(p.params.ring_probs), p.mi_4d),
-    )
-    point = max(points, key=lambda p: p.mi_4d)  # the first of equal bests
-    return np.array(point.params.ring_probs), point
+    points = _bfgs_points("per-ring search", lambda y: _per_ring_gradient(constellation, model, y),
+                          starts, _PER_RING_MAXFEV)
+    return max(points, key=lambda p: p.mi_4d)  # the first of equal bests
 
 
 def _curve_point(
@@ -373,12 +371,9 @@ def _curve_point(
         uniform = ShapingParams(Family.UNIFORM)
         points[Family.UNIFORM] = evaluate_family(constellation, uniform, model)
     if Family.MAXWELL_BOLTZMANN in families or Family.KURTOSIS_TAILORED in families:
-        lam, mb_point = optimize_mb(constellation, model)
-        points[Family.MAXWELL_BOLTZMANN] = mb_point
+        mb = points[Family.MAXWELL_BOLTZMANN] = optimize_mb(constellation, model)
     if Family.KURTOSIS_TAILORED in families:
-        _, _, points[Family.KURTOSIS_TAILORED] = optimize_tailored(
-            constellation, model, mb=(lam, mb_point)
-        )
+        points[Family.KURTOSIS_TAILORED] = optimize_tailored(constellation, model, mb=mb)
     return tuple(points[f] for f in CURVE_FAMILIES if f in families)
 
 
@@ -403,6 +398,8 @@ def mi_curve(
     grid = [float(s) for s in snr_grid_db]
     if not grid:
         raise ValueError("SNR grid must be non-empty")
+    if not all(math.isfinite(s) for s in grid):
+        raise ValueError(f"snr_grid_db must be finite, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("SNR grid must be strictly ascending")
     if not families or not set(families) <= set(CURVE_FAMILIES):

@@ -787,11 +787,11 @@ def estimate_c(
 def read_config(path) -> LinkConfig:
     """Parse a flat ``key = value`` configuration file into a LinkConfig.
 
-    Lines starting with ``#`` (or empty) are skipped; unknown keys and
-    malformed lines are reported with their line number.
+    Lines starting with ``#`` (or empty) are skipped; unknown or repeated
+    keys and malformed lines are reported with their line number.
     """
     known = {f.name: f.type for f in fields(LinkConfig)}
-    values = {}
+    values, first_line = {}, {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -803,6 +803,10 @@ def read_config(path) -> LinkConfig:
             key, value = key.strip(), value.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first set on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 if known[key] == "int":
                     values[key] = int(value)

@@ -97,8 +97,8 @@ def test_criterion_3_vertical_gains_at_18db():
     gains = {}
     for order in (64, 256, 1024):
         c = square_qam(order)
-        _, mb_point = optimize_mb(c, MODEL_18)
-        _, _, opt_point = optimize_tailored(c, MODEL_18)
+        mb_point = optimize_mb(c, MODEL_18)
+        opt_point = optimize_tailored(c, MODEL_18)
         gains[order] = opt_point.mi_4d - mb_point.mi_4d
     assert gains[256] == pytest.approx(0.10, abs=0.05)
     assert gains[1024] == pytest.approx(0.10, abs=0.05)
@@ -137,8 +137,8 @@ def test_criterion_5_per_ring_heuristic():
     margins = {}
     for order in (16, 64):
         c = square_qam(order)
-        _, _, opt_point = optimize_tailored(c, MODEL_18)
-        _, ring_point = optimize_per_ring(c, MODEL_18)
+        opt_point = optimize_tailored(c, MODEL_18)
+        ring_point = optimize_per_ring(c, MODEL_18)
         margin = ring_point.mi_4d - opt_point.mi_4d
         assert margin >= -1e-12  # multi-start includes the tailored optimum
         assert margin < 1e-3

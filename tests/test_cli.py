@@ -86,6 +86,26 @@ class TestExitCodes:
         ["simulate", "--order", "16", "--power-min", "0", "--power-max", "0"],
         ["estimate-c", "--order", "16"],
     ])
+    def test_duplicate_config_key_is_1_before_compute(self, argv, tmp_path, monkeypatch,
+                                                      capsys):
+        from nlshaping import ssfm
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran on a config with a duplicate key")
+
+        for name in ("build_modulations", "power_sweep", "estimate_c", "default_probes"):
+            monkeypatch.setattr(cli, name, no_compute)
+        for name in ("generate_wdm", "propagate"):
+            monkeypatch.setattr(ssfm, name, no_compute)
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text(TINY_CFG + "steps = 400\n", encoding="utf-8")
+        assert run_cli(argv + ["--config", str(cfg)]) == 1
+        assert f"{cfg}:7: duplicate key 'steps' (first set on line 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--order", "16", "--power-min", "0", "--power-max", "0"],
+        ["estimate-c", "--order", "16"],
+    ])
     @pytest.mark.parametrize("config, message", [
         ("missing.cfg", "'missing.cfg' does not exist"),
         (".", "'.' is a directory"),
@@ -210,8 +230,12 @@ class TestExitCodes:
 
         for name in ("generate_wdm", "propagate"):
             monkeypatch.setattr(ssfm, name, no_link)
+        # The line replaces TINY_CFG's own setting of its key, if any: a
+        # repeated key is an error of its own.
+        key = line.partition("=")[0]
+        kept = [ln for ln in TINY_CFG.splitlines(keepends=True) if not ln.startswith(key)]
         cfg = tmp_path / "link.cfg"
-        cfg.write_text(TINY_CFG + line + "\n", encoding="utf-8")
+        cfg.write_text("".join(kept) + line + "\n", encoding="utf-8")
         assert run_cli(command + ["--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
 

@@ -12,6 +12,7 @@ import pytest
 from nlshaping import (
     Constellation,
     Family,
+    MiCurvePoint,
     NlChannelModel,
     ShapingParams,
     effective_snr_db,
@@ -82,6 +83,12 @@ class TestNlChannelModel:
     def test_c_inside_accepted(self, c):
         assert NlChannelModel(c=c).c == c
 
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snr_rejected(self, snr):
+        # NaN used to pass and fail later, inside a search's quadrature.
+        with pytest.raises(ValueError, match=f"^snr_gauss_db must be finite, got {snr}$"):
+            NlChannelModel(c=0.69, snr_gauss_db=snr)
+
 
 class TestEffectiveSnr:
     def test_gaussian_kurtosis_is_identity(self):
@@ -137,7 +144,7 @@ class TestOptimizeMb:
     def test_awgn_channel_dominates_uniform(self):
         c = square_qam(64)
         model = NlChannelModel(c=0.0, snr_gauss_db=12.0)
-        _, point = optimize_mb(c, model)
+        point = optimize_mb(c, model)
         uni = evaluate_family(c, ShapingParams(Family.UNIFORM), model)
         assert point.mi_4d >= uni.mi_4d - 1e-12
 
@@ -145,7 +152,7 @@ class TestOptimizeMb:
     def test_grid_scan_oracle_never_beats_optimum(self, order):
         c = square_qam(order)
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-        _, point = optimize_mb(c, model)
+        point = optimize_mb(c, model)
         pu = _grid_power(c)
         best_scan = -np.inf
         for u in np.concatenate([[0.0], np.geomspace(1e-3, 30.0, 200)]):
@@ -159,7 +166,7 @@ class TestOptimizeMb:
         # reference operating point: best MB MI for 256QAM at 18 dB, c=0.69
         c = square_qam(256)
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-        _, point = optimize_mb(c, model)
+        point = optimize_mb(c, model)
         assert point.mi_4d == pytest.approx(12.10, abs=0.05)
 
     @pytest.mark.parametrize("order", [256, 1024])
@@ -167,8 +174,7 @@ class TestOptimizeMb:
         # At 5 dB the MI keeps rising below u = 0, and the search on the
         # derivative runs there (to u = -0.155 at 256QAM, -0.170 at
         # 1024QAM); the rate returned is the scanned edge, exactly.
-        lam, point = optimize_mb(square_qam(order), NlChannelModel(c=0.69, snr_gauss_db=5.0))
-        assert lam == 0.0
+        point = optimize_mb(square_qam(order), NlChannelModel(c=0.69, snr_gauss_db=5.0))
         assert point.params.lam == 0.0
 
     def test_small_rate_found_from_the_scanned_zero(self):
@@ -179,18 +185,23 @@ class TestOptimizeMb:
         scan = [evaluate_family(c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu), MODEL_18).mi_4d
                 for u in nl_model._COARSE_U]
         assert int(np.argmax(scan)) == 0
-        lam, point = optimize_mb(c, MODEL_18)
-        assert lam * pu == pytest.approx(1.512e-3, abs=1e-6)
+        point = optimize_mb(c, MODEL_18)
+        assert point.params.lam * pu == pytest.approx(1.512e-3, abs=1e-6)
         assert point.mi_4d > scan[0]
 
     @pytest.mark.parametrize("order, snr", [(16, 18.0), (64, 10.0), (256, 5.0), (256, 18.0),
                                             (1024, 22.0)])
     def test_returned_point_is_evaluate_family(self, order, snr):
+        # Every search returns the point it chose, exactly as
+        # evaluate_family scores that point's params.
         c = square_qam(order)
         model = NlChannelModel(c=0.69, snr_gauss_db=snr)
-        lam, point = optimize_mb(c, model)
-        assert point.params.lam == lam
-        assert point == evaluate_family(c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=lam), model)
+        for search, family in ((optimize_mb, Family.MAXWELL_BOLTZMANN),
+                               (optimize_tailored, Family.KURTOSIS_TAILORED),
+                               (optimize_per_ring, Family.PER_RING)):
+            point = search(c, model)
+            assert point.family is family
+            assert point == evaluate_family(c, point.params, model)
 
 
 class TestOptimizeTailored:
@@ -201,8 +212,8 @@ class TestOptimizeTailored:
         # below the nonlinear-channel gains.
         c = square_qam(64)
         model = NlChannelModel(c=0.0, snr_gauss_db=14.0)
-        _, mb_point = optimize_mb(c, model)
-        _, _, opt_point = optimize_tailored(c, model)
+        mb_point = optimize_mb(c, model)
+        opt_point = optimize_tailored(c, model)
         assert opt_point.mi_4d >= mb_point.mi_4d - 1e-9
         assert opt_point.mi_4d - mb_point.mi_4d < 1e-3
 
@@ -210,8 +221,8 @@ class TestOptimizeTailored:
         c = square_qam(16)
         for snr in (6.0, 12.0, 18.0):
             model = NlChannelModel(c=0.69, snr_gauss_db=snr)
-            _, mb_point = optimize_mb(c, model)
-            _, _, opt_point = optimize_tailored(c, model)
+            mb_point = optimize_mb(c, model)
+            opt_point = optimize_tailored(c, model)
             assert opt_point.mi_4d >= mb_point.mi_4d - 1e-9
 
     def test_mb_candidate_is_exact(self):
@@ -220,17 +231,17 @@ class TestOptimizeTailored:
         # its exact rate; tailored_pmf(lam, 0) is mb_pmf(lam) bit for bit.
         qpsk = Constellation(np.array([-1.0, 1.0]))
         model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
-        lam_star, mb_point = optimize_mb(qpsk, model)
-        nu1, nu2, point = optimize_tailored(qpsk, model, mb=(lam_star, mb_point))
-        assert nu1 == lam_star
-        assert nu2 == 0.0
+        mb_point = optimize_mb(qpsk, model)
+        point = optimize_tailored(qpsk, model, mb=mb_point)
+        assert point.params.nu1 == mb_point.params.lam
+        assert point.params.nu2 == 0.0
         assert point.mi_4d == mb_point.mi_4d
         assert point.kurtosis == mb_point.kurtosis
 
     def test_grid_scan_oracle_never_beats_optimum(self):
         c = square_qam(16)
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-        _, _, point = optimize_tailored(c, model)
+        point = optimize_tailored(c, model)
         best_scan = scan_best(c, model, np.linspace(-1.0, 4.0, 60), np.linspace(-2.0, 4.0, 60))
         assert best_scan <= point.mi_4d + 1e-4
 
@@ -242,7 +253,7 @@ class TestOptimizeTailored:
         # 6.8180 (the search returns 3.2330 and 6.8184).
         c = square_qam(order)
         model = NlChannelModel(c=kurtosis_c, snr_gauss_db=snr)
-        _, _, point = optimize_tailored(c, model)
+        point = optimize_tailored(c, model)
         u2 = np.geomspace(0.01, 60.0, 40)
         best_scan = scan_best(c, model, np.linspace(-6.0, 10.0, 81),
                               np.concatenate([-u2, [0.0], u2]))
@@ -253,8 +264,8 @@ class TestOptimizeTailored:
         gains = {}
         for order in (64, 256):
             c = square_qam(order)
-            _, mb_point = optimize_mb(c, model)
-            _, _, opt_point = optimize_tailored(c, model)
+            mb_point = optimize_mb(c, model)
+            opt_point = optimize_tailored(c, model)
             gains[order] = opt_point.mi_4d - mb_point.mi_4d
         assert gains[64] < gains[256]
 
@@ -263,8 +274,8 @@ class TestOptimizePerRing:
     def test_single_ring_has_no_freedom(self):
         qpsk = Constellation(np.array([-1.0, 1.0]))
         model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
-        ring_probs, point = optimize_per_ring(qpsk, model)
-        np.testing.assert_allclose(ring_probs, [1.0])
+        point = optimize_per_ring(qpsk, model)
+        np.testing.assert_allclose(point.params.ring_probs, [1.0])
         direct = evaluate_family(
             qpsk, ShapingParams(Family.PER_RING, ring_probs=(1.0,)), model
         )
@@ -273,8 +284,9 @@ class TestOptimizePerRing:
     def test_16qam_matches_tailored_and_never_below(self):
         c = square_qam(16)
         model = NlChannelModel(c=0.69, snr_gauss_db=18.0)
-        _, _, tailored_point = optimize_tailored(c, model)
-        ring_probs, ring_point = optimize_per_ring(c, model)
+        tailored_point = optimize_tailored(c, model)
+        ring_point = optimize_per_ring(c, model)
+        ring_probs = np.array(ring_point.params.ring_probs)
         # started from the tailored optimum: never below it
         assert ring_point.mi_4d >= tailored_point.mi_4d - 1e-12
         assert ring_point.mi_4d - tailored_point.mi_4d < 1e-4
@@ -284,8 +296,9 @@ class TestOptimizePerRing:
         # The simplex search this replaced hit its 4000-evaluation cap here.
         c = square_qam(64)
         model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
-        _, _, tailored_point = optimize_tailored(c, model)
-        ring_probs, ring_point = optimize_per_ring(c, model)
+        tailored_point = optimize_tailored(c, model)
+        ring_point = optimize_per_ring(c, model)
+        ring_probs = np.array(ring_point.params.ring_probs)
         margin = ring_point.mi_4d - tailored_point.mi_4d
         assert margin >= -1e-12
         assert ring_probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -296,8 +309,8 @@ class TestOptimizePerRing:
     def test_paper_orders_within_1e3_of_tailored(self, order):
         # The README's claim at the orders of the paper's gains.
         c = square_qam(order)
-        _, _, tailored_point = optimize_tailored(c, MODEL_18)
-        _, ring_point = optimize_per_ring(c, MODEL_18)
+        tailored_point = optimize_tailored(c, MODEL_18)
+        ring_point = optimize_per_ring(c, MODEL_18)
         margin = ring_point.mi_4d - tailored_point.mi_4d
         assert margin >= -1e-12
         assert margin < 1e-3
@@ -313,8 +326,8 @@ class TestOptimizePerRing:
         # 1.44e-3, at 8 dB 3.5e-3 and 4.1e-3; there it is printed, not gated.
         c = square_qam(order)
         model = NlChannelModel(c=0.69, snr_gauss_db=snr)
-        _, _, tailored_point = optimize_tailored(c, model)
-        _, ring_point = optimize_per_ring(c, model)
+        tailored_point = optimize_tailored(c, model)
+        ring_point = optimize_per_ring(c, model)
         margin = ring_point.mi_4d - tailored_point.mi_4d
         print(f"per-ring over tailored at {order}QAM, {snr:g} dB: {margin:.4e} bit/4D")
         assert margin >= -1e-12
@@ -388,24 +401,31 @@ class TestSearchCaps:
     def test_error_names_search_and_cap(self, search, cap_name, text, monkeypatch):
         from nlshaping import OptimizationError, nl_model
 
+        c = square_qam(16)
+        model = NlChannelModel(c=0.69, snr_gauss_db=12.0)
         monkeypatch.setattr(nl_model, cap_name, 3)
         with pytest.raises(OptimizationError, match=f"{text} .* cap of 3 evaluations") as exc:
-            search(square_qam(16), NlChannelModel(c=0.69, snr_gauss_db=12.0))
-        assert math.isfinite(exc.value.best[-1])
+            search(c, model)
+        best = exc.value.best
+        assert math.isfinite(best.mi_4d)
+        assert best == evaluate_family(c, best.params, model)
 
-    # How each search's OptimizationError.best reads: its family's free
-    # parameters, as the search returns them, then the MI.
+    FAMILY = {optimize_mb: Family.MAXWELL_BOLTZMANN, optimize_tailored: Family.KURTOSIS_TAILORED,
+              optimize_per_ring: Family.PER_RING}
+
+    # Each search's OptimizationError.best is a point of its family; these
+    # read the family's free parameters from the point's params.
     BEST_SHAPES = [
         (optimize_mb, "_MB_MAXFEV", "Maxwell-Boltzmann rate search",
-         lambda lam: ShapingParams(Family.MAXWELL_BOLTZMANN, lam=lam)),
+         lambda params: (params.lam,)),
         (optimize_tailored, "_TAILORED_MAXFEV", "tailored-family search",
-         lambda nu1, nu2: ShapingParams(Family.KURTOSIS_TAILORED, nu1=nu1, nu2=nu2)),
+         lambda params: (params.nu1, params.nu2)),
         (optimize_per_ring, "_PER_RING_MAXFEV", "per-ring search",
-         lambda masses: ShapingParams(Family.PER_RING, ring_probs=tuple(masses))),
+         lambda params: params.ring_probs),
     ]
 
-    @pytest.mark.parametrize("search, cap_name, text, params", BEST_SHAPES)
-    def test_best_is_the_last_point_as_scored(self, search, cap_name, text, params, monkeypatch):
+    @pytest.mark.parametrize("search, cap_name, text, free", BEST_SHAPES)
+    def test_best_is_the_last_point_as_scored(self, search, cap_name, text, free, monkeypatch):
         from nlshaping import OptimizationError
 
         c = square_qam(16)
@@ -413,19 +433,20 @@ class TestSearchCaps:
         monkeypatch.setattr(nl_model, cap_name, 3)
         with pytest.raises(OptimizationError, match=f"^{text} did not converge") as exc:
             search(c, model)
-        *free, mi = exc.value.best
+        best = exc.value.best
+        assert type(best) is MiCurvePoint
+        assert best.family is self.FAMILY[search]
+        values = free(best.params)
         if search is optimize_per_ring:
-            (masses,) = free
-            assert isinstance(masses, np.ndarray)
-            assert masses.shape == c.ring_sizes.shape
-            assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+            assert len(values) == c.ring_sizes.size
+            assert sum(values) == pytest.approx(1.0, abs=1e-12)
         else:
-            assert all(type(value) is float for value in free)
-        assert type(mi) is float
-        assert mi == evaluate_family(c, params(*free), model).mi_4d
+            assert all(type(value) is float for value in values)
+        assert type(best.mi_4d) is float
+        assert best == evaluate_family(c, best.params, model)
 
-    @pytest.mark.parametrize("search, cap_name, text, params", BEST_SHAPES)
-    def test_nan_mi_names_search(self, search, cap_name, text, params, monkeypatch):
+    @pytest.mark.parametrize("search, cap_name, text, free", BEST_SHAPES)
+    def test_nan_mi_names_search(self, search, cap_name, text, free, monkeypatch):
         # The MB and tailored optima that the tailored and per-ring
         # searches start from are found first; then every value and
         # gradient call returns a NaN MI, so each search fails at its start.
@@ -438,20 +459,23 @@ class TestSearchCaps:
         real = nl_model._mi_and_gradient
         monkeypatch.setattr(nl_model, "_mi_and_gradient", lambda *args: (math.nan, *real(*args)[1:]))
         monkeypatch.setattr(nl_model, "_curve_point", lambda *args: optima)
-        kwargs = {"mb": (optima[0].params.lam, optima[0])} if search is optimize_tailored else {}
+        kwargs = {"mb": optima[0]} if search is optimize_tailored else {}
         with pytest.raises(OptimizationError, match=f"^{text} did not converge: it met a NaN MI$") as exc:
             search(c, model, **kwargs)
-        *free, mi = exc.value.best
-        assert len(free) == (2 if search is optimize_tailored else 1)
-        assert math.isnan(mi)
+        best = exc.value.best
+        assert best.family is self.FAMILY[search]
+        assert all(math.isfinite(value) for value in free(best.params))
+        assert math.isnan(best.mi_4d)
 
     def test_error_survives_pickling(self):
         from nlshaping import OptimizationError
 
-        error = pickle.loads(pickle.dumps(OptimizationError("m", best=(1.0, 2.0))))
+        best = evaluate_family(square_qam(16), ShapingParams(Family.MAXWELL_BOLTZMANN, lam=0.05),
+                               MODEL_18)
+        error = pickle.loads(pickle.dumps(OptimizationError("m", best=best)))
         assert type(error) is OptimizationError
         assert str(error) == "m"
-        assert error.best == (1.0, 2.0)
+        assert error.best == best
 
 
 class TestMiCurve:
@@ -575,7 +599,8 @@ class TestMiCurve:
         monkeypatch.setattr(nl_model, "_TAILORED_MAXFEV", 3)
         with pytest.raises(OptimizationError, match="cap of 3 evaluations") as exc:
             mi_curve(c, 0.69, [12.0, 13.0, 14.0])
-        assert all(math.isfinite(value) for value in exc.value.best)
+        best = exc.value.best
+        assert all(math.isfinite(value) for value in (best.params.nu1, best.params.nu2, best.mi_4d))
         assert multiprocessing.active_children() == []
 
     def test_worker_error_reaches_caller_unchanged(self, cpus, monkeypatch):
@@ -583,18 +608,21 @@ class TestMiCurve:
         # lowest failing point raises, as in a serial run.
         from nlshaping import OptimizationError, nl_model
 
+        params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=0.5, nu2=0.0)
+
         def tailored(constellation, model, mb=None):
             if model.snr_gauss_db >= 13.0:
                 raise OptimizationError(f"no optimum at {model.snr_gauss_db}",
-                                        best=(0.5, model.snr_gauss_db, 1.25))
-            return 0.0, 0.0, mb[1]
+                                        best=evaluate_family(constellation, params, model))
+            return mb
 
         cpus(2)
         monkeypatch.setattr(nl_model, "optimize_tailored", tailored)
         with pytest.raises(OptimizationError) as exc:
             mi_curve(square_qam(16), 0.69, [12.0, 13.0, 14.0])
         assert str(exc.value) == "no optimum at 13.0"
-        assert exc.value.best == (0.5, 13.0, 1.25)
+        assert exc.value.best == evaluate_family(square_qam(16), params,
+                                                 NlChannelModel(c=0.69, snr_gauss_db=13.0))
         assert multiprocessing.active_children() == []
 
     def test_interrupt_stops_the_workers(self, cpus, monkeypatch):
@@ -671,6 +699,20 @@ class TestMiCurve:
         monkeypatch.setattr(nl_model, "forked_map", no_search)
         with pytest.raises(ValueError, match=r"c must be in \[0, 1\)"):
             mi_curve(square_qam(16), c, [0.0, 18.0])
+
+    @pytest.mark.parametrize("grid", [[10.0, math.nan], [math.nan, 10.0], [10.0, math.inf],
+                                      [-math.inf, 10.0]])
+    def test_non_finite_grid_fails_before_any_search(self, grid, cpus, monkeypatch):
+        # [10, nan] passed the ascending check, and the 10 dB point was
+        # designed before the nan one failed inside its search.
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search started before the grid was checked")
+
+        cpus(2)
+        monkeypatch.setattr(nl_model, "optimize_mb", no_search)
+        with pytest.raises(ValueError, match=r"^snr_grid_db must be finite"):
+            mi_curve(square_qam(256), 0.69, grid)
+        assert multiprocessing.active_children() == []
 
     def test_grid_validation(self):
         c = square_qam(16)

@@ -274,6 +274,14 @@ class TestReadConfig:
         with pytest.raises(ValueError, match=r"bad.cfg:1"):
             read_config(path)
 
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        # The last of two equal keys used to win silently.
+        path = tmp_path / "bad.cfg"
+        path.write_text("steps = 400\n# finer\nspan_km = 200\nsteps = 100\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_config(path)
+        assert str(exc.value) == f"{path}:4: duplicate key 'steps' (first set on line 1)"
+
 
 class TestRrcSpectrum:
     def test_passband_transition_stopband(self):
