@@ -15,8 +15,11 @@ import numpy as np
 
 from .constellation import Constellation, _check_pmf_length
 
-# Probabilities below this are flushed to zero after normalization so
-# downstream quadrature never sees subnormal noise.
+# Probabilities below this are flushed to zero after normalization, so a pmf
+# holds no subnormal mass. That does not keep the quadrature's products
+# normal: its kernel floors do (awgn_mi.KERNEL_LOG_FLOOR and
+# KERNEL_GRID_FLOOR), for every product in a mixture and for the kernel's
+# products with masses of at least 1.5e-158.
 PROB_FLOOR = 1e-300
 
 PMF_SUM_TOL = 1e-12

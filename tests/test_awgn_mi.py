@@ -1007,3 +1007,125 @@ class TestGradient:
             gh = gauss_hermite(rule)
             for snr_db in (6.0, 18.0):
                 assert _mi_and_gradient(c, pmf, snr_db, gh)[0] == mi_awgn_2d(c, pmf, snr_db, gh)
+
+
+def unfloored():
+    """The quadrature with its kernel floors off: the oracle of the floors."""
+    return mock.patch.multiple(awgn_mi, KERNEL_LOG_FLOOR=-np.inf, KERNEL_GRID_FLOOR=0.0)
+
+
+def floor_bounds(c, snr_db, rule):
+    """How far the kernel floors may move one quadrature, in bits: the MI,
+    sum_j p_j |dI/dP_j| and dI/dsigma.
+
+    Each mixture rises by at most delta = 2 e^L + m KERNEL_GRID_FLOOR, and
+    representative r's mixture at node pair (a, b) is at least its own
+    term p_r e^-(t_a^2 + t_b^2), so sum_r p_r mult_r sum_ab w_ab / mix_r is
+    at most M C, C = (sum_a w_a e^(t_a^2))^2 / pi. The MI moves by at most
+    delta M C nats; the pmf gradient, weighted by the pmf, by 3 delta M C;
+    dI/dsigma by 4 F delta M C, F the largest |2 d^2 / sigma^3 + 2 d t /
+    sigma^2| of the kernel's sigma-derivative.
+    """
+    m = c.levels.size
+    delta = 2.0 * math.exp(awgn_mi.KERNEL_LOG_FLOOR) + m * awgn_mi.KERNEL_GRID_FLOOR
+    t, w = rule.nodes, rule.weights
+    mc = c.order * float((w * np.exp(t * t)).sum()) ** 2 / math.pi
+    sigma = sigma_of(snr_db)
+    span = float(c.levels[-1] - c.levels[0])
+    f = 2.0 * span**2 / sigma**3 + 2.0 * span * float(np.abs(t).max()) / sigma**2
+    base = delta * mc / LN2
+    return base, 3.0 * base, 4.0 * f * base
+
+
+def extreme_floor_cases(order):
+    """The 52 cases of one order in the floors' oracle sweep: 13 pmfs, MB
+    u = lambda P_u in {0, 5, 30, 60} and tailored (nu1 P_u, nu2 P_u^2) in
+    {0, 4, 10} x {-0.5, 2, 8}, each at 5, 18, 30 and 40 dB."""
+    raw = square_qam(order)
+    pu = float(np.mean(raw.sq_magnitudes))
+    pmfs = [mb_pmf(raw, u / pu) for u in (0.0, 5.0, 30.0, 60.0)]
+    pmfs += [tailored_pmf(raw, v1 / pu, v2 / pu**2)
+             for v1 in (0.0, 4.0, 10.0) for v2 in (-0.5, 2.0, 8.0)]
+    for snr_db in (5.0, 18.0, 30.0, 40.0):
+        for pmf in pmfs:
+            yield normalized(raw, pmf), pmf, snr_db
+
+
+class TestQuadratureFloors:
+    """The quadrature's kernel floors keep its products normal floats and
+    every output within ``floor_bounds`` of the unfloored quadrature."""
+
+    @pytest.mark.parametrize("order", [64, 256, 1024, 4096])
+    def test_floors_keep_unfloored_bits(self, order):
+        # The MI and the pmf gradient keep their bits in all 208 cases.
+        # dI/dsigma keeps them except in 39 cases at 30 and 40 dB, where the
+        # MI has saturated and dI/dsigma is at most 4.9e-135 either way: the
+        # floored kernel's sigma-derivative adds up to 1.7e-140 (4096QAM,
+        # 40 dB, u = 60), at most 2.5e-4 of the bound.
+        gh = gauss_hermite(16)
+        for c, pmf, snr_db in extreme_floor_cases(order):
+            got = mi_awgn_2d(c, pmf, snr_db), _mi_and_gradient(c, pmf, snr_db)
+            with unfloored():
+                want = mi_awgn_2d(c, pmf, snr_db), _mi_and_gradient(c, pmf, snr_db)
+            assert got[0] == want[0] == got[1][0] == want[1][0]
+            assert np.array_equal(got[1][1], want[1][1])
+            if got[1][2] != want[1][2]:
+                assert abs(got[1][2] - want[1][2]) <= floor_bounds(c, snr_db, gh)[2]
+
+    def test_masses_near_prob_floor(self):
+        # Masses down to PROB_FLOOR: an outer ring of 1e-290, and a tailored
+        # pmf whose outer points fall to 4.5e-300. Their own terms are far
+        # below the floors, so the pmf gradient at those points moves (by
+        # up to 4e2 at 4096QAM), but by no more than the bound once weighted
+        # by their masses.
+        raw = square_qam(256)
+        rings = np.full(raw.ring_sizes.size, 1.0)
+        rings[-1] = 1e-290
+        ring = ring_pmf(raw, rings / rings.sum())
+        raw4096 = square_qam(4096)
+        pu = float(np.mean(raw4096.sq_magnitudes))
+        steep = tailored_pmf(raw4096, 0.0, 200.0 / pu**2)
+        gh = gauss_hermite(16)
+        for raw, pmf, snrs in ((raw, ring, (5.0, 18.0, 30.0, 40.0)), (raw4096, steep, (30.0,))):
+            assert pmf.probs[pmf.probs > 0.0].min() < 1e-289
+            c = normalized(raw, pmf)
+            for snr_db in snrs:
+                mi, d_grid, d_sigma = _mi_and_gradient(c, pmf, snr_db)
+                with unfloored():
+                    want_mi, want_grid, want_sigma = _mi_and_gradient(c, pmf, snr_db)
+                assert np.isfinite(d_grid).all() and math.isfinite(d_sigma)
+                mi_bound, grid_bound, sigma_bound = floor_bounds(c, snr_db, gh)
+                assert abs(mi - want_mi) <= mi_bound
+                assert float(pmf.probs @ np.abs(d_grid - want_grid).ravel()) <= grid_bound
+                assert abs(d_sigma - want_sigma) <= sigma_bound
+
+        # With 32 nodes the steep pmf's outer points have mixtures whose
+        # every term underflows to zero without the floors: the MI is then
+        # clipped to the entropy and the gradient is not finite. With them
+        # the MI agrees with the 64-node rule's.
+        c = normalized(raw4096, steep)
+        with unfloored(), np.errstate(all="ignore"):
+            assert not np.isfinite(_mi_and_gradient(c, steep, 30.0, gauss_hermite(32))[1]).all()
+        mi, d_grid, d_sigma = _mi_and_gradient(c, steep, 30.0, gauss_hermite(32))
+        assert np.isfinite(d_grid).all() and math.isfinite(d_sigma)
+        assert mi == pytest.approx(mi_awgn_2d(c, steep, 30.0, gauss_hermite(64)), rel=0.0, abs=1e-5)
+        assert entropy(steep) - mi > 1e-4
+
+    def test_kernels_hold_no_subnormal(self):
+        # At 1024QAM, 18 dB and MB u = 30 the unfloored kernel held 144
+        # subnormal entries, and each product with one took a microcode
+        # assist. The steep tailored pmf's outer columns bring kernel @ grid
+        # down to 1e-304, whose products with the kernel underflowed.
+        tiny = np.finfo(np.float64).tiny
+        raw1024, raw256 = square_qam(1024), square_qam(256)
+        mb = mb_pmf(raw1024, 30.0 / float(np.mean(raw1024.sq_magnitudes)))
+        steep = tailored_pmf(raw256, 0.0, 200.0 / float(np.mean(raw256.sq_magnitudes)) ** 2)
+        for raw, pmf in ((raw1024, mb), (raw256, steep)):
+            c = normalized(raw, pmf)
+            for call in (mi_awgn_2d, _mi_and_gradient):
+                call(c, pmf, 18.0)
+                k, kg = awgn_mi._quadrature_work.value[1][:2]
+                for kept in (k, kg):
+                    assert not ((kept > 0.0) & (kept < tiny)).any()
+                # Every product of a kernel entry and an entry of kernel @ grid.
+                assert float(k.min()) * float(kg.min()) >= tiny
