@@ -14,10 +14,12 @@ dihedrally symmetric (P = P^T = P[::-1] = P[:, ::-1]), every point of a
 symmetry orbit contributes the same term, and the outer expectation runs
 over one representative per orbit. The sample-based estimators, the
 Monte-Carlo check here and ``ssfm.mi_from_samples``, evaluate it per
-received sample through one posterior kernel, ``_neg_log_posterior``. Its
-sqrt(M) x sqrt(M) product runs on one thread in column blocks of samples,
-each small enough that BLAS does not thread it: on a 2-core host the
-threaded product took twice the CPU for no gain in wall time.
+received sample through one evaluator, ``_neg_log_posterior_chunks``: it
+takes the samples in chunks of ``POSTERIOR_CHUNK``, splits each into
+near-equal blocks of at most ``POSTERIOR_BLOCK`` for the posterior kernel
+``_neg_log_posterior``, whose sqrt(M) x sqrt(M) product then runs on one
+thread, and allocates the kernel's three (sqrt(M), block) work arrays once
+per estimate, 1, 2 and 4 MiB each at 256, 1024 and 4096QAM.
 
 The Monte-Carlo check draws its sent points, like the split-step's
 transmitter, through ``shaping._inverse_cdf``: a guide table over the
@@ -47,19 +49,9 @@ family's derivative weights dI/dP_j by p_j), and dI/dsigma by at most 4 F
 delta M C, F the largest factor |2 d^2 / sigma^3 + 2 d t / sigma^2| of the
 kernel's sigma-derivative. Over MB and tailored pmfs at 64-4096QAM and 5-40
 dB the MI and the pmf gradient kept their bits; dI/dsigma moved only where
-the MI has saturated and it is itself below 1e-134. On one core, a 1024QAM
-design point took 0.26 s before the floors and 0.16 s after at 18 dB, 0.34
-and 0.13 s at 25 dB; a 4096QAM point at 22 dB 2.95 and 0.91 s.
-
-Neither kernel allocates its large arrays per call, which would cost
-page faults as the allocator hands the memory back in between. The
-quadrature keeps its work arrays per thread, one set for the value and
-one more for the gradient, each replaced when its shapes change (see
-``mi_awgn_2d``); the sample-based estimators allocate the posterior's
-three (sqrt(M), block) arrays once per call, 1, 2 and 4 MiB each at 256,
-1024 and 4096QAM: they draw and sum in chunks of ``POSTERIOR_CHUNK``
-samples and evaluate each chunk in blocks of at most ``POSTERIOR_BLOCK``
-(``_chunk_neg_log_posterior``), a quarter of a chunk.
+the MI has saturated and it is itself below 1e-134. The quadrature keeps
+its work arrays per thread, one set for the value and one more for the
+gradient, each replaced when its shapes change (see ``mi_awgn_2d``).
 """
 
 from __future__ import annotations
@@ -364,33 +356,29 @@ def _posterior_layout(m: int, n: int) -> tuple[int, int, int]:
     return blocks, width, blocks * width + (ROW_SKEW if blocks > 1 else 0)
 
 
-def _posterior_work(m: int, samples: int) -> tuple[np.ndarray, ...]:
-    """Work arrays of ``_neg_log_posterior`` for m levels and calls of at
-    most ``samples`` samples: three flat float arrays, allocated once per
-    estimator call."""
-    size = m * _posterior_layout(m, samples)[2]
-    return np.empty(size), np.empty(size), np.empty(size)
+def _neg_log_posterior_chunks(samples, source, levels, grid, sigma2):
+    """Yield ``_neg_log_posterior`` in nats for each chunk of ``samples``
+    samples (see the module docstring); ``source(part)`` gives the samples
+    of the slice ``part`` as (y, i, q).
 
-
-def _chunk_neg_log_posterior(y, i, q, levels, grid, sigma2, work):
-    """``_neg_log_posterior`` of a chunk of n samples, evaluated on
-    ceil(n / ``POSTERIOR_BLOCK``) blocks of near-equal size, with ``work``
-    from ``_posterior_work(m, POSTERIOR_BLOCK)``.
-
-    Every sample keeps the bits of one call on the whole chunk: all but the
-    level product is per sample, and a column of the product keeps its
-    bits in every layout ``_posterior_layout`` gives a block of more than
-    one sample. A lone sample is a matrix-vector product, which rounds
+    Every sample keeps the bits of one call on its whole chunk: all but the
+    level product is per sample, and a column of the product keeps its bits
+    in every layout ``_posterior_layout`` gives a block of more than one
+    sample. A lone sample is a matrix-vector product, which rounds
     otherwise; equal blocks keep every block of a chunk longer than
     ``POSTERIOR_BLOCK`` above half a block.
     """
-    n = y.size
-    blocks = -(-n // POSTERIOR_BLOCK)
-    bounds = n * np.arange(blocks + 1) // blocks
-    return np.concatenate([
-        _neg_log_posterior(y[lo:hi], i[lo:hi], q[lo:hi], levels, grid, sigma2, work)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ])
+    size = levels.size * _posterior_layout(levels.size, POSTERIOR_BLOCK)[2]
+    work = np.empty(size), np.empty(size), np.empty(size)
+    for lo in range(0, samples, POSTERIOR_CHUNK):
+        y, i, q = source(slice(lo, min(lo + POSTERIOR_CHUNK, samples)))
+        n = y.size
+        blocks = -(-n // POSTERIOR_BLOCK)
+        bounds = n * np.arange(blocks + 1) // blocks
+        yield np.concatenate([
+            _neg_log_posterior(y[a:b], i[a:b], q[a:b], levels, grid, sigma2, work)
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ])
 
 
 def _neg_log_posterior(y, i, q, levels, grid, sigma2, work):
@@ -406,8 +394,8 @@ def _neg_log_posterior(y, i, q, levels, grid, sigma2, work):
     entries below exp(EXP_UNDERFLOW) moves it by at most one rounding.
     Below the floor, for a sample far from all mass whose nearest cells
     carry none, the sample is recomputed exactly by a dense log-sum-exp
-    over the support. ``work`` holds three flat float arrays, sized by
-    ``_posterior_work``.
+    over the support. ``work`` holds three flat float arrays of at least m
+    times ``_posterior_layout``'s stride floats each.
 
     The product P^T k_I runs on one thread, as one BLAS product per column
     block of samples (``_posterior_layout``), batched into one matmul: on a
@@ -474,26 +462,23 @@ def mi_monte_carlo(
     rng = np.random.default_rng(seed)
     x = constellation.points
     m = constellation.levels.size
-    grid = pmf.probs.reshape(m, m)
-
     inverse_cdf = _inverse_cdf(pmf)
-    work = _posterior_work(m, POSTERIOR_BLOCK)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        k = min(POSTERIOR_CHUNK, samples - done)
+
+    def draw(part):
+        k = part.stop - part.start
         idx = inverse_cdf(rng.random(k))  # Generator.choice's indices
         noise = np.sqrt(sigma2 / 2.0) * (
             rng.standard_normal(k) + 1j * rng.standard_normal(k)
         )
-        y = x[idx] + noise
-        i, q = np.divmod(idx, m)
-        neg_log_post = _chunk_neg_log_posterior(y, i, q, constellation.levels, grid, sigma2,
-                                                work) / LN2
-        total += float(neg_log_post.sum())
-        total_sq += float((neg_log_post**2).sum())
-        done += k
+        return (x[idx] + noise, *np.divmod(idx, m))
+
+    total = 0.0
+    total_sq = 0.0
+    for nats in _neg_log_posterior_chunks(samples, draw, constellation.levels,
+                                          pmf.probs.reshape(m, m), sigma2):
+        bits = nats / LN2
+        total += float(bits.sum())
+        total_sq += float((bits**2).sum())
 
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)

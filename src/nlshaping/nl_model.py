@@ -405,6 +405,8 @@ def mi_curve(
     if not families or not set(families) <= set(CURVE_FAMILIES):
         names = ", ".join(f.value for f in CURVE_FAMILIES)
         raise ValueError(f"families must be a non-empty subset of ({names})")
+    if len(set(families)) != len(families):
+        raise ValueError(f"families must be distinct, got {[f.value for f in families]}")
     NlChannelModel(c, grid[0])  # checks c before any search or worker
 
     return forked_map(lambda i: _curve_point(constellation, c, grid[i], families), len(grid))

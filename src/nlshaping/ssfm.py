@@ -31,8 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
 
-from .awgn_mi import (LN2, POSTERIOR_BLOCK, POSTERIOR_CHUNK, _chunk_neg_log_posterior,
-                      _posterior_work, _require_unit_power)
+from .awgn_mi import LN2, _neg_log_posterior_chunks, _require_unit_power
 from .constellation import Constellation, _check_pmf_length, _int_at_least, normalized
 from .forks import forked_map
 from .shaping import Pmf, _inverse_cdf, entropy, excess_kurtosis
@@ -105,6 +104,13 @@ class LinkConfig:
             )
         if self.channels < 1 or self.channels % 2 == 0:
             raise ValueError("channels must be a positive odd count")
+        # At or below zero, a baud leaves no band, a wavelength makes the ASE
+        # density negative, and a spacing stacks or reverses the comb.
+        positive = ("baud_ghz", "center_wavelength_nm", "spacing_ghz")
+        for name in positive if self.channels > 1 else positive[:2]:
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         bw = self.baud_ghz * self.samples_per_symbol
         need = self.channels * self.spacing_ghz + 2.0 * self.baud_ghz
         if bw < need:
@@ -569,13 +575,10 @@ def mi_from_samples(
     levels = constellation.levels
     grid = pmf.probs.reshape(levels.size, levels.size)
     i, q = np.divmod(_nearest_indices(constellation, tx), levels.size)
-    work = _posterior_work(levels.size, POSTERIOR_BLOCK)
     total = 0.0
-    for lo in range(0, rx.size, POSTERIOR_CHUNK):
-        part = slice(lo, lo + POSTERIOR_CHUNK)
-        neg_log_post = _chunk_neg_log_posterior(rx[part], i[part], q[part], levels, grid, sigma2,
-                                                work)
-        total += float(neg_log_post.sum())
+    for nats in _neg_log_posterior_chunks(rx.size, lambda part: (rx[part], i[part], q[part]),
+                                          levels, grid, sigma2):
+        total += float(nats.sum())
     mi = h_bits - total / rx.size / LN2
     return float(np.clip(mi, 0.0, h_bits))
 
@@ -740,6 +743,9 @@ def estimate_c(
     probes = list(probes)
     if len(probes) < 3:
         raise ValueError("need at least 3 probe modulations")
+    names = [probe.name for probe in probes]
+    if len(set(names)) != len(names):
+        raise ValueError(f"probe names must be distinct, got {names}")
     kurts = [probe.kurtosis for probe in probes]
     for i in range(len(kurts)):
         for j in range(i + 1, len(kurts)):

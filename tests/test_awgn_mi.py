@@ -39,12 +39,11 @@ from nlshaping.awgn_mi import (
     POSTERIOR_CHUNK,
     PROB_TINY,
     ROW_SKEW,
-    _chunk_neg_log_posterior,
     _is_dihedral,
     _mi_and_gradient,
     _neg_log_posterior,
+    _neg_log_posterior_chunks,
     _posterior_layout,
-    _posterior_work,
     _require_unit_power,
     _snr_to_sigma2,
 )
@@ -196,6 +195,13 @@ def allocating_mi_awgn_2d(constellation, pmf, snr_db, rule=None):
 
     mi = -float((p[reps] * mult * per_rep).sum()) / LN2
     return float(np.clip(mi, 0.0, entropy(pmf)))
+
+
+def posterior_work(m, n):
+    """Work arrays of ``_neg_log_posterior`` for calls of at most n samples
+    at m levels: three flat float arrays of ``_posterior_layout``'s size."""
+    size = m * _posterior_layout(m, n)[2]
+    return np.empty(size), np.empty(size), np.empty(size)
 
 
 def allocating_neg_log_posterior(y, i, q, levels, grid, sigma2):
@@ -598,7 +604,7 @@ class TestPosterior:
         )
         i, q = np.divmod(idx, m)
         got = _neg_log_posterior(y, i, q, c.points[::m].real, pmf.probs.reshape(m, m), sigma2,
-                                 _posterior_work(m, n))
+                                 posterior_work(m, n))
         logp = np.log(np.maximum(pmf.probs, PROB_TINY))
         want = dense_neg_log_posterior(y, idx, c.points, logp, sigma2)
         assert np.isfinite(got).all()
@@ -710,7 +716,7 @@ class TestWorkArrays:
         )
         i, q = np.divmod(idx, 16)
         grid = pmf.probs.reshape(16, 16)
-        work = _posterior_work(16, n)
+        work = posterior_work(16, n)
         for buf in work:
             buf.fill(np.nan)
         for lo in range(0, n, POSTERIOR_CHUNK):
@@ -734,7 +740,7 @@ class TestWorkArrays:
         sigma2 = float(np.mean(np.abs(y - x) ** 2))
         i, q = np.divmod(idx, 4)
         grid = pmf.probs.reshape(4, 4)
-        got = _neg_log_posterior(y, i, q, c.levels, grid, sigma2, _posterior_work(4, y.size))
+        got = _neg_log_posterior(y, i, q, c.levels, grid, sigma2, posterior_work(4, y.size))
         want = allocating_neg_log_posterior(y, i, q, c.levels, grid, sigma2)
         assert np.array_equal(got, want)
 
@@ -767,17 +773,23 @@ class TestWorkArrays:
         unit = normalized(raw, pmf)
         chunks = []
 
-        def spy(y, i, q, levels, grid, sigma2, work):
-            got = _chunk_neg_log_posterior(y, i, q, levels, grid, sigma2, work)
-            chunks.append((got, self.whole_chunk_oracle(y, i, q, levels, grid, sigma2)))
-            return got
+        def spy(samples, source, levels, grid, sigma2):
+            taken = []
+
+            def recorded(part):
+                taken.append(source(part))
+                return taken[-1]
+
+            for got in _neg_log_posterior_chunks(samples, recorded, levels, grid, sigma2):
+                chunks.append((got, self.whole_chunk_oracle(*taken[-1], levels, grid, sigma2)))
+                yield got
 
         idx = rng.choice(m * m, size=n, p=pmf.probs)
         tx = unit.points[idx]
         rx = tx + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        with mock.patch.object(awgn_mi, "_chunk_neg_log_posterior", spy):
+        with mock.patch.object(awgn_mi, "_neg_log_posterior_chunks", spy):
             mi_monte_carlo(unit, pmf, 12.0, n, seed=m)
-        with mock.patch.object(ssfm, "_chunk_neg_log_posterior", spy):
+        with mock.patch.object(ssfm, "_neg_log_posterior_chunks", spy):
             mi_from_samples(rx, tx, unit, pmf)
         last = [n - c] if n <= 2 * c else [c, n - 2 * c]
         assert [got.size for got, _ in chunks] == 2 * ([c] + last)
@@ -849,7 +861,7 @@ class TestBlockedProduct:
         i, q = rng.integers(0, m, (2, POSTERIOR_CHUNK))
         y = levels[i] + 1j * levels[q] + 0.7 * (rng.standard_normal(POSTERIOR_CHUNK)
                                                 + 1j * rng.standard_normal(POSTERIOR_CHUNK))
-        work = _posterior_work(m, n)
+        work = posterior_work(m, n)
         for buf in work:
             buf.fill(np.nan)
         _neg_log_posterior(y[:n], i[:n], q[:n], levels, grid, 0.98, work)

@@ -676,6 +676,15 @@ class TestMiCurve:
         with pytest.raises(ValueError, match="subset"):
             mi_curve(c, 0.69, [12.0], (Family.PER_RING,))
 
+    def test_repeated_family_fails_before_any_search(self, monkeypatch):
+        # Two MB requests returned one point per SNR.
+        def no_search(*args, **kwargs):
+            raise AssertionError("the grid ran before the families were checked")
+
+        monkeypatch.setattr(nl_model, "forked_map", no_search)
+        with pytest.raises(ValueError, match=r"families must be distinct, got \['mb', 'mb'\]"):
+            mi_curve(square_qam(16), 0.69, [12.0], (Family.MAXWELL_BOLTZMANN,) * 2)
+
     def test_point_independent_of_grid_position(self):
         # Every grid point is its own cold search: the same SNR gives the
         # same points, to the last bit, alone or inside a longer grid.

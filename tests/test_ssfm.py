@@ -172,6 +172,18 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=f"{name} must be at least {least}, got {value}"):
             LinkConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("spacing_ghz", 0.0),             # put every channel at bin 0
+        ("spacing_ghz", -33.0),           # numbered the channels from the top
+        ("baud_ghz", 0.0),                # failed with "raise samples_per_symbol"
+        ("baud_ghz", -33.0),
+        ("center_wavelength_nm", -1550.0),  # failed in amplify as a gain problem
+        ("center_wavelength_nm", 0.0),
+    ])
+    def test_non_positive_field_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got {value!r}"):
+            LinkConfig(**{name: value})
+
     def test_numpy_integers_taken_as_python_integers(self):
         # An unsigned channel count wrapped channel_bins(0) below zero.
         cfg = LinkConfig(seed=np.int64(0), steps=np.int32(400), channels=np.uint8(3))
@@ -202,7 +214,7 @@ class TestLinkConfig:
     def test_on_grid_spacing_accepted(self, spacing):
         assert LinkConfig(spacing_ghz=spacing).spacing_ghz == spacing
 
-    @pytest.mark.parametrize("spacing", [33.0, 37.5, 50.0, 12.345])
+    @pytest.mark.parametrize("spacing", [33.0, 37.5, 50.0, 12.345, 0.0, -33.0])
     def test_any_spacing_with_one_channel(self, spacing):
         assert tiny_config(spacing_ghz=spacing).spacing_ghz == spacing
 
@@ -787,7 +799,7 @@ class TestMiFromSamples:
         def no_compute(*args, **kwargs):
             raise AssertionError("the estimate ran on a non-finite sample")
 
-        for fn in ("_nearest_indices", "_chunk_neg_log_posterior"):
+        for fn in ("_nearest_indices", "_neg_log_posterior_chunks"):
             monkeypatch.setattr(ssfm, fn, no_compute)
         y, x = self.synthetic(18.0, n=20_000)
         pair = {"rx_symbols": y, "tx_symbols": x}
@@ -1016,6 +1028,17 @@ class TestEstimateC:
         ]
         with pytest.raises(ValueError, match="separated"):
             estimate_c(cfg, probes, probe_power_dbm=6.0)
+
+    def test_repeated_probe_name_rejected_before_calibration(self, monkeypatch):
+        # Each probe's CSV row is keyed by its name; two differently shaped
+        # probes with one name both ran.
+        _no_link_compute(monkeypatch)
+        c64 = square_qam(64)
+        probes = self.probes()
+        probes[2] = Modulation("uniform", c64, mb_pmf(c64, 30.0 / 42.0))
+        with pytest.raises(ValueError, match="probe names must be distinct, got "
+                                             r"\['uniform', 'gaussian', 'uniform'\]"):
+            estimate_c(tiny_config(), probes, probe_power_dbm=6.0)
 
     @pytest.mark.parametrize("power", [math.nan, math.inf])
     def test_non_finite_probe_power_rejected_before_calibration(self, power, monkeypatch):
