@@ -101,6 +101,10 @@ KERNEL_GRID_FLOOR = float(2.0 * np.finfo(np.float64).tiny / np.exp(KERNEL_LOG_FL
 # and of summation.
 POSTERIOR_CHUNK = 1 << 15
 
+# Fewest samples a sample-based estimate takes: mi_monte_carlo's draws, and
+# received symbols times polarizations in ssfm's estimate_snr and mi_from_samples.
+MIN_MEASURED_SAMPLES = 10_000
+
 # Most samples per evaluation of the posterior within a chunk. At 16-4096QAM
 # 2^13 took the least CPU per estimate: 2^12 took 1-7% more, 2^11 40-60% more
 # at 256 and 1024QAM, and whole chunks 1-23% more with four times the work
@@ -131,11 +135,14 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
+
+    @property
+    def order(self) -> int:
+        return self.nodes.size
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,7 +155,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
     if order > 64:
         raise ValueError(f"quadrature order must be at most 64, got {order}")
     nodes, weights = hermgauss(order)
-    return QuadratureRule(nodes, weights, order)
+    return QuadratureRule(nodes, weights)
 
 
 def _snr_to_sigma2(snr_db: float) -> float:
@@ -454,7 +461,7 @@ def mi_monte_carlo(
     """
     seed = _int_at_least("seed", seed, 0)
     samples = _int_at_least("samples", samples, 1)
-    if samples < 10_000:
+    if samples < MIN_MEASURED_SAMPLES:
         raise ValueError(f"need at least 1e4 samples for a stable estimate, got {samples}")
     _require_unit_power(constellation, pmf)
     sigma2 = _snr_to_sigma2(snr_db)

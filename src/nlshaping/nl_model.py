@@ -109,11 +109,16 @@ class MiCurvePoint:
     kurtosis: float
     effective_snr_db: float
     mi_4d: float
-    delta_mi_4d: float
 
     @property
     def family(self) -> Family:
         return self.params.family
+
+    @property
+    def delta_mi_4d(self) -> float:
+        """``mi_4d`` less the Gaussian-input MI at ``snr_gauss_db``."""
+        snr_lin = 10.0 ** (self.snr_gauss_db / 10.0)
+        return self.mi_4d - 2.0 * math.log2(1.0 + snr_lin)
 
 
 def snr_ratio(kurt_a: float, kurt_b: float, c: float) -> float:
@@ -131,11 +136,6 @@ def effective_snr_db(model: NlChannelModel, kurtosis: float) -> float:
     """SNR in dB after correcting the Gaussian-reference optimum for the
     modulation's excess kurtosis (a Gaussian has kurtosis zero)."""
     return model.snr_gauss_db + 10.0 * math.log10(snr_ratio(kurtosis, 0.0, model.c))
-
-
-def _delta_mi(mi_4d: float, snr_gauss_db: float) -> float:
-    snr_lin = 10.0 ** (snr_gauss_db / 10.0)
-    return mi_4d - 2.0 * math.log2(1.0 + snr_lin)
 
 
 def evaluate_family(
@@ -167,7 +167,6 @@ def _score(constellation, params, model, gradient):
         kurtosis=kurt,
         effective_snr_db=eff_db,
         mi_4d=mi_4d,
-        delta_mi_4d=_delta_mi(mi_4d, model.snr_gauss_db),
     )
     if not gradient:
         return point

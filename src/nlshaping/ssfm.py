@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.fft import fft, fftfreq, ifft
 
-from .awgn_mi import LN2, _neg_log_posterior_chunks, _require_unit_power
+from .awgn_mi import LN2, MIN_MEASURED_SAMPLES, _neg_log_posterior_chunks, _require_unit_power
 from .constellation import Constellation, _check_pmf_length, _int_at_least, normalized
 from .forks import forked_map
 from .shaping import Pmf, _inverse_cdf, entropy, excess_kurtosis
@@ -53,10 +53,6 @@ KERR_BLOCK = 1 << 13
 # Largest distance of spacing * symbols / baud from an integer for the
 # WDM comb to count as lying on the FFT grid.
 COMB_GRID_TOL = 1e-9
-
-# Fewest received samples (symbols times two polarizations) that
-# estimate_snr and mi_from_samples accept.
-MIN_MEASURED_SAMPLES = 10_000
 
 # NLI extraction refuses to fit when the excess over the linear baseline
 # is below this fraction of the ASE variance.
@@ -97,11 +93,15 @@ class LinkConfig:
                 object.__setattr__(self, f.name, _int_at_least(f.name, value, least))
             elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        # A noise factor F below 1 would make the ASE density negative.
-        if self.edfa_nf_db < 0.0:
-            raise ValueError(
-                f"edfa_nf_db must be at least 0 dB (noise factor F >= 1), got {self.edfa_nf_db}"
-            )
+        # Below zero, a span or an attenuation makes the span loss a gain,
+        # and a noise figure (a noise factor F below 1) makes the ASE density
+        # negative.
+        for name, bound in (("span_km", " (span loss >= 0 dB)"),
+                            ("alpha_db_per_km", " (span loss >= 0 dB)"),
+                            ("edfa_nf_db", " dB (noise factor F >= 1)")):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise ValueError(f"{name} must be at least 0{bound}, got {value!r}")
         if self.channels < 1 or self.channels % 2 == 0:
             raise ValueError("channels must be a positive odd count")
         # At or below zero, a baud leaves no band, a wavelength makes the ASE
@@ -218,7 +218,6 @@ class DualPolField:
 
     samples: np.ndarray              # (2, n) complex, sqrt(W)
     sample_rate_hz: float
-    center_wavelength_nm: float
     tx_symbols: np.ndarray           # (channels, 2, nsym), unit mean power
 
     def __post_init__(self):
@@ -250,9 +249,12 @@ class CFitResult:
 
     eta1: float
     eta2: float
-    c: float
     r_squared: float
     probes: tuple[ProbeResult, ...] = field(default_factory=tuple)
+
+    @property
+    def c(self) -> float:
+        return self.eta2 / self.eta1
 
 
 def rrc_spectrum(freq_hz: np.ndarray, baud_hz: float, rolloff: float) -> np.ndarray:
@@ -383,7 +385,7 @@ def generate_wdm(
         spectrum[:, :k] += shaped[:, n - k :]
 
     samples = ifft(spectrum, axis=-1, out=spectrum)
-    return DualPolField(samples, fs, config.center_wavelength_nm, tx_symbols)
+    return DualPolField(samples, fs, tx_symbols)
 
 
 def _kerr_phase(e, scale, power, kerr):
@@ -452,31 +454,24 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
     return replace(field, samples=e)
 
 
-def ase_psd_w_per_hz(gain_db: float, nf_db: float, wavelength_nm: float) -> float:
-    """One-sided ASE power spectral density per polarization."""
-    gain = 10.0 ** (gain_db / 10.0)
-    nf = 10.0 ** (nf_db / 10.0)
-    nu = LIGHT_SPEED / (wavelength_nm * 1e-9)
+def ase_psd_w_per_hz(config: LinkConfig) -> float:
+    """One-sided ASE power spectral density per polarization of the amplifier
+    restoring ``config``'s span loss: never negative, as LinkConfig keeps G F >= 1."""
+    gain = 10.0 ** (config.span_loss_db / 10.0)
+    nf = 10.0 ** (config.edfa_nf_db / 10.0)
+    nu = LIGHT_SPEED / (config.center_wavelength_nm * 1e-9)
     return (PLANCK * nu / 2.0) * (gain * nf - 1.0)
 
 
-def amplify(field: DualPolField, gain_db: float, nf_db: float, seed: int) -> DualPolField:
-    """Flat-gain amplifier with white circular ASE per polarization."""
+def amplify(field: DualPolField, config: LinkConfig, seed: int) -> DualPolField:
+    """Flat-gain amplifier that restores ``config``'s span loss, with
+    white circular ASE per polarization."""
     _int_at_least("seed", seed, 0)
-    _require_finite(gain_db=gain_db, nf_db=nf_db)
-    if gain_db <= 0.0:
-        raise ValueError(f"gain_db must be positive, got {gain_db}")
-    psd = ase_psd_w_per_hz(gain_db, nf_db, field.center_wavelength_nm)
-    # G F = 1 is the noiseless edge; below it the density is negative.
-    if psd < 0.0:
-        raise ValueError(
-            f"gain_db = {gain_db} with nf_db = {nf_db} gives a negative ASE density: "
-            "the gain times the noise factor must be at least 1"
-        )
+    _require_sample_rate(field, config)
     rng = np.random.default_rng(seed)
-    var = psd * field.sample_rate_hz
+    var = ase_psd_w_per_hz(config) * field.sample_rate_hz
     scale = np.sqrt(var / 2.0)
-    out = field.samples * 10.0 ** (gain_db / 20.0)
+    out = field.samples * 10.0 ** (config.span_loss_db / 20.0)
     # The real parts of the noise are drawn first, then the imaginary
     # parts, through one float buffer.
     noise = rng.standard_normal(out.shape)
@@ -601,8 +596,7 @@ def _nearest_indices(constellation: Constellation, values: np.ndarray) -> np.nda
 def analytic_ase_snr_db(config: LinkConfig, launch_dbm: float) -> float:
     """Per-channel SNR if ASE were the only impairment: half the dual-pol
     launch power against the per-polarization ASE in the symbol band."""
-    psd = ase_psd_w_per_hz(config.span_loss_db, config.edfa_nf_db,
-                           config.center_wavelength_nm)
+    psd = ase_psd_w_per_hz(config)
     p_pol = 1e-3 * 10.0 ** (launch_dbm / 10.0) / 2.0
     return 10.0 * math.log10(p_pol / (psd * config.baud_ghz * 1e9))
 
@@ -648,7 +642,7 @@ def transmission_run(
     _int_at_least("amp_seed", amp_seed, 0)
     field = generate_wdm(config, modulation, launch_dbm, tx_seed)
     field = propagate(field, config)
-    field = amplify(field, config.span_loss_db, config.edfa_nf_db, amp_seed)
+    field = amplify(field, config, amp_seed)
     center = config.channels // 2
     return receive(field, config, center), field.tx_symbols[center]
 
@@ -706,7 +700,7 @@ def power_sweep(
     return forked_map(run, len(runs))
 
 
-def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
+def linear_crosstalk_fraction(config: LinkConfig) -> float:
     """Residual noise-to-signal ratio of the linear noiseless link.
 
     With overlapping root-raised-cosine spectra the neighbors leak a
@@ -716,9 +710,9 @@ def linear_crosstalk_fraction(config: LinkConfig, seed: int) -> float:
     is one linear filter, its loss and dispersion, which the amplifier
     gain and the ideal CD compensation undo exactly. So the transmitted
     field is received back to back, with no dispersion to compensate.
+    The symbols are drawn from ``config.seed``.
     """
-    _int_at_least("seed", seed, 0)
-    tx_seed, _ = _run_seed(seed, 0xBA5E)
+    tx_seed, _ = _run_seed(config.seed, 0xBA5E)
     field = generate_wdm(config, gaussian_modulation(), 0.0, tx_seed)
     center = config.channels // 2
     back_to_back = replace(config, dispersion_ps_nm_km=0.0)
@@ -757,7 +751,7 @@ def estimate_c(
                 )
 
     _require_measurable(config)
-    xtalk = linear_crosstalk_fraction(config, config.seed)
+    xtalk = linear_crosstalk_fraction(config)
     ase_rel = 10.0 ** (-analytic_ase_snr_db(config, probe_power_dbm) / 10.0)
     p_w = 1e-3 * 10.0 ** (probe_power_dbm / 10.0)
 
@@ -787,7 +781,7 @@ def estimate_c(
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         raise ValueError("ill-conditioned fit: probes show identical NLI")
-    return CFitResult(eta1, eta2, eta2 / eta1, 1.0 - ss_res / ss_tot, tuple(rows))
+    return CFitResult(eta1, eta2, 1.0 - ss_res / ss_tot, tuple(rows))
 
 
 def read_config(path) -> LinkConfig:

@@ -163,7 +163,7 @@ class TestCriterion7SsfmPhysics:
 
     def test_a_nli_power_law_slope(self):
         cfg = self.CONFIG
-        xtalk = linear_crosstalk_fraction(cfg, cfg.seed)
+        xtalk = linear_crosstalk_fraction(cfg)
         powers = [3.0, 5.0, 7.0, 9.0]
 
         def nli_w(i: int) -> float:

@@ -134,10 +134,8 @@ class TestEvaluateFamily:
         )
         recomputed = effective_snr_db(model, point.kurtosis)
         assert point.effective_snr_db == pytest.approx(recomputed, abs=1e-9)
-        snr_lin = 10 ** (model.snr_gauss_db / 10)
-        assert point.delta_mi_4d == pytest.approx(
-            point.mi_4d - 2 * math.log2(1 + snr_lin), abs=1e-12
-        )
+        snr_lin = 10.0 ** (model.snr_gauss_db / 10.0)
+        assert point.delta_mi_4d == point.mi_4d - 2.0 * math.log2(1.0 + snr_lin)
 
 
 class TestOptimizeMb:
@@ -487,10 +485,8 @@ class TestMiCurve:
             assert opt.mi_4d >= mb.mi_4d - 1e-9
             assert mb.mi_4d >= uni.mi_4d - 1e-9
             for point in (uni, mb, opt):
-                snr_lin = 10 ** (point.snr_gauss_db / 10)
-                assert point.delta_mi_4d == pytest.approx(
-                    point.mi_4d - 2 * math.log2(1 + snr_lin), abs=1e-12
-                )
+                snr_lin = 10.0 ** (point.snr_gauss_db / 10.0)
+                assert point.delta_mi_4d == point.mi_4d - 2.0 * math.log2(1.0 + snr_lin)
                 recomputed = effective_snr_db(
                     NlChannelModel(0.69, point.snr_gauss_db), point.kurtosis
                 )

@@ -41,6 +41,7 @@ from nlshaping.cli import default_probes
 from nlshaping.shaping import entropy
 from nlshaping.ssfm import (
     KERR_BLOCK,
+    DualPolField,
     LN10,
     _four_step,
     _nearest_indices,
@@ -139,14 +140,16 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=r"edfa_nf_db must be at least 0 dB .* -40\.0"):
             power_sweep(LinkConfig(edfa_nf_db=-40.0, symbols_per_channel=8192, steps=100),
                         [gaussian_modulation()], [0.0])
-        cfg = LinkConfig(edfa_nf_db=0.0)
-        assert ase_psd_w_per_hz(cfg.span_loss_db, cfg.edfa_nf_db, cfg.center_wavelength_nm) > 0.0
+        assert ase_psd_w_per_hz(LinkConfig(edfa_nf_db=0.0)) > 0.0
 
     def test_even_channel_count_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             LinkConfig(channels=4)
 
-    @pytest.mark.parametrize("name", ["gamma_per_w_km", "span_km", "baud_ghz"])
+    # A NaN or infinite amplifier gain (the span loss) or noise figure gave
+    # an all-NaN field.
+    @pytest.mark.parametrize("name", ["gamma_per_w_km", "span_km", "baud_ghz",
+                                      "alpha_db_per_km", "edfa_nf_db"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_field_named(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -184,6 +187,15 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=f"{name} must be positive, got {value!r}"):
             LinkConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("span_km", -10.0),           # a span loss of -1.65 dB: propagate ran as a gain
+        ("alpha_db_per_km", -0.2),    # a span loss of -40 dB
+    ])
+    def test_negative_field_named(self, name, value):
+        message = f"{name} must be at least 0 (span loss >= 0 dB), got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LinkConfig(**{name: value})
+
     def test_numpy_integers_taken_as_python_integers(self):
         # An unsigned channel count wrapped channel_bins(0) below zero.
         cfg = LinkConfig(seed=np.int64(0), steps=np.int32(400), channels=np.uint8(3))
@@ -196,6 +208,7 @@ class TestLinkConfig:
         # estimate_c refuse them.
         cfg = tiny_config(alpha_db_per_km=0.0, symbols_per_channel=1 << 10)
         assert cfg.span_loss_db == 0.0
+        assert tiny_config(span_km=0.0).span_loss_db == 0.0
 
     def test_scales(self):
         desk = LinkConfig()
@@ -537,19 +550,26 @@ class TestSpectralFilter:
 
 class TestAmplify:
     def test_noiseless_edge(self):
+        # No loss to restore and a noise factor of 1: G F = 1, no ASE.
+        cfg = tiny_config(alpha_db_per_km=0.0, edfa_nf_db=0.0)
+        assert ase_psd_w_per_hz(cfg) == 0.0
+        field = generate_wdm(cfg, uniform_mod(), 0.0, seed=11)
+        out = amplify(field, cfg, seed=12)
+        np.testing.assert_array_equal(out.samples, field.samples)
+
+    def test_gain_restores_the_span_loss(self):
         cfg = tiny_config()
         field = generate_wdm(cfg, uniform_mod(), 0.0, seed=11)
-        gain_db = 20.0
-        out = amplify(field, gain_db, nf_db=-gain_db, seed=12)
-        np.testing.assert_allclose(
-            out.samples, field.samples * 10 ** (gain_db / 20), rtol=1e-12
-        )
+        out = amplify(field, cfg, seed=12)
+        noise = out.samples - field.samples * 10 ** (cfg.span_loss_db / 20)
+        var = ase_psd_w_per_hz(cfg) * cfg.sample_rate_hz
+        assert float(np.mean(np.abs(noise) ** 2)) == pytest.approx(var, rel=0.05)
 
     def test_noise_power_matches_psd(self):
-        quiet = DummyFieldFactory.zero_field(n=1 << 20)
-        out = amplify(quiet, gain_db=33.0, nf_db=5.0, seed=13)
-        psd = ase_psd_w_per_hz(33.0, 5.0, 1550.0)
-        expected = psd * quiet.sample_rate_hz
+        cfg = tiny_config()
+        quiet = zero_field(cfg, n=1 << 20)
+        out = amplify(quiet, cfg, seed=13)
+        expected = ase_psd_w_per_hz(cfg) * cfg.sample_rate_hz
         measured = float(np.mean(np.abs(out.samples[0]) ** 2))
         assert measured == pytest.approx(expected, rel=0.01)
         measured_y = float(np.mean(np.abs(out.samples[1]) ** 2))
@@ -558,51 +578,34 @@ class TestAmplify:
     def test_seeded_noise_is_independent_of_signal(self):
         cfg = tiny_config()
         field = generate_wdm(cfg, uniform_mod(), 0.0, seed=14)
-        a = amplify(field, 10.0, 5.0, seed=20)
-        b = amplify(field, 10.0, 5.0, seed=21)
-        gain = 10 ** (10.0 / 20)
+        a = amplify(field, cfg, seed=20)
+        b = amplify(field, cfg, seed=21)
+        gain = 10 ** (cfg.span_loss_db / 20)
         noise_a = a.samples - field.samples * gain
         noise_b = b.samples - field.samples * gain
         assert not np.array_equal(noise_a, noise_b)
-        repeat = amplify(field, 10.0, 5.0, seed=20)
+        repeat = amplify(field, cfg, seed=20)
         np.testing.assert_array_equal(a.samples, repeat.samples)
 
-    def test_rejects_nonpositive_gain(self):
+    def test_sample_rate_mismatch_fails_before_any_noise(self, monkeypatch):
         cfg = tiny_config()
         field = generate_wdm(cfg, uniform_mod(), 0.0, seed=15)
-        with pytest.raises(ValueError, match="gain"):
-            amplify(field, 0.0, 5.0, seed=1)
 
-    def test_rejects_gain_times_noise_factor_below_1(self):
-        # At 33 dB gain and -40 dB every sample came out NaN; G F = 1 is
-        # the noiseless edge above.
-        field = generate_wdm(tiny_config(), uniform_mod(), 0.0, seed=15)
-        with pytest.raises(ValueError, match="negative ASE density"):
-            amplify(field, 33.0, -40.0, seed=1)
+        def fail(*args, **kwargs):
+            raise AssertionError("noise was drawn before the sample rate was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        with pytest.raises(ValueError, match="field sample rate .* does not match the configuration"):
+            amplify(field, replace(cfg, samples_per_symbol=8), seed=1)
 
 
-    @pytest.mark.parametrize("gain_db, nf_db, name", [
-        (math.nan, 5.0, "gain_db"),  # returned an all-NaN field
-        (math.inf, 5.0, "gain_db"),
-        (33.0, math.nan, "nf_db"),
-    ])
-    def test_rejects_non_finite_gain_or_noise_figure(self, gain_db, nf_db, name):
-        field = generate_wdm(tiny_config(), uniform_mod(), 0.0, seed=15)
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            amplify(field, gain_db, nf_db, seed=1)
-
-
-class DummyFieldFactory:
-    @staticmethod
-    def zero_field(n):
-        from nlshaping.ssfm import DualPolField
-
-        return DualPolField(
-            samples=np.zeros((2, n), dtype=np.complex128),
-            sample_rate_hz=33e9 * 4,
-            center_wavelength_nm=1550.0,
-            tx_symbols=np.zeros((1, 2, 1), dtype=np.complex128),
-        )
+def zero_field(cfg: LinkConfig, n: int) -> DualPolField:
+    """An all-zero field of ``n`` samples at ``cfg``'s sample rate."""
+    return DualPolField(
+        samples=np.zeros((2, n), dtype=np.complex128),
+        sample_rate_hz=cfg.sample_rate_hz,
+        tx_symbols=np.zeros((1, 2, 1), dtype=np.complex128),
+    )
 
 
 class TestReceive:
@@ -640,7 +643,7 @@ class TestReceive:
         cfg = LinkConfig()
         field = generate_wdm(cfg, uniform_mod(64), launch_dbm=8.0, seed=21)
         field = propagate(field, cfg)
-        field = amplify(field, cfg.span_loss_db, cfg.edfa_nf_db, seed=22)
+        field = amplify(field, cfg, seed=22)
         snr_center = estimate_snr(receive(field, cfg, 1), field.tx_symbols[1])
         snr_edge = estimate_snr(receive(field, cfg, 0), field.tx_symbols[0])
         assert snr_center <= snr_edge
@@ -1058,6 +1061,7 @@ class TestEstimateC:
     def test_desk_scale_fit_quality(self):
         cfg = LinkConfig(seed=104)
         fit = estimate_c(cfg, self.probes(), probe_power_dbm=6.0)
+        assert fit.c == fit.eta2 / fit.eta1
         assert fit.c > 0.0
         assert 0.9 < fit.r_squared <= 1.0
         # lower kurtosis must mean higher SNR at this power
@@ -1160,13 +1164,12 @@ class TestForkedRuns:
 class TestLinearCrosstalk:
     def test_overlap_grid_leak_level(self):
         cfg = LinkConfig(seed=106)
-        xt = linear_crosstalk_fraction(cfg, cfg.seed)
+        xt = linear_crosstalk_fraction(cfg)
         # beta/8 per neighbor for baud-spaced RRC; two neighbors at the center
         assert xt == pytest.approx(2 * cfg.rrc_rolloff / 8, rel=0.25)
 
     def test_single_channel_has_none(self):
-        cfg = tiny_config()
-        xt = linear_crosstalk_fraction(cfg, 1)
+        xt = linear_crosstalk_fraction(tiny_config(seed=1))
         assert xt < 1e-20
 
     def test_matches_linear_split_step(self):
@@ -1180,7 +1183,7 @@ class TestLinearCrosstalk:
         rx, tx = receive(field, cfg, 1), field.tx_symbols[1]
         oracle = float(np.sum(np.abs(rx - tx) ** 2) / np.sum(np.abs(tx) ** 2))
         assert oracle > 1e-3
-        assert linear_crosstalk_fraction(cfg, cfg.seed) == pytest.approx(oracle, rel=1e-12)
+        assert linear_crosstalk_fraction(cfg) == pytest.approx(oracle, rel=1e-12)
 
 
 # A negative seed failed deep in numpy with a bare "expected non-negative
@@ -1199,12 +1202,14 @@ class TestBadSeeds:
     def test_amplify(self, seed, message):
         field = generate_wdm(tiny_config(), uniform_mod(), 0.0, seed=31)
         with pytest.raises(ValueError, match=re.escape(f"seed {message}")):
-            amplify(field, 10.0, 5.0, seed=seed)
+            amplify(field, tiny_config(), seed=seed)
 
     def test_linear_crosstalk_fraction(self, seed, message, monkeypatch):
+        # The calibration draws from the config's seed, which the config
+        # checks when it is made.
         _no_link_compute(monkeypatch)
         with pytest.raises(ValueError, match=re.escape(f"seed {message}")):
-            linear_crosstalk_fraction(tiny_config(), seed)
+            linear_crosstalk_fraction(tiny_config(seed=seed))
 
     def test_transmission_run_checks_amp_seed_before_propagating(self, seed, message, monkeypatch):
         _no_link_compute(monkeypatch)
@@ -1216,6 +1221,7 @@ def test_numpy_integer_seeds_taken_as_integers():
     cfg = tiny_config()
     field = generate_wdm(cfg, uniform_mod(), 0.0, seed=np.int64(5))
     assert np.array_equal(field.samples, generate_wdm(cfg, uniform_mod(), 0.0, seed=5).samples)
-    assert np.array_equal(amplify(field, 10.0, 5.0, seed=np.uint32(6)).samples,
-                          amplify(field, 10.0, 5.0, seed=6).samples)
-    assert linear_crosstalk_fraction(cfg, np.int32(7)) == linear_crosstalk_fraction(cfg, 7)
+    assert np.array_equal(amplify(field, cfg, seed=np.uint32(6)).samples,
+                          amplify(field, cfg, seed=6).samples)
+    assert (linear_crosstalk_fraction(tiny_config(seed=np.int32(7)))
+            == linear_crosstalk_fraction(tiny_config(seed=7)))
