@@ -316,6 +316,7 @@ def cmd_estimate_c(args):
                  fit.eta1, fit.eta2, fit.c, fit.r_squared])
     metadata = base_metadata(
         probe_power_dbm=args.probe_power, order=args.order, seed=config.seed,
+        snr_db="center channel received with no ASE: NLI plus linear crosstalk",
     )
     metadata.update(_config_metadata(config))
     header = ["row", "family", "kurtosis", "snr_db", "nli_variance_w",

@@ -5,7 +5,9 @@ on a cyclic grid, frequency comb assembly. Propagation integrates the
 polarization-averaged (Manakov) equation with a symmetrized split-step
 scheme; a single lumped amplifier restores the span loss and adds ASE.
 The receiver applies ideal dispersion compensation, matched filtering,
-and data-aided complex scaling. Each channel sits whole FFT bins from
+and data-aided complex scaling. ``measure_nli`` reads a run's NLI with
+no amplifier and no ASE, against the same field received back to back;
+``estimate_c`` fits it. Each channel sits whole FFT bins from
 the band center, so shaping, comb assembly and the receive filters run
 on the spectrum and move channels by bin shifts. All FFTs go through
 ``numpy.fft`` (pocketfft), in place with ``out=`` where the input may be
@@ -54,8 +56,10 @@ KERR_BLOCK = 1 << 13
 # WDM comb to count as lying on the FFT grid.
 COMB_GRID_TOL = 1e-9
 
-# NLI extraction refuses to fit when the excess over the linear baseline
-# is below this fraction of the ASE variance.
+# measure_nli refuses a reading, a difference of two residues of one run,
+# below this fraction of max(its back-to-back residue, 10^(-SNR_CAP_DB/10)):
+# there it is rounding or the NLI's cross term with that residue, not NLI.
+# At gamma = 0 on one channel it reads +-1e-27 of the signal.
 MIN_NLI_FRACTION = 0.05
 
 
@@ -603,29 +607,19 @@ def analytic_ase_snr_db(config: LinkConfig, launch_dbm: float) -> float:
 
 def _run_seed(master_seed: int, *indices: int) -> tuple[int, int]:
     """Independent (transmit, amplifier) seeds for one pipeline run."""
-    ss = np.random.SeedSequence((master_seed, *indices))
-    tx_ss, amp_ss = ss.spawn(2)
-    return (
-        int(tx_ss.generate_state(1, dtype=np.uint32)[0]),
-        int(amp_ss.generate_state(1, dtype=np.uint32)[0]),
-    )
+    spawned = np.random.SeedSequence((master_seed, *indices)).spawn(2)
+    return tuple(int(ss.generate_state(1, dtype=np.uint32)[0]) for ss in spawned)
 
 
 def _require_measurable(config: LinkConfig) -> None:
     """Fail before any propagation if a run on ``config`` cannot be
     measured: the received symbols of both polarizations must reach
-    MIN_MEASURED_SAMPLES, and the amplifier gain that restores the span
-    loss must be positive."""
+    MIN_MEASURED_SAMPLES."""
     if 2 * config.symbols_per_channel < MIN_MEASURED_SAMPLES:
         raise ValueError(
             f"symbols_per_channel = {config.symbols_per_channel} is too few to "
             f"measure: need {MIN_MEASURED_SAMPLES // 2}, {MIN_MEASURED_SAMPLES} samples "
             "over the two polarizations"
-        )
-    if config.span_loss_db <= 0.0:
-        raise ValueError(
-            f"span loss alpha_db_per_km * span_km = {config.span_loss_db} dB must be "
-            "positive: the amplifier restores it with a positive gain"
         )
 
 
@@ -700,24 +694,39 @@ def power_sweep(
     return forked_map(run, len(runs))
 
 
-def linear_crosstalk_fraction(config: LinkConfig) -> float:
-    """Residual noise-to-signal ratio of the linear noiseless link.
+def measure_nli(
+    config: LinkConfig,
+    modulation: Modulation,
+    launch_dbm: float,
+    tx_seed: int,
+) -> ProbeResult:
+    """Read one run's NLI on the center channel, with no amplifier and no ASE.
 
-    With overlapping root-raised-cosine spectra the neighbors leak a
-    deterministic, power-proportional residue into the matched filter;
-    this calibrates it so NLI extraction can subtract the full linear
-    baseline, not just ASE. Without the Kerr term and the ASE, the span
-    is one linear filter, its loss and dispersion, which the amplifier
-    gain and the ideal CD compensation undo exactly. So the transmitted
-    field is received back to back, with no dispersion to compensate.
-    The symbols are drawn from ``config.seed``.
+    The field is received back to back, with no dispersion to compensate,
+    and after the split-step. Without the Kerr term the span is one linear
+    filter, which the ideal dispersion compensation and the receiver's
+    least-squares gain undo exactly, so the back-to-back residue is the
+    run's own linear crosstalk. The NLI variance is the split-step
+    residue's excess over it, (sum |rx - tx|^2 - sum |rx_b2b - tx|^2) /
+    sum |tx|^2 times the launch power; ``snr_db`` is the split-step
+    reception's SNR.
     """
-    tx_seed, _ = _run_seed(config.seed, 0xBA5E)
-    field = generate_wdm(config, gaussian_modulation(), 0.0, tx_seed)
+    _int_at_least("tx_seed", tx_seed, 0)
+    field = generate_wdm(config, modulation, launch_dbm, tx_seed)
     center = config.channels // 2
-    back_to_back = replace(config, dispersion_ps_nm_km=0.0)
-    rx, tx = receive(field, back_to_back, center), field.tx_symbols[center]
-    return float(np.sum(np.abs(rx - tx) ** 2) / np.sum(np.abs(tx) ** 2))
+    tx = field.tx_symbols[center]
+    back_to_back = receive(field, replace(config, dispersion_ps_nm_km=0.0), center)
+    rx = receive(propagate(field, config), config, center)
+    signal = float(np.sum(np.abs(tx) ** 2))
+    linear_rel = float(np.sum(np.abs(back_to_back - tx) ** 2)) / signal
+    nli_rel = float(np.sum(np.abs(rx - tx) ** 2)) / signal - linear_rel
+    if nli_rel < MIN_NLI_FRACTION * max(linear_rel, 10.0 ** (-SNR_CAP_DB / 10.0)):
+        raise ValueError(
+            f"no measurable NLI for probe {modulation.name!r} at "
+            f"{launch_dbm} dBm; increase the probe power"
+        )
+    p_w = 1e-3 * 10.0 ** (launch_dbm / 10.0)
+    return ProbeResult(modulation.name, modulation.kurtosis, estimate_snr(rx, tx), nli_rel * p_w)
 
 
 def estimate_c(
@@ -727,11 +736,11 @@ def estimate_c(
 ) -> CFitResult:
     """Estimate the kurtosis sensitivity c = eta2/eta1 from simulation.
 
-    Each probe modulation is transmitted at ``probe_power_dbm``; its NLI
-    variance is the measured total noise minus the analytic ASE budget
-    and the calibrated linear crosstalk baseline. A straight-line fit of
-    NLI / P^3 against excess kurtosis yields (eta1, eta2). The probe runs
-    are spread over processes by ``forks.forked_map`` (see ``forks``).
+    Each probe modulation is transmitted at ``probe_power_dbm``, and
+    ``measure_nli`` reads its NLI variance against its own back-to-back
+    reception, free of ASE. A straight-line fit of NLI / P^3 against
+    excess kurtosis yields (eta1, eta2). The probe runs are spread over
+    processes by ``forks.forked_map`` (see ``forks``).
     """
     _require_finite(probe_power_dbm=probe_power_dbm)
     probes = list(probes)
@@ -751,24 +760,13 @@ def estimate_c(
                 )
 
     _require_measurable(config)
-    xtalk = linear_crosstalk_fraction(config)
-    ase_rel = 10.0 ** (-analytic_ase_snr_db(config, probe_power_dbm) / 10.0)
-    p_w = 1e-3 * 10.0 ** (probe_power_dbm / 10.0)
 
     def run(i: int) -> ProbeResult:
-        probe = probes[i]
-        tx_seed, amp_seed = _run_seed(config.seed, 0xC0, i)
-        rx, tx = transmission_run(config, probe, probe_power_dbm, tx_seed, amp_seed)
-        snr_db = estimate_snr(rx, tx)
-        nli_rel = 10.0 ** (-snr_db / 10.0) - ase_rel - xtalk
-        if nli_rel < MIN_NLI_FRACTION * ase_rel:
-            raise ValueError(
-                f"no measurable NLI for probe {probe.name!r} at "
-                f"{probe_power_dbm} dBm; increase the probe power"
-            )
-        return ProbeResult(probe.name, probe.kurtosis, snr_db, nli_rel * p_w)
+        tx_seed = _run_seed(config.seed, 0xC0, i)[0]
+        return measure_nli(config, probes[i], probe_power_dbm, tx_seed)
 
     rows = forked_map(run, len(probes))
+    p_w = 1e-3 * 10.0 ** (probe_power_dbm / 10.0)
     kurt = np.array([r.kurtosis for r in rows])
     y = np.array([r.nli_variance_w for r in rows]) / p_w**3
     design = np.vstack([np.ones_like(kurt), kurt]).T

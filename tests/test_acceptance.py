@@ -36,7 +36,7 @@ from nlshaping import (
 )
 from nlshaping.cli import default_probes, main as cli_main
 from nlshaping.forks import forked_map
-from nlshaping.ssfm import analytic_ase_snr_db, linear_crosstalk_fraction, transmission_run
+from nlshaping.ssfm import analytic_ase_snr_db, measure_nli, transmission_run
 
 RULE = gauss_hermite(16)
 MODEL_18 = NlChannelModel(c=0.69, snr_gauss_db=18.0)
@@ -163,17 +163,12 @@ class TestCriterion7SsfmPhysics:
 
     def test_a_nli_power_law_slope(self):
         cfg = self.CONFIG
-        xtalk = linear_crosstalk_fraction(cfg)
         powers = [3.0, 5.0, 7.0, 9.0]
 
         def nli_w(i: int) -> float:
-            p_dbm = powers[i]
-            rx, tx = transmission_run(cfg, gaussian_modulation(), p_dbm,
-                                      tx_seed=500 + i, amp_seed=900 + i)
-            total_rel = 10 ** (-estimate_snr(rx, tx) / 10)
-            ase_rel = 10 ** (-analytic_ase_snr_db(cfg, p_dbm) / 10)
-            p_w = 1e-3 * 10 ** (p_dbm / 10)
-            return (total_rel - ase_rel - xtalk) * p_w
+            # The run's NLI against its own back-to-back reception, no ASE.
+            probe = measure_nli(cfg, gaussian_modulation(), powers[i], tx_seed=500 + i)
+            return probe.nli_variance_w
 
         # The independent runs go one per usable CPU.
         nli = forked_map(nli_w, len(powers))

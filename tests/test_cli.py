@@ -212,7 +212,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line, message", [
         ("symbols_per_channel = 4096", "symbols_per_channel = 4096 is too few"),
-        ("alpha_db_per_km = 0", "span loss"),
+        ("alpha_db_per_km = -0.2", "alpha_db_per_km must be at least 0 (span loss >= 0 dB)"),
         ("gamma_per_w_km = nan", "gamma_per_w_km must be finite"),
         ("span_km = nan", "span_km must be finite"),
         ("edfa_nf_db = -40", "edfa_nf_db must be at least 0 dB (noise factor F >= 1), got -40.0"),

@@ -49,7 +49,7 @@ from nlshaping.ssfm import (
     _spectral_filter,
     analytic_ase_snr_db,
     ase_psd_w_per_hz,
-    linear_crosstalk_fraction,
+    measure_nli,
     rrc_spectrum,
     transmission_run,
 )
@@ -204,8 +204,8 @@ class TestLinkConfig:
         assert cfg.channel_bins(0) == LinkConfig().channel_bins(0)
 
     def test_propagate_only_fields_accepted(self):
-        # No loss and few symbols suit propagate alone; power_sweep and
-        # estimate_c refuse them.
+        # Few symbols suit propagate alone; power_sweep and estimate_c
+        # refuse them. A lossless span suits every stage.
         cfg = tiny_config(alpha_db_per_km=0.0, symbols_per_channel=1 << 10)
         assert cfg.span_loss_db == 0.0
         assert tiny_config(span_km=0.0).span_loss_db == 0.0
@@ -989,7 +989,7 @@ def _no_link_compute(monkeypatch):
 
 @pytest.mark.parametrize("overrides, message", [
     (dict(symbols_per_channel=4096), "symbols_per_channel = 4096 is too few"),
-    (dict(alpha_db_per_km=0.0), "span loss"),
+    (dict(alpha_db_per_km=-0.2), "span loss"),    # LinkConfig rejects both
     (dict(span_km=-10.0), "span loss"),
 ])
 class TestUnmeasurableLink:
@@ -1017,9 +1017,28 @@ class TestEstimateC:
         ]
 
     def test_gamma_zero_has_no_measurable_nli(self):
+        # One channel: each reading is rounding, about 1e-27 of the signal,
+        # and some are negative.
         cfg = tiny_config(gamma_per_w_km=0.0, seed=103)
         with pytest.raises(ValueError, match="no measurable NLI"):
             estimate_c(cfg, self.probes(), probe_power_dbm=6.0)
+
+    def test_gamma_zero_on_three_channels_has_no_measurable_nli(self):
+        # Three baud-spaced channels leave a back-to-back residue of about
+        # 2.4e-3 of the signal, which the Kerr-free split-step repeats to
+        # rounding: the reading is refused against that residue.
+        cfg = tiny_config(channels=3, samples_per_symbol=8, gamma_per_w_km=0.0, seed=103)
+        with pytest.raises(ValueError, match="no measurable NLI"):
+            estimate_c(cfg, self.probes(), probe_power_dbm=6.0)
+
+    def test_power_sweep_and_estimate_c_run_on_a_lossless_link(self):
+        # No amplifier gain is needed to measure a run: power_sweep's
+        # amplifier restores 0 dB, and estimate_c reads the NLI without one.
+        cfg = tiny_config(alpha_db_per_km=0.0, seed=108)
+        (res,) = power_sweep(cfg, [uniform_mod()], [0.0])
+        assert math.isfinite(res.snr_db) and res.mi_4d > 0.0
+        fit = estimate_c(cfg, self.probes(), probe_power_dbm=0.0)
+        assert math.isfinite(fit.c) and math.isfinite(fit.r_squared)
 
     def test_duplicate_probes_rejected(self):
         cfg = tiny_config()
@@ -1034,7 +1053,8 @@ class TestEstimateC:
 
     def test_repeated_probe_name_rejected_before_calibration(self, monkeypatch):
         # Each probe's CSV row is keyed by its name; two differently shaped
-        # probes with one name both ran.
+        # probes with one name both ran. The check comes before any probe
+        # run, whose generate_wdm _no_link_compute fails.
         _no_link_compute(monkeypatch)
         c64 = square_qam(64)
         probes = self.probes()
@@ -1045,9 +1065,9 @@ class TestEstimateC:
 
     @pytest.mark.parametrize("power", [math.nan, math.inf])
     def test_non_finite_probe_power_rejected_before_calibration(self, power, monkeypatch):
-        # NaN ran the crosstalk calibration, then failed in propagate with
-        # "increase steps or lower power". The calibration starts with
-        # generate_wdm, which _no_link_compute fails.
+        # NaN ran a crosstalk calibration, then failed in propagate with
+        # "increase steps or lower power". The check comes before any probe
+        # run, whose generate_wdm _no_link_compute fails.
         _no_link_compute(monkeypatch)
         with pytest.raises(ValueError, match="probe_power_dbm must be finite"):
             estimate_c(tiny_config(), self.probes(), probe_power_dbm=power)
@@ -1072,11 +1092,11 @@ class TestEstimateC:
 
 @pytest.fixture
 def link_runs(tmp_path, monkeypatch):
-    """Log of ``transmission_run`` calls across processes: each process
-    appends its pid to one file. Calling the fixture's value reads and
-    clears the log."""
+    """Log of ``generate_wdm`` calls across processes, one per run of
+    ``power_sweep`` or ``estimate_c``: each process appends its pid to one
+    file. Calling the fixture's value reads and clears the log."""
     log = tmp_path / "link-runs"
-    real = ssfm.transmission_run
+    real = ssfm.generate_wdm
 
     def logged(*args, **kwargs):
         with open(log, "a", encoding="utf-8") as handle:
@@ -1088,7 +1108,7 @@ def link_runs(tmp_path, monkeypatch):
         log.unlink(missing_ok=True)
         return [int(pid) for pid in lines]
 
-    monkeypatch.setattr(ssfm, "transmission_run", logged)
+    monkeypatch.setattr(ssfm, "generate_wdm", logged)
     return read
 
 
@@ -1128,14 +1148,14 @@ class TestForkedRuns:
         # With two CPUs the second run fails in the worker and the third in
         # the caller; the lowest failing run raises, as in a serial loop.
         run, failing = SWEEPS[sweep]
-        real = ssfm.transmission_run
+        real = ssfm.generate_wdm
 
-        def transmission(config, modulation, launch_dbm, tx_seed, amp_seed):
+        def transmit(config, modulation, launch_dbm, seed):
             if (modulation.name, launch_dbm) in failing:
                 raise FloatingPointError(f"{modulation.name} at {launch_dbm} dBm diverged")
-            return real(config, modulation, launch_dbm, tx_seed, amp_seed)
+            return real(config, modulation, launch_dbm, seed)
 
-        monkeypatch.setattr(ssfm, "transmission_run", transmission)
+        monkeypatch.setattr(ssfm, "generate_wdm", transmit)
         errors = []
         for n in (1, 2):
             cpus(n)
@@ -1161,16 +1181,33 @@ class TestForkedRuns:
         assert link_runs() == [os.getpid()] * 3
 
 
+def back_to_back(cfg: LinkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(rx, tx) of the center channel of Gaussian symbols at 0 dBm, drawn
+    from ``cfg.seed``, received back to back as ``measure_nli`` receives
+    its reference: with no dispersion to compensate."""
+    field = generate_wdm(cfg, gaussian_modulation(), 0.0, ssfm._run_seed(cfg.seed, 0xBA5E)[0])
+    center = cfg.channels // 2
+    return (receive(field, replace(cfg, dispersion_ps_nm_km=0.0), center),
+            field.tx_symbols[center])
+
+
+def residue(rx: np.ndarray, tx: np.ndarray) -> float:
+    """sum |rx - tx|^2 / sum |tx|^2."""
+    return float(np.sum(np.abs(rx - tx) ** 2) / np.sum(np.abs(tx) ** 2))
+
+
 class TestLinearCrosstalk:
+    """The back-to-back reception that ``measure_nli`` reads the NLI
+    against: the run's own linear crosstalk."""
+
     def test_overlap_grid_leak_level(self):
         cfg = LinkConfig(seed=106)
-        xt = linear_crosstalk_fraction(cfg)
+        xt = residue(*back_to_back(cfg))
         # beta/8 per neighbor for baud-spaced RRC; two neighbors at the center
         assert xt == pytest.approx(2 * cfg.rrc_rolloff / 8, rel=0.25)
 
     def test_single_channel_has_none(self):
-        xt = linear_crosstalk_fraction(tiny_config(seed=1))
-        assert xt < 1e-20
+        assert residue(*back_to_back(tiny_config(seed=1))) < 1e-20
 
     def test_matches_linear_split_step(self):
         # Oracle: the noiseless link run through the split-step with the
@@ -1180,10 +1217,46 @@ class TestLinearCrosstalk:
         linear = replace(cfg, gamma_per_w_km=0.0)
         field = propagate(generate_wdm(linear, gaussian_modulation(), 0.0, tx_seed), linear)
         field = replace(field, samples=field.samples * 10.0 ** (cfg.span_loss_db / 20.0))
-        rx, tx = receive(field, cfg, 1), field.tx_symbols[1]
-        oracle = float(np.sum(np.abs(rx - tx) ** 2) / np.sum(np.abs(tx) ** 2))
+        oracle = residue(receive(field, cfg, 1), field.tx_symbols[1])
         assert oracle > 1e-3
-        assert linear_crosstalk_fraction(cfg) == pytest.approx(oracle, rel=1e-12)
+        assert residue(*back_to_back(cfg)) == pytest.approx(oracle, rel=1e-12)
+
+
+class TestMeasureNli:
+    CONFIG = tiny_config(channels=3, samples_per_symbol=8, gamma_per_w_km=4.8, seed=111)
+
+    def test_reading_is_the_excess_over_back_to_back(self):
+        # Oracle: the split-step reception's residue minus the back-to-back
+        # residue, times the launch power; snr_db is the former's SNR.
+        cfg = self.CONFIG
+        probe = measure_nli(cfg, uniform_mod(), 6.0, tx_seed=41)
+        field = generate_wdm(cfg, uniform_mod(), 6.0, 41)
+        tx = field.tx_symbols[1]
+        rx = receive(propagate(field, cfg), cfg, 1)
+        b2b = receive(field, replace(cfg, dispersion_ps_nm_km=0.0), 1)
+        p_w = 1e-3 * 10.0 ** 0.6
+        assert probe.nli_variance_w == pytest.approx((residue(rx, tx) - residue(b2b, tx)) * p_w,
+                                                     rel=1e-12)
+        assert probe.snr_db == estimate_snr(rx, tx)
+        assert (probe.family, probe.kurtosis) == ("uniform", uniform_mod().kurtosis)
+
+    def test_reading_does_not_depend_on_the_span_gain(self, monkeypatch):
+        # receive's least-squares gain absorbs a constant scale, so the
+        # reading needs no amplifier: the propagated field times the span
+        # gain reads the same NLI and SNR to rounding.
+        cfg = self.CONFIG
+        unamplified = measure_nli(cfg, uniform_mod(), 6.0, tx_seed=41)
+        real = ssfm.propagate
+        gain = 10.0 ** (cfg.span_loss_db / 20.0)
+
+        def amplified_propagate(field, config):
+            out = real(field, config)
+            return replace(out, samples=out.samples * gain)
+
+        monkeypatch.setattr(ssfm, "propagate", amplified_propagate)
+        amplified = measure_nli(cfg, uniform_mod(), 6.0, tx_seed=41)
+        assert amplified.nli_variance_w == pytest.approx(unamplified.nli_variance_w, rel=1e-12)
+        assert amplified.snr_db == pytest.approx(unamplified.snr_db, rel=1e-12)
 
 
 # A negative seed failed deep in numpy with a bare "expected non-negative
@@ -1204,12 +1277,10 @@ class TestBadSeeds:
         with pytest.raises(ValueError, match=re.escape(f"seed {message}")):
             amplify(field, tiny_config(), seed=seed)
 
-    def test_linear_crosstalk_fraction(self, seed, message, monkeypatch):
-        # The calibration draws from the config's seed, which the config
-        # checks when it is made.
+    def test_measure_nli_checks_tx_seed_before_transmitting(self, seed, message, monkeypatch):
         _no_link_compute(monkeypatch)
-        with pytest.raises(ValueError, match=re.escape(f"seed {message}")):
-            linear_crosstalk_fraction(tiny_config(seed=seed))
+        with pytest.raises(ValueError, match=re.escape(f"tx_seed {message}")):
+            measure_nli(tiny_config(), uniform_mod(), 0.0, tx_seed=seed)
 
     def test_transmission_run_checks_amp_seed_before_propagating(self, seed, message, monkeypatch):
         _no_link_compute(monkeypatch)
@@ -1223,5 +1294,3 @@ def test_numpy_integer_seeds_taken_as_integers():
     assert np.array_equal(field.samples, generate_wdm(cfg, uniform_mod(), 0.0, seed=5).samples)
     assert np.array_equal(amplify(field, cfg, seed=np.uint32(6)).samples,
                           amplify(field, cfg, seed=6).samples)
-    assert (linear_crosstalk_fraction(tiny_config(seed=np.int32(7)))
-            == linear_crosstalk_fraction(tiny_config(seed=7)))
