@@ -4,9 +4,22 @@ Design and evaluate shaping distributions (uniform, Maxwell-Boltzmann,
 and a two-parameter kurtosis-tailored family) against a semi-analytic
 nonlinear channel model, validate them with a split-step fiber
 simulator, and export plot-ready CSV through the ``nlshaping`` CLI.
+
+Imported before numpy, the package sets ``OPENBLAS_NUM_THREADS=1`` unless
+the variable is already set, so that process and its children run BLAS on
+one thread. A process that loaded numpy first keeps numpy's pool.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+# No BLAS product of the package is large enough to thread (see
+# awgn_mi.BLAS_ONE_THREAD_MNK), yet OpenBLAS starts a pool of spinning
+# threads when numpy loads. The variable is read only then.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .awgn_mi import QuadratureRule, gauss_hermite, mi_awgn_2d, mi_monte_carlo
 from .constellation import Constellation, mean_power, normalized, square_qam

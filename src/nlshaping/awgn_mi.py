@@ -113,8 +113,8 @@ POSTERIOR_BLOCK = 1 << 13
 
 # OpenBLAS runs a gemm of m x n x k multiply-adds on one thread at or below
 # SMP_THRESHOLD_MIN (65536) x GEMM_MULTITHREAD_THRESHOLD (4), the bound in
-# its interface/gemm.c; each block of the posterior's level product stays
-# within it.
+# its interface/gemm.c; each block of the posterior's level product, and
+# each product of the quadrature up to 4096QAM, stays within it.
 BLAS_ONE_THREAD_MNK = 1 << 18
 
 # Floats of padding after each row of the posterior's work arrays when a
@@ -346,7 +346,7 @@ def _quadrature(constellation, pmf, snr_db, rule, gradient):
         d_grid = d_grid + d_grid[:, ::-1]
         d_grid = (d_grid + d_grid.T) / 8.0
     # d mix / d sigma has an I term and a Q term, one kernel differentiated.
-    d_sigma = -np.einsum("iaj,iaj->", k_sigma[levels_i] @ grid, prod_i)
+    d_sigma = -np.einsum("iaj,iaj->", np.matmul(k_sigma[levels_i], grid), prod_i)
     np.matmul(np.swapaxes(ratio, 1, 2), left, out=prod)             # (R, B, m)
     d_sigma -= np.einsum("raj,raj->", np.take(k_sigma, rq, axis=0, out=right, mode="clip"), prod)
     return mi, d_grid / LN2, float(d_sigma) / LN2

@@ -383,7 +383,9 @@ def generate_wdm(
         tiles = fft(tx_symbols[ch], axis=-1)[:, None, :]
         np.multiply(tiles, shaping.reshape(sps, nsym), out=shaped.reshape(2, sps, nsym))
         # Parseval: the dual-pol power of the waveform is sum |X|^2 / n^2.
-        shaped *= math.sqrt(p_target * n * n / np.vdot(shaped, shaped).real)
+        # einsum sums without BLAS, whose bits depend on its thread count.
+        parts = shaped.view(np.float64)
+        shaped *= math.sqrt(p_target * n * n / np.einsum("ij,ij->", parts, parts))
         k = config.channel_bins(ch) % n
         spectrum[:, k:] += shaped[:, : n - k]
         spectrum[:, :k] += shaped[:, n - k :]
@@ -514,8 +516,10 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
 
 def _gain_removed(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
     """Each row of ``rx`` over its least-squares complex gain h in rx = h tx
-    + n, against the known row of ``tx``: the noise is left unbiased."""
-    return np.array([y / (np.vdot(x, y) / np.vdot(x, x)) for y, x in zip(rx, tx)])
+    + n, against the known row of ``tx``: the noise is left unbiased. The
+    sums are einsum's, not BLAS's, whose bits depend on its thread count."""
+    return np.array([y / (np.einsum("i,i->", x.conj(), y) / np.einsum("i,i->", x.conj(), x))
+                     for y, x in zip(rx, tx)])
 
 
 def _require_symbol_pair(rx: np.ndarray, tx: np.ndarray) -> None:
@@ -595,14 +599,6 @@ def _nearest_indices(constellation: Constellation, values: np.ndarray) -> np.nda
     i = np.clip(np.rint((values.real - lo) / step), 0, m - 1).astype(np.intp)
     q = np.clip(np.rint((values.imag - lo) / step), 0, m - 1).astype(np.intp)
     return i * m + q
-
-
-def analytic_ase_snr_db(config: LinkConfig, launch_dbm: float) -> float:
-    """Per-channel SNR if ASE were the only impairment: half the dual-pol
-    launch power against the per-polarization ASE in the symbol band."""
-    psd = ase_psd_w_per_hz(config)
-    p_pol = 1e-3 * 10.0 ** (launch_dbm / 10.0) / 2.0
-    return 10.0 * math.log10(p_pol / (psd * config.baud_ghz * 1e9))
 
 
 def _run_seed(master_seed: int, *indices: int) -> tuple[int, int]:

@@ -1,9 +1,33 @@
 """Fixtures shared by the test modules."""
 
+import math
 import multiprocessing
 import os
 
 import pytest
+
+# The exact SI values of Planck's constant (J s) and the speed of light (m/s).
+PLANCK_J_S = 6.62607015e-34
+LIGHT_SPEED_M_S = 299792458.0
+
+
+@pytest.fixture
+def ase_budget_db():
+    """``ase_budget_db(config, launch_dbm)``: the per-channel SNR of a link
+    whose only impairment is ASE, restated from the ``LinkConfig``'s fields
+    as an oracle that calls nothing of the package: half the dual-pol launch
+    power against the per-polarization ASE (h nu / 2)(G F - 1) in the
+    symbol band."""
+
+    def budget(config, launch_dbm: float) -> float:
+        gain = 10.0 ** (config.alpha_db_per_km * config.span_km / 10.0)
+        nf = 10.0 ** (config.edfa_nf_db / 10.0)
+        nu = LIGHT_SPEED_M_S / (config.center_wavelength_nm * 1e-9)
+        psd = PLANCK_J_S * nu / 2.0 * (gain * nf - 1.0)
+        p_pol = 1e-3 * 10.0 ** (launch_dbm / 10.0) / 2.0
+        return 10.0 * math.log10(p_pol / (psd * config.baud_ghz * 1e9))
+
+    return budget
 
 
 @pytest.fixture

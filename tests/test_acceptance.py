@@ -36,7 +36,7 @@ from nlshaping import (
 )
 from nlshaping.cli import default_probes, main as cli_main
 from nlshaping.forks import forked_map
-from nlshaping.ssfm import analytic_ase_snr_db, measure_nli, transmission_run
+from nlshaping.ssfm import measure_nli, transmission_run
 
 RULE = gauss_hermite(16)
 MODEL_18 = NlChannelModel(c=0.69, snr_gauss_db=18.0)
@@ -200,13 +200,13 @@ class TestCriterion7SsfmPhysics:
         print("ACCEPTANCE 7c PASS: step doubling moves SNR by "
               f"{abs(snrs[0] - snrs[1]):.4f} dB")
 
-    def test_d_ase_only_budget(self):
+    def test_d_ase_only_budget(self, ase_budget_db):
         cfg = LinkConfig(seed=1234, gamma_per_w_km=0.0)
         launch_dbm = -6.0  # ASE-dominated: linear crosstalk is 20 dB down
         rx, tx = transmission_run(cfg, gaussian_modulation(), launch_dbm,
                                   tx_seed=31, amp_seed=32)
         measured = estimate_snr(rx, tx)
-        budget = analytic_ase_snr_db(cfg, launch_dbm)
+        budget = ase_budget_db(cfg, launch_dbm)
         assert measured == pytest.approx(budget, abs=0.2)
         print("ACCEPTANCE 7d PASS: ASE-only SNR "
               f"{measured:.3f} dB vs budget {budget:.3f} dB")

@@ -1,5 +1,6 @@
 """Quadrature and Monte-Carlo MI tests with independent oracles."""
 
+import contextlib
 import math
 import re
 import resource
@@ -821,7 +822,8 @@ class TestWorkArrays:
 
 class TestBlockedProduct:
     """The posterior's level product runs as one BLAS product per block of
-    samples; the bits must be those of the whole product."""
+    samples; the bits must be those of the whole product. Every product,
+    the quadrature's too, stays within the one-thread bound."""
 
     @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
     def test_block_width_within_one_thread_bound(self, order):
@@ -831,23 +833,46 @@ class TestBlockedProduct:
         assert blocks * width == POSTERIOR_CHUNK
         assert width == {16: 16384, 64: 4096, 256: 1024, 1024: 256, 4096: 64}[order]
 
-    @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
-    def test_every_product_within_one_thread_bound(self, order):
-        # Two full chunks and a short one, through the estimator: one
-        # product per block of each full chunk, and one for the five
-        # samples of the last.
-        matmul = np.matmul
-        sizes = []
+    @staticmethod
+    @contextlib.contextmanager
+    def matmul_sizes():
+        """The multiply-adds m * k * n of each product ``np.matmul`` makes
+        while open; a stack of matrices makes one product per matrix."""
+        matmul, sizes = np.matmul, []
 
         def spy(a, b, *args, **kwargs):
             sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
             return matmul(a, b, *args, **kwargs)
 
+        with mock.patch.object(np, "matmul", spy):
+            yield sizes
+
+    @pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+    def test_every_product_within_one_thread_bound(self, order):
+        # Two full chunks and a short one, through the estimator: one
+        # product per block of each full chunk, and one for the five
+        # samples of the last.
         c = square_qam(order)
         pmf = uniform_pmf(c)
-        with mock.patch.object(np, "matmul", spy):
+        with self.matmul_sizes() as sizes:
             mi_monte_carlo(normalized(c, pmf), pmf, 12.0, 2 * POSTERIOR_CHUNK + 5, seed=1)
         assert len(sizes) == 2 * POSTERIOR_CHUNK // POSTERIOR_BLOCK + 1
+        assert max(sizes) <= BLAS_ONE_THREAD_MNK
+
+    @pytest.mark.parametrize("kind", ["mb", "random"])
+    def test_every_quadrature_product_within_one_thread_bound(self, kind):
+        # The largest quadrature: 4096QAM with its gradient, over the
+        # orbits of a dihedral pmf or over every point of a random one.
+        c = square_qam(4096)
+        if kind == "mb":
+            pmf = mb_pmf(c, 1.0 / float(np.mean(c.sq_magnitudes)))
+        else:
+            pmf = random_pmf(c, "asymmetric", 1.0, np.random.default_rng(4096))
+        assert _is_dihedral(pmf.probs.reshape(64, 64)) == (kind == "mb")
+        with self.matmul_sizes() as sizes:
+            _mi_and_gradient(normalized(c, pmf), pmf, 22.0)
+        # Two products for the value and four for the derivatives.
+        assert len(sizes) == 6
         assert max(sizes) <= BLAS_ONE_THREAD_MNK
 
     @staticmethod

@@ -544,20 +544,32 @@ class TestEstimateCCsv:
             assert float(row[4]) > 0.0
 
 
-def fresh_run(code: str) -> tuple[set[str], int]:
-    """(scipy, multiprocessing and concurrent modules loaded, ``os.fork``
-    calls made) by a fresh interpreter running ``code``."""
+def fresh_lines(code: str, **env_vars: str | None) -> list[str]:
+    """The lines a fresh interpreter prints running ``code`` on this
+    checkout's package, with ``env_vars`` set in its environment (None
+    removes a variable)."""
     src = str(Path(nlshaping.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600, check=True)
+    return proc.stdout.splitlines()
+
+
+def fresh_run(code: str) -> tuple[set[str], int]:
+    """(scipy, multiprocessing and concurrent modules loaded, ``os.fork``
+    calls made) by a fresh interpreter running ``code``."""
     script = ("import os\nforks = []\nfork = os.fork\n"
               "os.fork = lambda: forks.append(1) or fork()\n"
               + code + "\nimport sys\nprint('MODULES:' + ' '.join(sorted("
               "m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))))"
               "\nprint('FORKS:', len(forks))")
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=600, check=True)
-    lines = proc.stdout.splitlines()
+    lines = fresh_lines(script)
     modules = next(x for x in lines if x.startswith("MODULES:"))[len("MODULES:"):].split()
     forks = int(next(x for x in lines if x.startswith("FORKS:")).split()[1])
     return set(modules), forks
@@ -632,6 +644,47 @@ class TestImportBudget:
 
         assert ssfm.LIGHT_SPEED == constants.c
         assert ssfm.PLANCK == constants.h
+
+
+class TestOneBlasThread:
+    """Imported before numpy, the package limits OpenBLAS to one thread
+    unless the user set ``OPENBLAS_NUM_THREADS``, and the link's results do
+    not depend on the BLAS thread count."""
+
+    REPORT = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+
+    def test_import_runs_one_blas_thread(self):
+        code = ("import nlshaping\n" + self.REPORT
+                + "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '')")
+        setting, threads = fresh_lines(code, OPENBLAS_NUM_THREADS=None)
+        assert setting == "1"
+        if not threads:
+            pytest.skip("no /proc/self/task to count the threads")
+        assert int(threads) == 1
+
+    def test_user_setting_kept(self):
+        assert fresh_lines("import nlshaping\n" + self.REPORT, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+    def test_numpy_first_keeps_its_pool(self):
+        code = "import numpy\nimport nlshaping\n" + self.REPORT
+        assert fresh_lines(code, OPENBLAS_NUM_THREADS=None) == ["None"]
+
+    def test_link_bits_independent_of_thread_count(self):
+        # generate_wdm's Parseval power sums 2^17 samples and the
+        # receiver's least-squares gain 2^14 symbols a row: a BLAS dot of
+        # more than 10^4 splits its sum over its threads.
+        code = (
+            "import hashlib\n"
+            "from nlshaping import LinkConfig, estimate_snr, gaussian_modulation, generate_wdm, receive\n"
+            "cfg = LinkConfig(channels=1, samples_per_symbol=4, symbols_per_channel=16384, steps=100)\n"
+            "field = generate_wdm(cfg, gaussian_modulation(), 0.0, seed=5)\n"
+            "rx = receive(field, cfg, 0)\n"
+            "for out in (field.samples, rx):\n"
+            "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+            "print(estimate_snr(rx, field.tx_symbols[0]).hex())"
+        )
+        one = fresh_lines(code, OPENBLAS_NUM_THREADS="1")
+        assert fresh_lines(code, OPENBLAS_NUM_THREADS="2") == one
 
 
 class TestDefaultProbes:
