@@ -129,7 +129,7 @@ ROW_SKEW = 8
 DIHEDRAL_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Hermite nodes/weights for weight function exp(-t^2)."""
 
@@ -281,7 +281,7 @@ def _quadrature(constellation, pmf, snr_db, rule, gradient):
     sigma = np.sqrt(_snr_to_sigma2(snr_db))
 
     p = pmf.probs
-    m = constellation.levels.size
+    m = constellation.side
     grid = p.reshape(m, m)
     dihedral = _is_dihedral(grid)
     if dihedral:
@@ -468,7 +468,7 @@ def mi_monte_carlo(
 
     rng = np.random.default_rng(seed)
     x = constellation.points
-    m = constellation.levels.size
+    m = constellation.side
     inverse_cdf = _inverse_cdf(pmf)
 
     def draw(part):

@@ -1,18 +1,19 @@
 """Square QAM constellations: a level grid and what derives from it.
 
-A constellation is its sqrt(M) one-dimensional levels, the odd integers
-{+-1, +-3, ..., +-(sqrt(M)-1)} times a positive scale; its points are
-row-major over the (I, Q) level pairs. The scale-free structure, which
-amplitude ring and which symmetry orbit each point belongs to, comes
-once per side from the integer level indices, so rescaling never
-rebuilds it.
+A constellation is its side and scale: sqrt(M) one-dimensional levels,
+the odd integers {+-1, +-3, ..., +-(sqrt(M)-1)} times a positive scale;
+its points are row-major over the (I, Q) level pairs. The scale-free
+structure, which amplitude ring and which symmetry orbit each point
+belongs to, comes once per side from the integer level indices, so
+rescaling never rebuilds it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,60 +52,66 @@ def _grid_structure(side: int):
     return _read_only(ring_index, ring_sizes, ring_sq, orbit_reps, orbit_sizes)
 
 
-@dataclass(frozen=True, eq=False)
-class Constellation:
-    """Square QAM constellation held as its 1-D levels.
+_derived = functools.partial(field, init=False, repr=False, compare=False)
 
-    ``levels`` (ascending, length sqrt(M)) are the odd integers times a
-    positive scale, on both axes. Derived once per instance: ``order``,
+
+@dataclass(frozen=True)
+class Constellation:
+    """Square QAM constellation: ``side`` levels per axis, an even integer
+    of at least 2 (QPSK is side 2), times ``scale``, finite and above 0.
+
+    Equality and hash go by (side, scale), from which every other field
+    derives. Per instance: the ascending ``levels``, ``order`` = side^2,
     the row-major ``points`` and their ``sq_magnitudes``. Shared by every
-    instance of a side, from the integer level indices: ``ring_index``
-    (point -> ring), ``ring_sizes``, ``ring_sq`` (ring squared magnitudes
-    on the integer grid), and one representative index per dihedral
-    orbit with the orbit sizes. Arrays are read-only, so instances are
-    safe to share across workers. Equality and hash go by ``levels``,
-    from which every other field derives.
+    instance of a side: ``ring_index`` (point -> ring), ``ring_sizes``,
+    ``ring_sq`` (ring squared magnitudes on the integer grid), and one
+    representative index per dihedral orbit with the orbit sizes. Arrays
+    are read-only, so instances are safe to share across workers.
     """
 
-    levels: np.ndarray
-    order: int = field(init=False)
-    points: np.ndarray = field(init=False, repr=False)
-    sq_magnitudes: np.ndarray = field(init=False, repr=False)
-    ring_index: np.ndarray = field(init=False, repr=False)
-    ring_sizes: np.ndarray = field(init=False, repr=False)
-    ring_sq: np.ndarray = field(init=False, repr=False)
-    orbit_reps: np.ndarray = field(init=False, repr=False)
-    orbit_sizes: np.ndarray = field(init=False, repr=False)
+    side: int
+    scale: float = 1.0
+    levels: np.ndarray = _derived()
+    order: int = _derived()
+    points: np.ndarray = _derived()
+    sq_magnitudes: np.ndarray = _derived()
+    ring_index: np.ndarray = _derived()
+    ring_sizes: np.ndarray = _derived()
+    ring_sq: np.ndarray = _derived()
+    orbit_reps: np.ndarray = _derived()
+    orbit_sizes: np.ndarray = _derived()
 
     def __post_init__(self):
-        levels = np.array(self.levels, dtype=np.float64)
-        if levels.ndim != 1 or levels.size < 2:
-            raise ValueError(f"levels must be a 1-D array of at least 2, got shape {levels.shape}")
-        m = levels.size
-        points = np.empty((m, m), dtype=np.complex128)
+        side = _int_at_least("side", self.side, 2)
+        if side % 2:
+            raise ValueError(f"side must be even, got {side}")
+        scale = self.scale
+        if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
+                or not math.isfinite(scale) or scale <= 0):
+            raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
+        scale = float(scale)
+        levels = np.arange(-(side - 1), side, 2, dtype=np.float64) * scale
+        points = np.empty((side, side), dtype=np.complex128)
         points.real = levels[:, None]
         points.imag = levels
         # re^2 + im^2 rather than |x|^2: exact on the integer grid.
         sq = levels * levels
-        derived = dict(
-            levels=levels,
-            order=m * m,
-            points=points.ravel(),
-            sq_magnitudes=(sq[:, None] + sq).ravel(),
-        )
+        derived = dict(side=side, scale=scale, levels=levels, order=side * side,
+                       points=points.ravel(), sq_magnitudes=(sq[:, None] + sq).ravel())
         _read_only(levels, derived["points"], derived["sq_magnitudes"])
         names = ("ring_index", "ring_sizes", "ring_sq", "orbit_reps", "orbit_sizes")
-        derived.update(zip(names, _grid_structure(m)))
+        derived.update(zip(names, _grid_structure(side)))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    def __eq__(self, other):
-        if not isinstance(other, Constellation):
-            return NotImplemented
-        return np.array_equal(self.levels, other.levels)
-
-    def __hash__(self):
-        return hash(self.levels.tobytes())
+    def level_indices(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices (i, q) of the levels nearest to the real and imaginary
+        part of each value; ``points[i * side + q]`` is the point nearest
+        to it. One rounding per axis instead of a distance to each of the
+        M points."""
+        lo, step = -(self.side - 1) * self.scale, 2.0 * self.scale
+        return tuple(np.clip(np.rint((part - lo) / step), 0, self.side - 1).astype(np.intp)
+                     for part in (values.real, values.imag))
 
 
 def square_qam(order: int) -> Constellation:
@@ -116,8 +123,7 @@ def square_qam(order: int) -> Constellation:
             f"order {order!r} outside the supported range: square QAM of "
             f"order {', '.join(map(str, SUPPORTED_ORDERS))}"
         )
-    m = math.isqrt(order)
-    return Constellation(np.arange(-(m - 1), m, 2, dtype=np.float64))
+    return Constellation(math.isqrt(order))
 
 
 def _int_at_least(name: str, value, least: int) -> int:
@@ -151,7 +157,7 @@ def mean_power(constellation: Constellation, pmf) -> float:
 
 
 def normalized(constellation: Constellation, pmf) -> Constellation:
-    """Rescale the levels so the constellation has unit mean power under
-    ``pmf``. Rings, orbits and point ordering are unchanged."""
+    """The constellation rescaled to unit mean power under ``pmf``.
+    Rings, orbits and point ordering are unchanged."""
     scale = 1.0 / np.sqrt(mean_power(constellation, pmf))
-    return Constellation(constellation.levels * scale)
+    return replace(constellation, scale=constellation.scale * scale)

@@ -37,9 +37,10 @@ class Family(enum.Enum):
     PER_RING = "per_ring"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
-    """Probability mass function over constellation points."""
+    """Probability mass function over constellation points. Equality
+    and hash go by identity, since the probabilities are an array."""
 
     probs: np.ndarray
 

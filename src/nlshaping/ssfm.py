@@ -216,7 +216,7 @@ def gaussian_modulation() -> Modulation:
     return Modulation("gaussian")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPolField:
     """Sampled dual-polarization field plus the symbols that made it."""
 
@@ -575,30 +575,14 @@ def mi_from_samples(
     if sigma2 == 0.0:
         return h_bits
 
-    levels = constellation.levels
-    grid = pmf.probs.reshape(levels.size, levels.size)
-    i, q = np.divmod(_nearest_indices(constellation, tx), levels.size)
+    grid = pmf.probs.reshape(constellation.side, constellation.side)
+    i, q = constellation.level_indices(tx)
     total = 0.0
     for nats in _neg_log_posterior_chunks(rx.size, lambda part: (rx[part], i[part], q[part]),
-                                          levels, grid, sigma2):
+                                          constellation.levels, grid, sigma2):
         total += float(nats.sum())
     mi = h_bits - total / rx.size / LN2
     return float(np.clip(mi, 0.0, h_bits))
-
-
-def _nearest_indices(constellation: Constellation, values: np.ndarray) -> np.ndarray:
-    """Index of the constellation point nearest to each value.
-
-    Square QAM points are row-major over equally spaced (I, Q) levels, so
-    the nearest point is the nearest level on each axis: one rounding per
-    axis instead of a distance to each of the M points.
-    """
-    levels = constellation.levels
-    m = levels.size
-    lo, step = levels[0], (levels[-1] - levels[0]) / (m - 1)
-    i = np.clip(np.rint((values.real - lo) / step), 0, m - 1).astype(np.intp)
-    q = np.clip(np.rint((values.imag - lo) / step), 0, m - 1).astype(np.intp)
-    return i * m + q
 
 
 def _run_seed(master_seed: int, *indices: int) -> tuple[int, int]:
@@ -654,6 +638,9 @@ def power_sweep(
     """
     powers = [float(p) for p in power_grid_dbm]
     modulations = list(modulations)
+    for name, values in (("power_grid_dbm", powers), ("modulations", modulations)):
+        if not values:
+            raise ValueError(f"{name} must be non-empty")
     if not all(map(math.isfinite, powers)):
         raise ValueError(f"power_grid_dbm must be finite, got {powers}")
     if any(b <= a for a, b in zip(powers, powers[1:])):

@@ -1,5 +1,10 @@
 """Fixtures shared by the test modules."""
 
+# First, before any test module loads numpy: imported before numpy, the
+# package runs BLAS on one thread in this process too (see
+# nlshaping/__init__.py), as in every CLI process.
+import nlshaping  # noqa: F401  isort: skip
+
 import math
 import multiprocessing
 import os

@@ -53,7 +53,7 @@ def test_criterion_1_kurtosis_closed_forms():
     m4 = sum(v * v for v in r2) / 64
     assert got == pytest.approx(float(m4 / m2**2 - 2), abs=1e-12)
 
-    qpsk = Constellation(np.array([-1.0, 1.0]))
+    qpsk = Constellation(2)
     assert excess_kurtosis(qpsk, uniform_pmf(qpsk)) == -1.0
 
     # the Gaussian reference enters the model as exactly zero kurtosis

@@ -113,6 +113,25 @@ def dense_mi_awgn_2d(constellation, pmf, snr_db, rule=None):
     return float(np.clip(-acc / LN2, 0.0, entropy(pmf)))
 
 
+def every_point_mi_awgn_2d(constellation, pmf, snr_db):
+    """Oracle: the 16-node Gauss-Hermite MI summed over every sent point,
+    each mixture a log-sum-exp over every point, with no orbit reduction
+    and no split into I and Q kernels."""
+    nodes, weights = np.polynomial.hermite.hermgauss(16)
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    noise = (math.sqrt(sigma2) * (nodes[:, None] + 1j * nodes[None, :])).ravel()
+    w = np.outer(weights, weights).ravel() / np.pi
+    x, p = constellation.points, pmf.probs
+    total = 0.0
+    for s in np.flatnonzero(p > 0.0):
+        y = x[s] + noise
+        # log p_j - (|y - x_j|^2 - |y - x_s|^2) / sigma^2, over every j.
+        a = np.log(p) - (np.abs(y[:, None] - x) ** 2 - np.abs(noise[:, None]) ** 2) / sigma2
+        a_max = a.max(axis=1)
+        total += p[s] * float(w @ (a_max + np.log(np.exp(a - a_max[:, None]).sum(axis=1))))
+    return min(max(-total / LN2, 0.0), entropy(pmf))
+
+
 def dense_neg_log_posterior(y, idx, x, logp, sigma2):
     """Oracle: -log P(x_idx | y) in nats from the dense (samples, M)
     log-sum-exp over every constellation point."""
@@ -380,7 +399,7 @@ class TestMiQuadrature:
 
     @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0])
     def test_qpsk_against_independent_quadrature(self, snr_db):
-        qpsk = Constellation(np.array([-1.0, 1.0]))
+        qpsk = Constellation(2)
         pmf = uniform_pmf(qpsk)
         want = 2.0 * bpsk_mi_quad(10 ** (snr_db / 10))
         # QPSK = two independent BPSK channels at the same per-dimension SNR.
@@ -471,6 +490,21 @@ class TestMiQuadrature:
         c = normalized(raw, pmf)
         assert mi_awgn_2d(c, pmf, snr_db) == pytest.approx(
             dense_mi_awgn_2d(c, pmf, snr_db), abs=1e-12
+        )
+
+
+class TestEveryPointSum:
+    @pytest.mark.parametrize("snr_db", [0.0, 6.0, 15.0])
+    @pytest.mark.parametrize("kind", ["uniform", "mb"])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("side", [2, 4, 6, 8])
+    def test_matches_sum_over_every_point(self, side, scale, kind, snr_db):
+        raw = Constellation(side, scale)
+        lam = 1.0 / float(np.mean(raw.sq_magnitudes))
+        pmf = uniform_pmf(raw) if kind == "uniform" else mb_pmf(raw, lam)
+        c = normalized(raw, pmf)
+        assert mi_awgn_2d(c, pmf, snr_db) == pytest.approx(
+            every_point_mi_awgn_2d(c, pmf, snr_db), abs=1e-12
         )
 
 

@@ -1,14 +1,36 @@
 """Geometry tests: grids, rings, moments, normalization."""
 
+import hashlib
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nlshaping import Constellation, Pmf, mb_pmf, mean_power, normalized, square_qam, uniform_pmf
+from nlshaping import (
+    Constellation,
+    Pmf,
+    mb_pmf,
+    mean_power,
+    normalized,
+    square_qam,
+    tailored_pmf,
+    uniform_pmf,
+)
 
 ALL_ORDERS = [16, 64, 256, 1024, 4096]
+
+# sha256 over the levels, points and squared magnitudes of the raw grid and
+# of the grid normalized under a uniform, an MB and a tailored pmf
+# (TestBitPins): however the grid is built, these bits stay.
+PINNED_GRID_SHA256 = {
+    16: "8a757495f981325d63b4eacd3717e758ed5fed6def64b2b498f746d6c6dbefaf",
+    64: "6d71b0867b4ed2b40e531a03d1dc1c59dec38ed5e07fc88b9ea292335354a404",
+    256: "b6b672d1e21ac49d13a367ce72f52fa6ffbe5aa660d6c6e809131a055654d629",
+    1024: "0bf80cdb9330c9e7b574f2a6bb28151933e44f35b6f7f82cddd08461aa7180c2",
+    4096: "81c099a72be3de464cc2eb743200be7370383a3fb79c172a7ae95d195cf81db1",
+}
 
 
 def enumerate_rings(order):
@@ -45,7 +67,7 @@ class TestSquareQam:
     def test_order_4_rejected_qpsk_from_levels(self):
         with pytest.raises(ValueError, match="outside the supported range"):
             square_qam(4)
-        c = Constellation(np.array([-1.0, 1.0]))
+        c = Constellation(2)
         assert c.order == 4
         np.testing.assert_array_equal(c.ring_sizes, [4])
         np.testing.assert_array_equal(c.ring_index, np.zeros(4))
@@ -110,6 +132,59 @@ class TestSquareQam:
         np.testing.assert_array_equal(covered, 1)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("side", [2, 4, 6, 8, 16, 64, np.int64(8)])
+    @pytest.mark.parametrize("scale", [1.0, 0.25, 3, np.float32(0.5), 1e-3])
+    def test_levels_are_odd_integers_times_scale(self, side, scale):
+        c = Constellation(side, scale)
+        assert type(c.side) is int and type(c.scale) is float
+        assert c.order == side * side
+        k = np.arange(-(side - 1), side, 2)
+        np.testing.assert_array_equal(c.levels, k * float(scale))
+        np.testing.assert_array_equal(c.points.real, np.repeat(c.levels, side))
+        np.testing.assert_array_equal(c.points.imag, np.tile(c.levels, side))
+
+    @pytest.mark.parametrize("side, message", [
+        (3, "side must be even, got 3"),
+        (1, "side must be at least 2, got 1"),
+        (0, "side must be at least 2, got 0"),
+        (-4, "side must be at least 2, got -4"),
+        (4.0, "side must be an integer, got 4.0"),
+        (True, "side must be an integer, got True"),
+        ("4", "side must be an integer, got '4'"),
+    ])
+    def test_bad_side_named(self, side, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Constellation(side)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, True, "1", 1j])
+    def test_bad_scale_named(self, scale):
+        with pytest.raises(ValueError, match=re.escape(f"scale must be a finite number above 0, got {scale!r}")):
+            Constellation(4, scale)
+
+    def test_asymmetric_levels_cannot_be_built(self):
+        # These levels are not the odd integers times a scale: the MI's
+        # orbit reduction, which assumes the square's symmetry, scored the
+        # grid 2.3241 bit at 6 dB against 2.0780 from a sum over every point.
+        with pytest.raises(ValueError, match="side must be an integer"):
+            Constellation(np.array([-3.0, -1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="cannot be specified with replace"):
+            replace(square_qam(16), levels=np.array([-3.0, -1.0, 2.0, 3.0]))
+
+
+class TestBitPins:
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_grids_keep_their_bits(self, order):
+        raw = square_qam(order)
+        p_u = 2.0 * (order - 1) / 3.0
+        pmfs = (uniform_pmf(raw), mb_pmf(raw, 1.0 / p_u), tailored_pmf(raw, -0.2 / p_u, 1.3 / p_u**2))
+        digest = hashlib.sha256()
+        for c in (raw, *(normalized(raw, pmf) for pmf in pmfs)):
+            for a in (c.levels, c.points, c.sq_magnitudes):
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == PINNED_GRID_SHA256[order]
+
+
 class TestEquality:
     def test_same_order_and_scale_are_equal(self):
         assert square_qam(16) == square_qam(16)
@@ -121,6 +196,12 @@ class TestEquality:
         raw = square_qam(16)
         assert raw != normalized(raw, uniform_pmf(raw))
         assert raw != square_qam(64)
+
+    def test_side_and_scale_are_the_whole_key(self):
+        assert Constellation(4) == square_qam(16) == Constellation(np.int64(4), 1)
+        assert hash(Constellation(4, 2)) == hash(Constellation(4, 2.0))
+        assert Constellation(4, 2.0) != Constellation(4, np.nextafter(2.0, 3.0))
+        assert replace(square_qam(16), scale=0.5) == Constellation(4, 0.5)
 
     def test_usable_as_dict_key(self):
         raw = square_qam(16)
@@ -197,6 +278,8 @@ class TestNormalized:
                 getattr(c, name)[0] = 0
 
     def test_rejects_zero_power(self):
-        pmf = uniform_pmf(Constellation(np.array([-1.0, 1.0])))
+        # A grid of zero power has scale 0, which the constructor refuses.
+        with pytest.raises(ValueError, match="scale must be a finite number above 0, got 0.0"):
+            Constellation(2, 0.0)
         with pytest.raises(ValueError, match="not positive"):
-            normalized(Constellation(levels=np.zeros(2)), pmf)
+            normalized(Constellation(2), np.zeros(4))

@@ -227,7 +227,7 @@ class TestOptimizeTailored:
         # One ring: every (nu1, nu2) gives the uniform pmf, so all
         # candidates tie and the MB optimum wins the |nu2| tie-break with
         # its exact rate; tailored_pmf(lam, 0) is mb_pmf(lam) bit for bit.
-        qpsk = Constellation(np.array([-1.0, 1.0]))
+        qpsk = Constellation(2)
         model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
         mb_point = optimize_mb(qpsk, model)
         point = optimize_tailored(qpsk, model, mb=mb_point)
@@ -270,7 +270,7 @@ class TestOptimizeTailored:
 
 class TestOptimizePerRing:
     def test_single_ring_has_no_freedom(self):
-        qpsk = Constellation(np.array([-1.0, 1.0]))
+        qpsk = Constellation(2)
         model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
         point = optimize_per_ring(qpsk, model)
         np.testing.assert_allclose(point.params.ring_probs, [1.0])

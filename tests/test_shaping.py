@@ -13,11 +13,14 @@ from scipy.optimize import brentq
 from nlshaping import (
     Constellation,
     Family,
+    Modulation,
     Pmf,
+    QuadratureRule,
     ShapingParams,
     build_pmf,
     entropy,
     excess_kurtosis,
+    gauss_hermite,
     mb_pmf,
     normalized,
     ring_pmf,
@@ -26,6 +29,7 @@ from nlshaping import (
     uniform_pmf,
 )
 from nlshaping.shaping import _inverse_cdf, ring_masses
+from nlshaping.ssfm import DualPolField
 from test_awgn_mi import is_ring_constant
 
 
@@ -57,6 +61,24 @@ class TestPmfValidation:
         pmf = Pmf(probs)
         assert pmf.probs[1] == 0.0
         assert pmf.probs.sum() == 1.0
+
+
+class TestIdentityEquality:
+    def test_array_holders_compare_and_hash_by_identity(self):
+        # Compared field by field, their arrays made == raise ValueError
+        # and hash() TypeError.
+        c = square_qam(16)
+        pmf = uniform_pmf(c)
+        twin = Pmf(pmf.probs.copy())
+        assert (pmf == twin) is False and (pmf == pmf) is True
+        modulation = Modulation("uniform", c, pmf)
+        assert (modulation == Modulation("uniform", c, twin)) is False
+        assert modulation == Modulation("uniform", square_qam(16), pmf)
+        assert len({pmf, twin, modulation, Modulation("uniform", c, pmf)}) == 3
+        rule = gauss_hermite(16)
+        assert (QuadratureRule(rule.nodes.copy(), rule.weights.copy()) == rule) is False
+        field = DualPolField(np.zeros((2, 4), complex), 1.0, np.zeros((1, 2, 2), complex))
+        assert {field: "field"}[field] == "field"
 
 
 class TestMaxwellBoltzmann:
@@ -151,7 +173,7 @@ class TestRingConstantProperty:
 
 class TestExcessKurtosis:
     def test_single_ring_is_minus_one(self):
-        qpsk = Constellation(np.array([-1.0, 1.0]))
+        qpsk = Constellation(2)
         assert excess_kurtosis(qpsk, uniform_pmf(qpsk)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_uniform_64qam_closed_form(self):
@@ -190,7 +212,7 @@ class TestExcessKurtosis:
     def test_scale_invariance(self, scale):
         c = square_qam(64)
         pmf = mb_pmf(c, 0.01)
-        scaled = replace(c, levels=c.levels * scale)
+        scaled = replace(c, scale=scale)
         assert excess_kurtosis(scaled, pmf) == pytest.approx(
             excess_kurtosis(c, pmf), abs=1e-10
         )
@@ -203,7 +225,7 @@ class TestExcessKurtosis:
     def test_scale_invariance_property(self, lam_scaled, scale):
         c = square_qam(16)
         pmf = mb_pmf(c, lam_scaled / 10.0)
-        scaled = replace(c, levels=c.levels * scale)
+        scaled = replace(c, scale=scale)
         assert excess_kurtosis(scaled, pmf) == pytest.approx(
             excess_kurtosis(c, pmf), abs=1e-9
         )

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlshaping import (
+    Constellation,
     LinkConfig,
     Modulation,
     Pmf,
@@ -44,7 +45,6 @@ from nlshaping.ssfm import (
     DualPolField,
     LN10,
     _four_step,
-    _nearest_indices,
     _pass_order,
     _spectral_filter,
     ase_psd_w_per_hz,
@@ -719,7 +719,8 @@ def dense_mi_from_samples(rx, tx, constellation, pmf):
     logp = np.where(pmf.probs > 0.0, np.log(np.maximum(pmf.probs, 1e-320)), -np.inf)
     xq = np.vstack([x.real, x.imag])
     x2 = np.abs(x) ** 2
-    idx = _nearest_indices(constellation, tx)
+    i, q = constellation.level_indices(tx)
+    idx = i * constellation.side + q
     total = 0.0
     chunk = 1 << 15
     buffer = np.empty((min(chunk, rx.size), x.size))
@@ -801,8 +802,8 @@ class TestMiFromSamples:
         def no_compute(*args, **kwargs):
             raise AssertionError("the estimate ran on a non-finite sample")
 
-        for fn in ("_nearest_indices", "_neg_log_posterior_chunks"):
-            monkeypatch.setattr(ssfm, fn, no_compute)
+        monkeypatch.setattr(Constellation, "level_indices", no_compute)
+        monkeypatch.setattr(ssfm, "_neg_log_posterior_chunks", no_compute)
         y, x = self.synthetic(18.0, n=20_000)
         pair = {"rx_symbols": y, "tx_symbols": x}
         pair[name][123] = bad
@@ -903,7 +904,8 @@ def grid_inputs(draw):
 @given(grid_inputs())
 def test_nearest_indices_match_argmin(case):
     c, values, want = case
-    np.testing.assert_array_equal(_nearest_indices(c, values), want)
+    i, q = c.level_indices(values)
+    np.testing.assert_array_equal(i * c.side + q, want)
 
 
 class TestPowerSweep:
@@ -948,10 +950,13 @@ class TestPowerSweep:
         subset = power_sweep(cfg, mods[1:], [0.0, 2.0])
         assert subset == [r for r in full if r.family == "gaussian"]
 
-    def test_no_runs_give_no_rows(self, cpus):
-        cpus(2)
-        assert power_sweep(tiny_config(), [uniform_mod()], []) == []
-        assert power_sweep(tiny_config(), [], [0.0]) == []
+    def test_no_runs_rejected(self, monkeypatch):
+        # Both returned [] with no error, where mi_curve refuses an empty grid.
+        _no_link_compute(monkeypatch)
+        with pytest.raises(ValueError, match="power_grid_dbm must be non-empty"):
+            power_sweep(tiny_config(), [uniform_mod()], [])
+        with pytest.raises(ValueError, match="modulations must be non-empty"):
+            power_sweep(tiny_config(), [], [0.0])
 
     def test_duplicate_names_rejected(self):
         cfg = tiny_config()
