@@ -29,7 +29,7 @@ from .awgn_mi import DEFAULT_ORDER
 from .constellation import SUPPORTED_ORDERS, normalized, square_qam
 from .nl_model import CURVE_FAMILIES, DEFAULT_C, Family, MiCurvePoint, NlChannelModel, mi_curve
 from .search import bisect
-from .shaping import ShapingParams, build_pmf, excess_kurtosis, mb_pmf, uniform_pmf
+from .shaping import build_pmf, excess_kurtosis, mb_pmf, uniform_pmf
 from .ssfm import (
     LinkConfig,
     Modulation,
@@ -171,13 +171,19 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [min(lo + i * step, hi) for i in range(int(_grid_count(lo, hi, step)))]
 
 
+def _family_params(point: MiCurvePoint) -> dict:
+    """A design point's lam, nu1 and nu2, None for each parameter outside
+    its family."""
+    mb = point.family is Family.MAXWELL_BOLTZMANN
+    tailored = point.family is Family.KURTOSIS_TAILORED
+    return {"lam": point.params.lam if mb else None,
+            "nu1": point.params.nu1 if tailored else None,
+            "nu2": point.params.nu2 if tailored else None}
+
+
 def _point_row(point: MiCurvePoint) -> list:
-    params = point.params
-    lam = params.lam if point.family is Family.MAXWELL_BOLTZMANN else None
-    nu1 = params.nu1 if point.family is Family.KURTOSIS_TAILORED else None
-    nu2 = params.nu2 if point.family is Family.KURTOSIS_TAILORED else None
     return [
-        point.snr_gauss_db, point.family.value, lam, nu1, nu2,
+        point.snr_gauss_db, point.family.value, *_family_params(point).values(),
         point.kurtosis, point.effective_snr_db, point.mi_4d, point.delta_mi_4d,
     ]
 
@@ -210,11 +216,10 @@ def cmd_pmf(args):
         [i, unit.points[i].real, unit.points[i].imag, unit.sq_magnitudes[i], pmf.probs[i]]
         for i in range(unit.order)
     ]
+    own_params = {name: format_cell(value)
+                  for name, value in _family_params(point).items() if value is not None}
     metadata = base_metadata(order=args.order, c=args.c, snr_gauss_db=args.snr,
-                             family=args.family,
-                             lam=format_cell(point.params.lam),
-                             nu1=format_cell(point.params.nu1),
-                             nu2=format_cell(point.params.nu2),
+                             family=args.family, **own_params,
                              kurtosis=format_cell(point.kurtosis))
     return metadata, ["point_index", "re", "im", "ring_sq_magnitude", "probability"], rows
 
@@ -232,16 +237,16 @@ def _config_metadata(config: LinkConfig) -> dict:
 
 
 def build_modulations(names, order: int, c: float, cal_snr_db: float):
-    """Resolve family tags into concrete modulations. Shaped families are
-    designed once, by one ``mi_curve`` point at the calibration SNR, and
-    reused across the sweep, mirroring how shaped transmitters are
-    provisioned."""
+    """Resolve family tags into concrete modulations. Every family but the
+    Gaussian is designed once, by one ``mi_curve`` point at the
+    calibration SNR, and reused across the sweep, mirroring how shaped
+    transmitters are provisioned."""
     constellation = square_qam(order)
-    params = {"uniform": ShapingParams(Family.UNIFORM)}
-    shaped = tuple(Family(name) for name in names if name in ("mb", "opt"))
-    if shaped:
-        (points,) = mi_curve(constellation, c, [cal_snr_db], shaped)
-        params.update((point.family.value, point.params) for point in points)
+    designed = tuple(Family(name) for name in names if name != "gaussian")
+    params = {}
+    if designed:
+        (points,) = mi_curve(constellation, c, [cal_snr_db], designed)
+        params = {point.family.value: point.params for point in points}
     return [
         gaussian_modulation() if name == "gaussian"
         else Modulation(name, constellation, build_pmf(constellation, params[name]))
@@ -351,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=256)
     p.add_argument("--c", type=_finite, default=DEFAULT_C)
     p.add_argument("--snr", type=_finite, required=True)
-    p.add_argument("--family", choices=("mb", "opt"), required=True)
+    p.add_argument("--family", required=True,
+                   choices=[f.value for f in CURVE_FAMILIES if f is not Family.UNIFORM])
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_pmf)
 
@@ -363,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cal-snr", type=_finite, default=18.0,
                    help="Gaussian-reference SNR the shaped pmfs are optimized for")
     p.add_argument("--families", type=sim_families,
-                   default=["uniform", "mb", "opt"])
+                   default=list(SHAPED_FAMILIES))
     p.add_argument("--power-min", type=_finite, required=True)
     p.add_argument("--power-max", type=_finite, required=True)
     p.add_argument("--power-step", type=_finite, default=1.0)

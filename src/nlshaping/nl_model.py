@@ -182,8 +182,13 @@ def _score(constellation, params, model, gradient):
     return point, pmf, 2.0 * (d_grid.ravel() + (d_sigma * sigma) * d_log_sigma)
 
 
-def _grid_power(constellation: Constellation) -> float:
-    return float(np.mean(constellation.sq_magnitudes))
+def _scaled_stats(constellation: Constellation) -> tuple[float, np.ndarray]:
+    """The uniform mean power P_u of the grid and the exponential families'
+    statistics (T_1, T_2) = (|x|^2 / P_u, T_1^2) in the searches' scaled
+    parameters u = lam P_u and v = (nu1 P_u, nu2 P_u^2), one row each."""
+    pu = float(np.mean(constellation.sq_magnitudes))
+    t1 = constellation.sq_magnitudes / pu
+    return pu, np.stack([t1, t1 * t1])
 
 
 def _bfgs_points(name: str, gradient, starts, maxfev: int) -> list[MiCurvePoint]:
@@ -225,8 +230,7 @@ def optimize_mb(
     kept. The result depends only on the constellation and the model;
     it is the point the search or the scan scored.
     """
-    pu = _grid_power(constellation)
-    t1 = constellation.sq_magnitudes[np.newaxis] / pu
+    pu, stats = _scaled_stats(constellation)
 
     def mb(u) -> ShapingParams:
         return ShapingParams(Family.MAXWELL_BOLTZMANN, lam=float(u / pu))
@@ -235,7 +239,7 @@ def optimize_mb(
     best_i = int(np.argmax([point.mi_4d for point in scan]))
     best = scan[best_i]
     (point,) = _bfgs_points("Maxwell-Boltzmann rate search",
-                            lambda v: _exp_gradient(constellation, model, mb(v[0]), t1),
+                            lambda v: _exp_gradient(constellation, model, mb(v[0]), stats[:1]),
                             [[_COARSE_U[best_i]]], _MB_MAXFEV)
     if 0.0 <= point.params.lam <= _U_MAX / pu and point.mi_4d > best.mi_4d:
         best = point
@@ -258,18 +262,18 @@ def optimize_tailored(
     never falls below it. Among ties the smallest |nu2| wins. The point
     returned is the one a search scored, or the MB optimum's, relabeled.
     """
-    pu = _grid_power(constellation)
+    pu, stats = _scaled_stats(constellation)
     mb = mb if mb is not None else optimize_mb(constellation, model)
 
     grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
     grid_vals = [-evaluate_family(constellation, _tailored(g, pu), model).mi_4d for g in grid]
     starts = [(mb.params.lam * pu, 0.0), grid[int(np.argmin(grid_vals))]]
     points = _bfgs_points("tailored-family search",
-                          lambda v: _tailored_gradient(constellation, model, v),
+                          lambda v: _exp_gradient(constellation, model, _tailored(v, pu), stats),
                           starts, _TAILORED_MAXFEV)
 
-    # The MB optimum as a point of this family: tailored_pmf(lam, 0) is
-    # mb_pmf(lam) bit for bit, so only the params change.
+    # The MB optimum as a point of this family: mb_pmf(lam) is built as
+    # tailored_pmf(lam, 0), so only the params change.
     mb_params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=mb.params.lam, nu2=0.0)
     candidates = [replace(mb, params=mb_params), *points]
     best_mi = max(p.mi_4d for p in candidates)
@@ -282,15 +286,6 @@ def _tailored(v, pu: float) -> ShapingParams:
     """Tailored-family parameters from the scaled (nu1 pu, nu2 pu^2)."""
     return ShapingParams(Family.KURTOSIS_TAILORED,
                          nu1=float(v[0] / pu), nu2=float(v[1] / (pu * pu)))
-
-
-def _tailored_gradient(constellation, model, v) -> tuple[MiCurvePoint, np.ndarray]:
-    """The tailored family's point at the scaled parameters ``v`` and
-    d mi_4d / dv, through dp/dv_k = -p (T_k - E[T_k]) with T_1 = |x|^2 / pu
-    and T_2 = T_1^2."""
-    pu = _grid_power(constellation)
-    t1 = constellation.sq_magnitudes / pu
-    return _exp_gradient(constellation, model, _tailored(v, pu), np.stack([t1, t1 * t1]))
 
 
 def _exp_gradient(constellation, model, params, stats) -> tuple[MiCurvePoint, np.ndarray]:

@@ -77,35 +77,32 @@ class ShapingParams:
     ring_probs: tuple[float, ...] | None = None
 
 
-def _normalized_exp(exponents: np.ndarray) -> Pmf:
-    # Subtract the max exponent so exp never overflows; underflow is benign.
-    shifted = exponents - exponents.max()
-    weights = np.exp(shifted)
-    return Pmf(weights / weights.sum())
-
-
 def uniform_pmf(constellation: Constellation) -> Pmf:
-    return Pmf(np.full(constellation.order, 1.0 / constellation.order))
+    return tailored_pmf(constellation, 0.0, 0.0)
 
 
 def mb_pmf(constellation: Constellation, lam: float) -> Pmf:
     """Maxwell-Boltzmann pmf, p_i proportional to exp(-lam |x_i|^2)."""
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam!r}")
-    return _normalized_exp(-lam * constellation.sq_magnitudes)
+    return tailored_pmf(constellation, lam, 0.0)
 
 
 def tailored_pmf(constellation: Constellation, nu1: float, nu2: float) -> Pmf:
     """Two-parameter pmf, p_i proportional to exp(-nu1 |x_i|^2 - nu2 |x_i|^4).
 
-    Reduces to :func:`mb_pmf` at nu2 = 0. Positive nu2 suppresses the
+    The one exponential builder: :func:`uniform_pmf` is its (0, 0) point
+    and :func:`mb_pmf` its (lam, 0) point. Positive nu2 suppresses the
     outer tail harder than any Maxwell-Boltzmann pmf, which is what pulls
     the excess kurtosis down; nu2 may take either sign.
     """
     if not (math.isfinite(nu1) and math.isfinite(nu2)):
         raise ValueError(f"nu1/nu2 must be finite, got {nu1!r}, {nu2!r}")
     r2 = constellation.sq_magnitudes
-    return _normalized_exp(-nu1 * r2 - nu2 * r2 * r2)
+    exponents = -nu1 * r2 - nu2 * r2 * r2
+    # Subtract the max exponent so exp never overflows; underflow is benign.
+    weights = np.exp(exponents - exponents.max())
+    return Pmf(weights / weights.sum())
 
 
 def ring_pmf(constellation: Constellation, ring_probs) -> Pmf:

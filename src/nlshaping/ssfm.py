@@ -517,9 +517,17 @@ def receive(field: DualPolField, config: LinkConfig, channel_index: int) -> np.n
 def _gain_removed(rx: np.ndarray, tx: np.ndarray) -> np.ndarray:
     """Each row of ``rx`` over its least-squares complex gain h in rx = h tx
     + n, against the known row of ``tx``: the noise is left unbiased. The
-    sums are einsum's, not BLAS's, whose bits depend on its thread count."""
-    return np.array([y / (np.einsum("i,i->", x.conj(), y) / np.einsum("i,i->", x.conj(), x))
-                     for y, x in zip(rx, tx)])
+    sums are einsum's, not BLAS's, whose bits depend on its thread count.
+    A ValueError names a row whose gain is 0/0 or 0: a ``tx`` row with no
+    power, or an ``rx`` row with none along its ``tx`` row."""
+    sums = [(np.einsum("i,i->", x.conj(), y), np.einsum("i,i->", x.conj(), x))
+            for y, x in zip(rx, tx)]
+    for row, (cross, power) in enumerate(sums):
+        if power == 0.0:
+            raise ValueError(f"tx_symbols row {row} has no power")
+        if cross == 0.0:
+            raise ValueError(f"rx_symbols row {row} has no power along its sent row")
+    return np.array([y / (cross / power) for y, (cross, power) in zip(rx, sums)])
 
 
 def _require_symbol_pair(rx: np.ndarray, tx: np.ndarray) -> None:
@@ -563,12 +571,19 @@ def mi_from_samples(
     Uses the mismatched-decoding lower bound with a circular Gaussian
     auxiliary channel whose variance is the measured residual power, so
     the estimate is achievable by a receiver that treats all distortion
-    as AWGN.
+    as AWGN. Each sent sample must be a point of ``constellation``, to
+    within 1e-9 of its scale.
     """
     rx = np.asarray(rx_symbols).ravel()
     tx = np.asarray(tx_symbols).ravel()
     _require_symbol_pair(rx, tx)
     _require_unit_power(constellation, pmf)
+    i, q = constellation.level_indices(tx)
+    nearest = constellation.points[i * constellation.side + q]
+    off = np.count_nonzero(np.abs(tx - nearest) > 1e-9 * constellation.scale)
+    if off:
+        raise ValueError(f"tx_symbols must be constellation points: {off} of {tx.size} "
+                         "samples lie off the grid")
 
     sigma2 = float(np.mean(np.abs(rx - tx) ** 2))
     h_bits = entropy(pmf)
@@ -576,7 +591,6 @@ def mi_from_samples(
         return h_bits
 
     grid = pmf.probs.reshape(constellation.side, constellation.side)
-    i, q = constellation.level_indices(tx)
     total = 0.0
     for nats in _neg_log_posterior_chunks(rx.size, lambda part: (rx[part], i[part], q[part]),
                                           constellation.levels, grid, sigma2):

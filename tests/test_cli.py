@@ -488,8 +488,14 @@ class TestPmfCsv:
         assert kurtosis(opt_rows) < kurtosis(mb_rows)
 
     def test_metadata_records_parameters(self, tables):
+        # Each table lists its own family's parameters and no other's.
         metadata, _, _ = tables["opt"]
         assert "nu1" in metadata and "nu2" in metadata
+        assert "lam" not in metadata
+        assert float(metadata["kurtosis"]) < 0
+        metadata, _, _ = tables["mb"]
+        assert "lam" in metadata and float(metadata["lam"]) > 0
+        assert "nu1" not in metadata and "nu2" not in metadata
         assert float(metadata["kurtosis"]) < 0
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from nlshaping import NlChannelModel, square_qam
-from nlshaping.nl_model import _tailored_gradient
+from nlshaping.nl_model import _exp_gradient, _scaled_stats, _tailored
 from nlshaping.search import bfgs, bisect
 
 QAM16 = square_qam(16)
@@ -87,9 +87,10 @@ class TestBfgs:
         # The tailored search's objective at 16QAM and 14 dB with its exact
         # gradient, from the coarse cell the search would start from.
         model = NlChannelModel(c=0.69, snr_gauss_db=14.0)
+        pu, stats = _scaled_stats(QAM16)
 
         def neg_mi(v):
-            point, grad = _tailored_gradient(QAM16, model, v)
+            point, grad = _exp_gradient(QAM16, model, _tailored(v, pu), stats)
             return -point.mi_4d, -grad
 
         x, fun, _, status = bfgs(neg_mi, [1.0, 0.2], gtol=1e-9, maxfev=600)

@@ -1,5 +1,6 @@
 """Shaping family tests: pmf construction, moments, entropy."""
 
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -150,6 +151,53 @@ class TestTailored:
             tailored_pmf(c, np.inf, 0.0)
         with pytest.raises(ValueError):
             tailored_pmf(c, 0.0, np.nan)
+
+
+# sha256 per side of the uniform pmf, of the MB pmfs at lam P_u in PIN_MB_U
+# and of the tailored pmfs at (nu1 P_u, nu2 P_u^2) in PIN_TAILORED_V, with
+# P_u the grid's uniform mean power: sides 4-64 (16-4096QAM) and side 6,
+# an order that is not a power of two.
+PIN_MB_U = (0.01, 1.0, 30.0)
+PIN_TAILORED_V = ((-0.2, 1.3), (2.0, -0.1))
+PINNED_PMF_SHA256 = {
+    4: ('d5ced4a0fdc0dcd83f097357e679dbf69e71f01d4ada5a7f7670adac84ceb6c2', 'f59d314693e6c5a9b805d30ef641c6dc46d8686dc3024dd1a17bbfbadd213f78', '7e9dea6088aa711940cc2316f3b01a064ef1a04b73b7af4ef167205c13648696'),
+    6: ('1211923806491eff6d1eedd080edd9b92364ae057709601fc830db33ed9ded5c', 'de25bb74e41fff51d4e6120afa63a5dcfce43fc08befa163a3b56a4ac04eaba4', '962e506facd9cfbd93040dbb5397070546326b3c65a7c76654308b5c39ab4d79'),
+    8: ('25493ecc62734a68fad443881a595d122cb7a93ddf9d07e5ec2060baf84f03fd', '7afd7b5ab9e0fa77398d4f212405da272c321d5c8efd2131234a27eef0a0f635', 'b8f925e46943aa915659a7a6ab8b3645e2c89c177eca9d71cbf6fcee40083ae3'),
+    16: ('62fd56f6dba82940fef0d2e81f7ee6eb90b9a1966386285b96b358940370ef9c', 'fab774eb5fabb4c9667988427c6024d3fd6996cd5aa57ec4b8f40ea93c6a2bd8', '56322fc961746740c611fe7b10734e7219f7c1306d954cdce09e2fbf39c17963'),
+    32: ('2e9a3ef40f7a6b5212de9e8d5e6790f46751b08b405a11207b9099d51c786705', '99f9c596787da37ec27acbba6caec5c9c77e65dc3f79a9456dad53ad9b299447', '8a41452da644aca6eb4641885b3cbf41752e66a55aeae9d2a4ae08b877f15407'),
+    64: ('e10c380eb61db0a578df4851abb1fb37be07e34dacf8189b86eb2c171f049ea4', 'a01639ddba402f3f01d783bc716ff6e0daccb6466deac2d7ca09eba46d13c51c', '80f588a8a84ddcbf5d6494b7103be43c57b806e539b25181c56e1ea8eb9244dc'),
+}
+
+
+class TestPmfBitPins:
+    """The three families keep the bits they had when each had its own
+    builder; uniform and MB are the tailored family's (0, 0) and
+    (lam, 0) points byte for byte."""
+
+    @staticmethod
+    def digest(pmfs) -> str:
+        h = hashlib.sha256()
+        for pmf in pmfs:
+            h.update(pmf.probs.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("side", sorted(PINNED_PMF_SHA256))
+    def test_pmfs_keep_their_bits(self, side):
+        c = Constellation(side)
+        p_u = 2.0 * (side * side - 1) / 3.0
+        digests = (self.digest([uniform_pmf(c)]),
+                   self.digest(mb_pmf(c, u / p_u) for u in PIN_MB_U),
+                   self.digest(tailored_pmf(c, a / p_u, b / p_u**2) for a, b in PIN_TAILORED_V))
+        assert digests == PINNED_PMF_SHA256[side]
+
+    @pytest.mark.parametrize("side", sorted(PINNED_PMF_SHA256))
+    def test_uniform_and_mb_are_tailored_points(self, side):
+        c = Constellation(side)
+        p_u = 2.0 * (side * side - 1) / 3.0
+        uniform = uniform_pmf(c).probs.tobytes()
+        assert uniform == mb_pmf(c, 0.0).probs.tobytes() == tailored_pmf(c, 0.0, 0.0).probs.tobytes()
+        for u in PIN_MB_U:
+            assert mb_pmf(c, u / p_u).probs.tobytes() == tailored_pmf(c, u / p_u, 0.0).probs.tobytes()
 
 
 class TestRingConstantProperty:

@@ -667,6 +667,15 @@ class TestReceive:
         with pytest.raises(ValueError, match="channel index"):
             receive(field, cfg, 1)
 
+    def test_all_zero_field_named(self):
+        # The least-squares gain of a silent reception is 0; dividing by it
+        # used to return NaN symbols with a RuntimeWarning only.
+        cfg = tiny_config()
+        field = generate_wdm(cfg, uniform_mod(), 0.0, seed=23)
+        silent = replace(field, samples=np.zeros_like(field.samples))
+        with pytest.raises(ValueError, match="rx_symbols row 0 has no power along its sent row"):
+            receive(silent, cfg, 0)
+
 
 class TestEstimateSnr:
     def test_perfect_match_hits_cap(self):
@@ -707,6 +716,18 @@ class TestEstimateSnr:
         pair = {"rx_symbols": x.copy(), "tx_symbols": x.copy()}
         pair[name][1, 7] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite: 1 of 20000 samples are not"):
+            estimate_snr(**pair)
+
+    @pytest.mark.parametrize("name, message", [("rx_symbols", "has no power along its sent row"),
+                                               ("tx_symbols", "has no power")])
+    def test_zero_power_row_named(self, name, message):
+        # A least-squares gain of 0 (rx) or 0/0 (tx) used to make the SNR
+        # NaN, with a RuntimeWarning only.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 8192)) + 1j * rng.standard_normal((2, 8192))
+        pair = {"rx_symbols": x.copy(), "tx_symbols": x.copy()}
+        pair[name][1] = 0.0
+        with pytest.raises(ValueError, match=f"{name} row 1 {message}"):
             estimate_snr(**pair)
 
 
@@ -809,6 +830,30 @@ class TestMiFromSamples:
         pair[name][123] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite: 1 of 20000 samples are not"):
             mi_from_samples(**pair, constellation=self.unit, pmf=self.pmf)
+
+    def test_off_grid_tx_named(self, monkeypatch):
+        # Each sent sample used to be taken for its nearest point: a
+        # complex-Gaussian tx read 2.725 bit at 16QAM, and a tx at 1.5 times
+        # the unit scale 3.996 bit.
+        c = square_qam(16)
+        pmf = uniform_pmf(c)
+        unit = normalized(c, pmf)
+        rng = np.random.default_rng(5)
+        on_grid = unit.points[rng.integers(0, 16, 20_000)]
+        gaussian = (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000)) / np.sqrt(2)
+        nudged = on_grid.copy()
+        nudged[:3] += 2e-9 * unit.scale
+        near = on_grid + 1e-10 * unit.scale
+        assert mi_from_samples(on_grid, near, unit, pmf) == pytest.approx(4.0, abs=1e-9)
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the posterior ran on an off-grid tx")
+
+        monkeypatch.setattr(ssfm, "_neg_log_posterior_chunks", no_compute)
+        for tx, off in ((gaussian, 20_000), (1.5 * on_grid, 20_000), (nudged, 3)):
+            rx = tx + 0.1 * (rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000))
+            with pytest.raises(ValueError, match=f"constellation points: {off} of 20000 samples"):
+                mi_from_samples(rx, tx, unit, pmf)
 
     @pytest.mark.parametrize("order", [256, 1024])
     def test_matches_dense_oracle(self, order):
