@@ -285,7 +285,7 @@ def default_probes(order: int = 64):
     4096QAM). Past DEEP_PROBE_U_CAP it raises ValueError.
     """
     constellation = square_qam(order)
-    pu = float(np.mean(constellation.sq_magnitudes))
+    pu = constellation.uniform_power
 
     def excess(u: float) -> float:
         pmf = mb_pmf(constellation, u / pu)

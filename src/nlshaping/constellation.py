@@ -90,6 +90,12 @@ class Constellation:
                 or not math.isfinite(scale) or scale <= 0):
             raise ValueError(f"scale must be a finite number above 0, got {scale!r}")
         scale = float(scale)
+        # The largest squared magnitude, 2 (side - 1)^2 scale^2, as the
+        # arrays below form it: the outer level squared, then the sum.
+        top = (side - 1) * scale
+        if not math.isfinite(top * top + top * top):
+            raise ValueError(f"scale must keep 2 (side - 1)^2 scale^2 finite at side "
+                             f"{side}, got {scale!r}")
         levels = np.arange(-(side - 1), side, 2, dtype=np.float64) * scale
         points = np.empty((side, side), dtype=np.complex128)
         points.real = levels[:, None]
@@ -103,6 +109,12 @@ class Constellation:
         derived.update(zip(names, _grid_structure(side)))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    @property
+    def uniform_power(self) -> float:
+        """Mean squared magnitude P_u under the uniform pmf: exact on the
+        integer grid, and the unit of the shaping searches' scaled rates."""
+        return float(np.mean(self.sq_magnitudes))
 
     def level_indices(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices (i, q) of the levels nearest to the real and imaginary

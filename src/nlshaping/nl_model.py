@@ -186,7 +186,7 @@ def _scaled_stats(constellation: Constellation) -> tuple[float, np.ndarray]:
     """The uniform mean power P_u of the grid and the exponential families'
     statistics (T_1, T_2) = (|x|^2 / P_u, T_1^2) in the searches' scaled
     parameters u = lam P_u and v = (nu1 P_u, nu2 P_u^2), one row each."""
-    pu = float(np.mean(constellation.sq_magnitudes))
+    pu = constellation.uniform_power
     t1 = constellation.sq_magnitudes / pu
     return pu, np.stack([t1, t1 * t1])
 

@@ -14,15 +14,21 @@ on the spectrum and move channels by bin shifts. All FFTs go through
 overwritten; the link loads no scipy.
 
 The linear step of the split-step is a four-step FFT of length
-n = n1 * n2, n1 the largest divisor of n at most sqrt(n): FFTs over n1
-of the (2, n1, n2) view, then a row pass over the whole view (twiddles,
-FFTs over n2, the response, the inverse FFTs and the conjugate
-twiddles), then inverse FFTs over n1. The response is kept in the order
-the passes leave the spectrum in, so nothing is transposed. The Kerr
-phase runs in cache-sized blocks. Every transmission run steps on one
-thread. ``power_sweep`` and ``estimate_c`` spread their independent runs
-over processes with ``forks.forked_map``; the output does not depend on
-the process count.
+n = n1 * n2, n1 the largest divisor of n at most sqrt(n): FFTs over n1,
+then a row pass (twiddles, FFTs over n2, the response, the inverse FFTs
+and the conjugate twiddles), then inverse FFTs over n1. The response is
+kept in the order the passes leave the spectrum in, so nothing is
+transposed. The field, the twiddles and the responses are held skewed:
+(2, n1, n2 + ROW_SKEW) arrays whose last ROW_SKEW columns hold zeros, so
+that the rows of a power-of-two n2 do not lie a power of two apart and a
+column's samples spread over the cache sets. The FFTs run on the
+[:, :, :n2] view; the multiplies and the Kerr phase, which is pointwise
+and runs in cache-sized blocks, run over the whole buffer as flat rows,
+where the zeros stay zeros. Every sample meets the same ufuncs and 1-D
+transforms as in an unskewed layout, so the layout changes no bit.
+Every transmission run steps on one thread. ``power_sweep`` and
+``estimate_c`` spread their independent runs over processes with
+``forks.forked_map``; the output does not depend on the process count.
 """
 
 from __future__ import annotations
@@ -47,6 +53,16 @@ PLANCK = 6.62607015e-34
 # estimate_snr reports at most this; a zero-residual input would otherwise
 # return infinity.
 SNR_CAP_DB = 100.0
+
+# Complex samples of zeros after each n2-sample row of the split-step's
+# four-step layout. Unskewed rows of a power-of-two n2 lie n2 * 16 bytes
+# apart (8 KiB at desk scale, 16 KiB at full scale), so all of a column's
+# samples fall in one cache set. Four samples are one 64-byte line, which
+# moves each row to the next set. CPU ms of the FFT pair over n1, and of a
+# whole step, at S = 0, 4, 8 and 16 (medians of interleaved rounds on a
+# 2-core AVX-512 Xeon): desk 5.2, 3.2, 4.2, 4.1 and 9.9, 8.5, 8.7, 8.9;
+# full scale 67, 36, 49, 47 and 128, 98, 110, 104.
+ROW_SKEW = 4
 
 # Samples per block of the Kerr phase: its two block buffers take
 # 192 KiB, so they stay in cache.
@@ -275,45 +291,71 @@ def rrc_spectrum(freq_hz: np.ndarray, baud_hz: float, rolloff: float) -> np.ndar
 
 def _four_step(n: int) -> np.ndarray:
     """Twiddles of the four-step FFT of length n = n1 * n2, n1 the largest
-    divisor of n at most sqrt(n): a (2, n1, n2) array holding w[k1, j2] =
-    exp(-2 pi i k1 j2 / n) and its conjugate. For a prime n, n1 = 1 and
-    every twiddle is 1: the transform is the direct FFT."""
+    divisor of n at most sqrt(n): a skewed (2, n1, n2 + ROW_SKEW) array
+    holding w[k1, j2] = exp(-2 pi i k1 j2 / n) and its conjugate, with
+    zeros in the skew. For a prime n, n1 = 1 and every twiddle is 1: the
+    transform is the direct FFT."""
     n1 = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
     n2 = n // n1
     # k1 j2 mod n is exact in integers, so every angle is within 2 pi.
     angle = np.outer(np.arange(n1), np.arange(n2)) % n * (-2.0 * math.pi / n)
-    twiddles = np.empty((2, n1, n2), dtype=np.complex128)
-    np.cos(angle, out=twiddles[0].real)
-    np.sin(angle, out=twiddles[0].imag)
+    twiddles = np.zeros((2, n1, n2 + ROW_SKEW), dtype=np.complex128)
+    np.cos(angle, out=twiddles[0, :, :n2].real)
+    np.sin(angle, out=twiddles[0, :, :n2].imag)
     np.conjugate(twiddles[0], out=twiddles[1])
     return twiddles
 
 
+def _skewed(rows: np.ndarray) -> np.ndarray:
+    """The (..., n1, n2) array ``rows`` copied into a complex skewed
+    (..., n1, n2 + ROW_SKEW) array with zeros in the skew, the layout
+    ``_spectral_filter`` takes."""
+    skewed = np.zeros((*rows.shape[:-1], rows.shape[-1] + ROW_SKEW), dtype=np.complex128)
+    skewed[..., :rows.shape[-1]] = rows
+    return skewed
+
+
 def _pass_order(values: np.ndarray, n1: int) -> np.ndarray:
     """The per-bin ``values`` of an n-point spectrum in the order that the
-    four-step passes leave it in: bin k1 + n1 k2 at [k1, k2], an (n1, n2)
-    array."""
-    return np.ascontiguousarray(values.reshape(-1, n1).T)
+    four-step passes leave it in: bin k1 + n1 k2 at [k1, k2], a skewed
+    (n1, n2 + ROW_SKEW) array with zeros in the skew."""
+    return _skewed(values.reshape(-1, n1).T)
 
 
 def _spectral_filter(x: np.ndarray, response: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
-    """ifft(fft(x) * response) along the last axis of the (2, n) field
-    ``x``, computed in its buffer, which is overwritten and returned. The
-    transform is the four-step FFT of ``twiddles = _four_step(n)``: viewed
-    as (2, n1, n2), FFTs over n1, then the row pass (twiddles, FFTs over
-    n2, ``response``, given in ``_pass_order``, and the inverse of both),
-    then inverse FFTs over n1. ``numpy.fft`` with ``out=`` set to its
-    input transforms the strided view in place, without a copy."""
-    forward, inverse = twiddles
-    y = x.reshape(2, *response.shape)
+    """ifft(fft(x) * response) of each row of the (2, n) field that the
+    skewed (2, n1, n2 + ROW_SKEW) buffer ``x`` holds in its [:, :, :n2]
+    view, computed in the buffer, which is overwritten and returned. The
+    transform is the four-step FFT of ``twiddles = _four_step(n)``: FFTs
+    over n1, then the row pass (twiddles, FFTs over n2, ``response``,
+    given by ``_pass_order``, and the inverse of both), then inverse FFTs
+    over n1. ``numpy.fft`` with ``out=`` set to its input transforms the
+    strided view in place, without a copy. The three multiplies run over
+    the whole contiguous buffer as flat rows, 1.5-2 times as fast as on
+    the strided view; the skew's zeros stay zeros."""
+    flat = x.reshape(2, -1)
+    forward, inverse = twiddles.reshape(2, -1)
+    y = x[:, :, :x.shape[2] - ROW_SKEW]
     fft(y, axis=1, out=y)
-    y *= forward
+    flat *= forward
     fft(y, axis=2, out=y)
-    y *= response
+    flat *= response.reshape(-1)
     ifft(y, axis=2, out=y)
-    y *= inverse
+    flat *= inverse
     ifft(y, axis=1, out=y)
     return x
+
+
+def _unskewed(x: np.ndarray) -> np.ndarray:
+    """The (2, n) field that the skewed buffer ``x`` holds, moved row by
+    row to the front of the buffer: a view of it, with no copy of the
+    field."""
+    rows = x.reshape(-1, x.shape[2])
+    n2 = rows.shape[1] - ROW_SKEW
+    flat = x.reshape(-1)
+    for row in range(1, rows.shape[0]):
+        flat[row * n2:(row + 1) * n2] = rows[row, :n2]
+    return flat[:rows.shape[0] * n2].reshape(2, -1)
 
 
 def _require_finite(**values: float) -> None:
@@ -423,7 +465,10 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
     domain; the nonlinear step applies the polarization-averaged Kerr
     phase (8/9 factor) from the instantaneous local power. Runs on the
     calling thread. Deterministic, and bit-identical to a whole-field
-    loop: the Kerr phase goes block by block through the field.
+    loop in the unskewed layout: the field steps in one skewed (2, n1, n2
+    + ROW_SKEW) buffer, whose rows the column FFTs no longer find in one
+    cache set, and the Kerr phase goes block by block through it. The
+    returned samples are the buffer's front, compacted in place.
     """
     _require_sample_rate(field, config)
     if not np.all(np.isfinite(field.samples)):
@@ -432,32 +477,33 @@ def propagate(field: DualPolField, config: LinkConfig) -> DualPolField:
         )
     n = field.samples.shape[1]
     twiddles = _four_step(n)
-    omega = 2.0 * np.pi * _pass_order(fftfreq(n, 1.0 / field.sample_rate_hz),
-                                      twiddles.shape[1])
+    n1 = twiddles.shape[1]
+    omega = 2.0 * np.pi * fftfreq(n, 1.0 / field.sample_rate_hz)
     span_m = config.span_km * 1e3
     dz = span_m / config.steps
     alpha = config.alpha_db_per_km * LN10 / 10.0 / 1e3        # 1/m, power
     beta2 = config.beta2_s2_per_m
     gamma89 = config.gamma_per_w_km * 1e-3 * (8.0 / 9.0)       # 1/W/m
 
-    half = np.exp((-alpha / 2.0 - 0.5j * beta2 * omega**2) * (dz / 2.0))
+    half = _pass_order(np.exp((-alpha / 2.0 - 0.5j * beta2 * omega**2) * (dz / 2.0)), n1)
     full = half * half
     # The loop runs in these buffers and allocates nothing per step: the
-    # FFTs overwrite e, and the Kerr phase is built block by block in one
-    # pair of block buffers.
-    e = np.array(field.samples, dtype=np.complex128)
+    # FFTs overwrite e, held skewed as the twiddles and responses are, and
+    # the Kerr phase is built block by block in one pair of block buffers.
+    e = _skewed(field.samples.reshape(2, n1, -1))
     power = np.empty(KERR_BLOCK)
     kerr = np.empty(KERR_BLOCK, dtype=np.complex128)
     scale = -gamma89 * dz
     e = _spectral_filter(e, half, twiddles)
     for step in range(config.steps):
-        _kerr_phase(e, scale, power, kerr)
+        _kerr_phase(e.reshape(2, -1), scale, power, kerr)
         e = _spectral_filter(e, half if step == config.steps - 1 else full, twiddles)
-    if not np.all(np.isfinite(e)):
+    samples = _unskewed(e)
+    if not np.all(np.isfinite(samples)):
         raise FloatingPointError(
             "field became non-finite during propagation; increase steps"
         )
-    return replace(field, samples=e)
+    return replace(field, samples=samples)
 
 
 def ase_psd_w_per_hz(config: LinkConfig) -> float:

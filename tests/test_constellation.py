@@ -162,6 +162,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(f"scale must be a finite number above 0, got {scale!r}")):
             Constellation(4, scale)
 
+    @pytest.mark.parametrize("side, scale", [
+        (2, 1e160),   # scale^2 itself overflows
+        (64, 1e153),  # scale^2 = 1e306 is finite; 63^2 scale^2 is not
+        (2, 1e154),   # each level squared is 1e308; only their sum overflows
+    ])
+    def test_overflowing_scale_named(self, side, scale):
+        # Built, these grids held infinite squared magnitudes, and the
+        # uniform pmf on them failed far from the cause.
+        with pytest.raises(ValueError, match=re.escape(
+                f"scale must keep 2 (side - 1)^2 scale^2 finite at side {side}, got {scale!r}")):
+            Constellation(side, scale)
+
+    def test_large_finite_scale_normalizes(self):
+        c = Constellation(2, 1e77)
+        assert np.all(np.isfinite(c.sq_magnitudes))
+        assert normalized(c, uniform_pmf(c)).scale == pytest.approx(0.7071067811865476, rel=1e-15)
+
     def test_asymmetric_levels_cannot_be_built(self):
         # These levels are not the odd integers times a scale: the MI's
         # orbit reduction, which assumes the square's symmetry, scored the
@@ -234,6 +251,15 @@ class TestMeanPower:
         c = square_qam(16)
         with pytest.raises(ValueError, match="does not match"):
             mean_power(c, Pmf(np.full(64, 1 / 64)))
+
+
+class TestUniformPower:
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_is_exact_mean_power_of_uniform_pmf(self, order):
+        # On the odd-integer grid P_u = 2 (M - 1) / 3 exactly.
+        c = square_qam(order)
+        assert c.uniform_power == 2.0 * (order - 1) / 3.0
+        assert c.uniform_power == mean_power(c, uniform_pmf(c))
 
 
 class TestNormalized:

@@ -42,10 +42,12 @@ from nlshaping.cli import default_probes
 from nlshaping.shaping import entropy
 from nlshaping.ssfm import (
     KERR_BLOCK,
+    ROW_SKEW,
     DualPolField,
     LN10,
     _four_step,
     _pass_order,
+    _skewed,
     _spectral_filter,
     ase_psd_w_per_hz,
     measure_nli,
@@ -95,20 +97,43 @@ def reference_propagate(field, config: LinkConfig) -> np.ndarray:
     return e
 
 
+def unskewed_filter(x: np.ndarray, response: np.ndarray, twiddles: np.ndarray) -> np.ndarray:
+    """The four-step passes of ``_spectral_filter`` on the unskewed (2, n)
+    field ``x``, in its buffer: the same ufuncs and 1-D transforms in the
+    same order over the (2, n1, n2) view, with (n1, n2) ``response`` and
+    (2, n1, n2) ``twiddles``."""
+    forward, inverse = twiddles
+    y = x.reshape(2, *response.shape)
+    np.fft.fft(y, axis=1, out=y)
+    y *= forward
+    np.fft.fft(y, axis=2, out=y)
+    y *= response
+    np.fft.ifft(y, axis=2, out=y)
+    y *= inverse
+    np.fft.ifft(y, axis=1, out=y)
+    return x
+
+
 def whole_field_propagate(field, config: LinkConfig) -> np.ndarray:
-    """The in-place split-step with each step's Kerr phase built in one
-    pass over the whole field: the bit-exact oracle for the blocked Kerr
-    phase of ``propagate``."""
+    """The in-place split-step in the unskewed (2, n) layout, with each
+    step's Kerr phase built in one pass over the whole field: the bit-exact
+    oracle for the skewed buffer and the blocked Kerr phase of
+    ``propagate``."""
     n = field.samples.shape[1]
     twiddles = _four_step(n)
-    omega = 2.0 * np.pi * _pass_order(np.fft.fftfreq(n, 1.0 / field.sample_rate_hz),
-                                      twiddles.shape[1])
+    n1 = twiddles.shape[1]
+    twiddles = np.ascontiguousarray(twiddles[:, :, :n // n1])
+
+    def pass_order(values):
+        return np.ascontiguousarray(values.reshape(-1, n1).T)
+
+    omega = 2.0 * np.pi * pass_order(np.fft.fftfreq(n, 1.0 / field.sample_rate_hz))
     dz = config.span_km * 1e3 / config.steps
     alpha = config.alpha_db_per_km * LN10 / 10.0 / 1e3
     gamma89 = config.gamma_per_w_km * 1e-3 * (8.0 / 9.0)
     half = np.exp((-alpha / 2.0 - 0.5j * config.beta2_s2_per_m * omega**2) * (dz / 2.0))
     full = half * half
-    e = _spectral_filter(np.array(field.samples, dtype=np.complex128), half, twiddles)
+    e = unskewed_filter(np.array(field.samples, dtype=np.complex128), half, twiddles)
     magnitude = np.empty(e.shape)
     power = np.empty(n)
     kerr = np.empty(n, dtype=np.complex128)
@@ -120,7 +145,7 @@ def whole_field_propagate(field, config: LinkConfig) -> np.ndarray:
         np.cos(power, out=kerr.real)
         np.sin(power, out=kerr.imag)
         e *= kerr
-        e = _spectral_filter(e, half if step == config.steps - 1 else full, twiddles)
+        e = unskewed_filter(e, half if step == config.steps - 1 else full, twiddles)
     return e
 
 
@@ -469,6 +494,15 @@ class TestPropagate:
         assert field.samples.shape[1] % KERR_BLOCK != 0
         assert np.array_equal(propagate(field, cfg).samples, whole_field_propagate(field, cfg))
 
+    def test_power_of_two_equals_whole_field_loop_bit_for_bit(self):
+        # 2^17 = 256 * 512 samples: unskewed, the rows would lie 8 KiB
+        # apart, so this is where the skew moves the field in memory.
+        cfg = tiny_config(channels=3, samples_per_symbol=8, symbols_per_channel=1 << 14,
+                          span_km=80.0, steps=40)
+        field = generate_wdm(cfg, uniform_mod(), 6.0, seed=28)
+        assert _four_step(field.samples.shape[1]).shape == (2, 256, 512 + ROW_SKEW)
+        assert np.array_equal(propagate(field, cfg).samples, whole_field_propagate(field, cfg))
+
     def test_cyclic_shift_commutes(self):
         cfg = tiny_config(channels=3, samples_per_symbol=8)
         field = generate_wdm(cfg, uniform_mod(), 6.0, seed=25)
@@ -528,10 +562,12 @@ class TestSpectralFilter:
         response = rng.uniform(0.5, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
         want = np.fft.ifft(np.fft.fft(x, axis=1) * response, axis=1)
         twiddles = _four_step(n)
-        assert twiddles.shape == (2, n1, n // n1)
-        buffer = x.copy()
+        assert twiddles.shape == (2, n1, n // n1 + ROW_SKEW)
+        buffer = _skewed(x.reshape(2, n1, -1))
         got = _spectral_filter(buffer, _pass_order(response, n1), twiddles)
         assert got is buffer
+        assert not got[:, :, n // n1:].any()
+        got = got[:, :, :n // n1].reshape(2, n)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-13
 
     @pytest.mark.parametrize("n", [1 << 17, 40_000, 65_537])
@@ -541,7 +577,7 @@ class TestSpectralFilter:
         # length's single full-length row.
         twiddles = _four_step(n)
         response = _pass_order(np.exp(1j * np.linspace(0.0, 1.0, n)), twiddles.shape[1])
-        buffer = np.ones((2, n), dtype=np.complex128)
+        buffer = _skewed(np.ones((2, n), dtype=np.complex128).reshape(2, twiddles.shape[1], -1))
         got, peak = traced_peak(lambda: _spectral_filter(buffer, response, twiddles))
         assert got is buffer
         assert peak < buffer.nbytes / 64
