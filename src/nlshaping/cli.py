@@ -29,10 +29,11 @@ from .awgn_mi import DEFAULT_ORDER
 from .constellation import SUPPORTED_ORDERS, normalized, square_qam
 from .nl_model import CURVE_FAMILIES, DEFAULT_C, Family, MiCurvePoint, NlChannelModel, mi_curve
 from .search import bisect
-from .shaping import build_pmf, excess_kurtosis, mb_pmf, uniform_pmf
+from .shaping import excess_kurtosis, mb_pmf, uniform_pmf
 from .ssfm import (
     LinkConfig,
     Modulation,
+    _sweep_keys,
     estimate_c,
     gaussian_modulation,
     power_sweep,
@@ -172,11 +173,11 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _family_params(point: MiCurvePoint) -> dict:
-    """A design point's lam, nu1 and nu2, None for each parameter outside
-    its family."""
+    """A design point's lam, nu1 and nu2 as the CSV names them, None for
+    each parameter outside its family: an MB point's rate nu1 is its lam."""
     mb = point.family is Family.MAXWELL_BOLTZMANN
     tailored = point.family is Family.KURTOSIS_TAILORED
-    return {"lam": point.params.lam if mb else None,
+    return {"lam": point.params.nu1 if mb else None,
             "nu1": point.params.nu1 if tailored else None,
             "nu2": point.params.nu2 if tailored else None}
 
@@ -209,11 +210,9 @@ def cmd_mi_curve(args):
 def cmd_pmf(args):
     constellation = square_qam(args.order)
     ((point,),) = mi_curve(constellation, args.c, [args.snr], (Family(args.family),))
-    pmf = build_pmf(constellation, point.params)
-
-    unit = normalized(constellation, pmf)
+    unit = normalized(constellation, point.pmf)
     rows = [
-        [i, unit.points[i].real, unit.points[i].imag, unit.sq_magnitudes[i], pmf.probs[i]]
+        [i, unit.points[i].real, unit.points[i].imag, unit.sq_magnitudes[i], point.pmf.probs[i]]
         for i in range(unit.order)
     ]
     own_params = {name: format_cell(value)
@@ -243,13 +242,12 @@ def build_modulations(names, order: int, c: float, cal_snr_db: float):
     transmitters are provisioned."""
     constellation = square_qam(order)
     designed = tuple(Family(name) for name in names if name != "gaussian")
-    params = {}
+    pmfs = {}
     if designed:
         (points,) = mi_curve(constellation, c, [cal_snr_db], designed)
-        params = {point.family.value: point.params for point in points}
+        pmfs = {point.family.value: point.pmf for point in points}
     return [
-        gaussian_modulation() if name == "gaussian"
-        else Modulation(name, constellation, build_pmf(constellation, params[name]))
+        gaussian_modulation() if name == "gaussian" else Modulation(name, constellation, pmfs[name])
         for name in names
     ]
 
@@ -257,6 +255,7 @@ def build_modulations(names, order: int, c: float, cal_snr_db: float):
 def cmd_simulate(args):
     config = _link_config(args)
     powers = _grid(args.power_min, args.power_max, args.power_step)
+    _sweep_keys(config, powers)  # power_sweep's link and seed-key checks, before the design
     modulations = build_modulations(args.families, args.order, args.c, args.cal_snr)
     results = power_sweep(config, modulations, powers)
 

@@ -112,9 +112,9 @@ class Constellation:
 
     @property
     def uniform_power(self) -> float:
-        """Mean squared magnitude P_u under the uniform pmf: exact on the
-        integer grid, and the unit of the shaping searches' scaled rates."""
-        return float(np.mean(self.sq_magnitudes))
+        """P_u = 2 (M - 1) / 3 scale^2, the uniform pmf's mean power: exact on
+        the integer grid, and the unit of the shaping searches' scaled rates."""
+        return 2.0 * (self.order - 1) / 3.0 * self.scale * self.scale
 
     def level_indices(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices (i, q) of the levels nearest to the real and imaginary

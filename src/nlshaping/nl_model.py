@@ -18,13 +18,14 @@ levels, and through the effective SNR, which the kurtosis sets. Since
 I(s L, sigma) = I(L, sigma / s), the last two enter as one derivative in
 sigma. The pmf families then chain in: dp/dnu_k = -p (T_k - E[T_k]) with
 T_1 = |x|^2 and T_2 = |x|^4 for the tailored family, T_1 alone for MB,
-and the ring masses' squared amplitudes for the per-ring family.
+whose rate is its nu1, and the ring masses' squared amplitudes for the
+per-ring family. Each point carries the pmf it was scored with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .forks import forked_map
 from .search import bfgs
 from .shaping import (
     Family,
+    Pmf,
     ShapingParams,
     build_pmf,
     excess_kurtosis,
@@ -43,7 +45,7 @@ from .shaping import (
 
 DEFAULT_C = 0.69
 
-# Search domain for the Maxwell-Boltzmann rate, in units of lam times the
+# Search domain for the Maxwell-Boltzmann rate nu1, in units of nu1 times the
 # uniform mean power of the integer grid. At the upper end essentially
 # all mass sits on the innermost ring for every supported order.
 _U_MAX = 30.0
@@ -69,10 +71,7 @@ CURVE_FAMILIES = (Family.UNIFORM, Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAIL
 
 class OptimizationError(RuntimeError):
     """Raised when a shaping search hits its evaluation cap or meets a
-    NaN MI.
-
-    ``best`` is the MiCurvePoint the failing run last accepted.
-    """
+    NaN MI; ``best`` is the MiCurvePoint the failing run last accepted."""
 
     def __init__(self, message: str, best):
         super().__init__(message)
@@ -102,13 +101,15 @@ class NlChannelModel:
 
 @dataclass(frozen=True)
 class MiCurvePoint:
-    """One evaluated operating point: a family's ``params`` at one SNR."""
+    """One evaluated operating point: a family's ``params`` at one SNR, and
+    ``pmf``, the pmf built from them and scored (outside == and repr)."""
 
     snr_gauss_db: float
     params: ShapingParams
     kurtosis: float
     effective_snr_db: float
     mi_4d: float
+    pmf: Pmf = field(compare=False, repr=False)
 
     @property
     def family(self) -> Family:
@@ -149,9 +150,9 @@ def evaluate_family(
 
 
 def _score(constellation, params, model, gradient):
-    """``evaluate_family``'s point; with ``gradient``, also the pmf and
-    d mi_4d / dp over the points, the pmf's own dependence on its
-    parameters left to the caller."""
+    """``evaluate_family``'s point; with ``gradient``, also d mi_4d / dp
+    over the points, the pmf's own dependence on its parameters left to
+    the caller."""
     pmf = build_pmf(constellation, params)
     kurt = excess_kurtosis(constellation, pmf)
     eff_db = effective_snr_db(model, kurt)
@@ -160,14 +161,7 @@ def _score(constellation, params, model, gradient):
         mi, d_grid, d_sigma = _mi_and_gradient(unit, pmf, eff_db)
     else:
         mi = mi_awgn_2d(unit, pmf, eff_db)
-    mi_4d = 2.0 * mi
-    point = MiCurvePoint(
-        snr_gauss_db=model.snr_gauss_db,
-        params=params,
-        kurtosis=kurt,
-        effective_snr_db=eff_db,
-        mi_4d=mi_4d,
-    )
+    point = MiCurvePoint(model.snr_gauss_db, params, kurt, eff_db, 2.0 * mi, pmf)
     if not gradient:
         return point
     # sigma over the level scale: sigma^2 = 10^(-eff_db/10) with
@@ -179,16 +173,21 @@ def _score(constellation, params, model, gradient):
     d_kurt = (r2 * r2) / (m2 * m2) - (2.0 * m4 / m2**3) * r2
     d_log_sigma = (model.c / (6.0 * (1.0 + model.c * kurt))) * d_kurt + r2 / (2.0 * m2)
     sigma = 10.0 ** (-eff_db / 20.0)
-    return point, pmf, 2.0 * (d_grid.ravel() + (d_sigma * sigma) * d_log_sigma)
+    return point, 2.0 * (d_grid.ravel() + (d_sigma * sigma) * d_log_sigma)
 
 
 def _scaled_stats(constellation: Constellation) -> tuple[float, np.ndarray]:
     """The uniform mean power P_u of the grid and the exponential families'
     statistics (T_1, T_2) = (|x|^2 / P_u, T_1^2) in the searches' scaled
-    parameters u = lam P_u and v = (nu1 P_u, nu2 P_u^2), one row each."""
+    parameters v = (nu1 P_u, nu2 P_u^2), one row each."""
     pu = constellation.uniform_power
     t1 = constellation.sq_magnitudes / pu
     return pu, np.stack([t1, t1 * t1])
+
+
+def _exp_params(family: Family, v, pu: float) -> ShapingParams:
+    """The MB or tailored parameters at the scaled ``v``: nu_k = v_k / P_u^k."""
+    return ShapingParams(family, *(float(vk / scale) for vk, scale in zip(v, (pu, pu * pu))))
 
 
 def _bfgs_points(name: str, gradient, starts, maxfev: int) -> list[MiCurvePoint]:
@@ -198,17 +197,14 @@ def _bfgs_points(name: str, gradient, starts, maxfev: int) -> list[MiCurvePoint]
     A run that hits ``maxfev`` or meets a NaN MI raises OptimizationError
     naming the search, with the last point it accepted as ``best``.
     """
-    scored = {}
-
     def neg_mi(v):
         point, grad = gradient(v)
-        scored[tuple(v)] = point
-        return -point.mi_4d, -grad
+        return -point.mi_4d, -grad, point
 
     points = []
     for start in starts:
-        x, _, _, status = bfgs(neg_mi, start, gtol=_GTOL, maxfev=maxfev)
-        points.append(scored[tuple(x)])
+        _, _, _, status, point = bfgs(neg_mi, start, gtol=_GTOL, maxfev=maxfev)
+        points.append(point)
         if status != 0:
             failure = f"hit its cap of {maxfev} evaluations" if status == 1 else "met a NaN MI"
             raise OptimizationError(f"{name} did not converge: it {failure}", best=points[-1])
@@ -222,7 +218,7 @@ def optimize_mb(
     """The point of the best Maxwell-Boltzmann rate for this model.
 
     One cold search per call: a coarse scan over a fixed log-spaced grid
-    of rates u = lam * P_u in [0, _U_MAX], then a BFGS search on the
+    of rates u = nu1 * P_u in [0, _U_MAX], then a BFGS search on the
     exact MI derivative in u from the best scanned rate. The search is
     not bounded, and at low SNR it can run below u = 0, where the MI of
     an outward-leaning pmf is higher still; if it ends outside [0,
@@ -231,17 +227,15 @@ def optimize_mb(
     it is the point the search or the scan scored.
     """
     pu, stats = _scaled_stats(constellation)
-
-    def mb(u) -> ShapingParams:
-        return ShapingParams(Family.MAXWELL_BOLTZMANN, lam=float(u / pu))
-
-    scan = [evaluate_family(constellation, mb(u), model) for u in _COARSE_U]
+    mb = Family.MAXWELL_BOLTZMANN
+    scan = [evaluate_family(constellation, _exp_params(mb, [u], pu), model) for u in _COARSE_U]
     best_i = int(np.argmax([point.mi_4d for point in scan]))
     best = scan[best_i]
-    (point,) = _bfgs_points("Maxwell-Boltzmann rate search",
-                            lambda v: _exp_gradient(constellation, model, mb(v[0]), stats[:1]),
-                            [[_COARSE_U[best_i]]], _MB_MAXFEV)
-    if 0.0 <= point.params.lam <= _U_MAX / pu and point.mi_4d > best.mi_4d:
+    (point,) = _bfgs_points(
+        "Maxwell-Boltzmann rate search",
+        lambda v: _exp_gradient(constellation, model, _exp_params(mb, v, pu), stats[:1]),
+        [[_COARSE_U[best_i]]], _MB_MAXFEV)
+    if 0.0 <= point.params.nu1 <= _U_MAX / pu and point.mi_4d > best.mi_4d:
         best = point
     return best
 
@@ -264,45 +258,32 @@ def optimize_tailored(
     """
     pu, stats = _scaled_stats(constellation)
     mb = mb if mb is not None else optimize_mb(constellation, model)
+    tailored = Family.KURTOSIS_TAILORED
 
     grid = [(u, w) for u in _COARSE_NU1 for w in _COARSE_NU2]
-    grid_vals = [-evaluate_family(constellation, _tailored(g, pu), model).mi_4d for g in grid]
-    starts = [(mb.params.lam * pu, 0.0), grid[int(np.argmin(grid_vals))]]
-    points = _bfgs_points("tailored-family search",
-                          lambda v: _exp_gradient(constellation, model, _tailored(v, pu), stats),
-                          starts, _TAILORED_MAXFEV)
+    grid_vals = [-evaluate_family(constellation, _exp_params(tailored, g, pu), model).mi_4d
+                 for g in grid]
+    starts = [(mb.params.nu1 * pu, 0.0), grid[int(np.argmin(grid_vals))]]
+    points = _bfgs_points(
+        "tailored-family search",
+        lambda v: _exp_gradient(constellation, model, _exp_params(tailored, v, pu), stats),
+        starts, _TAILORED_MAXFEV)
 
-    # The MB optimum as a point of this family: mb_pmf(lam) is built as
-    # tailored_pmf(lam, 0), so only the params change.
-    mb_params = ShapingParams(Family.KURTOSIS_TAILORED, nu1=mb.params.lam, nu2=0.0)
-    candidates = [replace(mb, params=mb_params), *points]
+    # The MB optimum as a point of this family: the same (nu1, 0) and the
+    # same pmf, so only the family changes.
+    candidates = [replace(mb, params=replace(mb.params, family=tailored)), *points]
     best_mi = max(p.mi_4d for p in candidates)
     # Deterministic tie-break: among MI-equal optima prefer small |nu2|.
     eligible = [p for p in candidates if p.mi_4d >= best_mi - _MI_TIE_TOL]
     return min(eligible, key=lambda p: abs(p.params.nu2))
 
 
-def _tailored(v, pu: float) -> ShapingParams:
-    """Tailored-family parameters from the scaled (nu1 pu, nu2 pu^2)."""
-    return ShapingParams(Family.KURTOSIS_TAILORED,
-                         nu1=float(v[0] / pu), nu2=float(v[1] / (pu * pu)))
-
-
 def _exp_gradient(constellation, model, params, stats) -> tuple[MiCurvePoint, np.ndarray]:
     """The point at ``params`` of a family p proportional to exp(-v @
     ``stats``) and d mi_4d / dv, through dp/dv_k = -p (T_k - E[T_k])."""
-    point, pmf, grad = _score(constellation, params, model, gradient=True)
-    weighted = pmf.probs * grad
-    return point, weighted.sum() * (stats @ pmf.probs) - stats @ weighted
-
-
-def _amplitudes_from_masses(masses: np.ndarray) -> np.ndarray:
-    return np.sqrt(masses[1:] / masses[0])
-
-
-def _masses_from_amplitudes(y: np.ndarray) -> np.ndarray:
-    full = np.concatenate([[1.0], y]) ** 2
-    return full / full.sum()
+    point, grad = _score(constellation, params, model, gradient=True)
+    weighted = point.pmf.probs * grad
+    return point, weighted.sum() * (stats @ point.pmf.probs) - stats @ weighted
 
 
 def _per_ring_gradient(constellation, model, y) -> tuple[MiCurvePoint, np.ndarray]:
@@ -310,9 +291,10 @@ def _per_ring_gradient(constellation, model, y) -> tuple[MiCurvePoint, np.ndarra
     pinned at 1) and d mi_4d / dy. A point carries its ring's mass over
     the ring size, and with q_r = y_r^2 / S, S = sum_r y_r^2, the masses
     chain in as dq_r / dy_k = (2 y_k / S) (delta_rk - q_r)."""
-    masses = _masses_from_amplitudes(y)
+    full = np.concatenate([[1.0], y]) ** 2
+    masses = full / full.sum()
     params = ShapingParams(Family.PER_RING, ring_probs=tuple(masses))
-    point, _, grad = _score(constellation, params, model, gradient=True)
+    point, grad = _score(constellation, params, model, gradient=True)
     ring_grad = np.bincount(constellation.ring_index, weights=grad) / constellation.ring_sizes
     return point, (2.0 * y / (1.0 + y @ y)) * (ring_grad[1:] - masses @ ring_grad)
 
@@ -341,12 +323,9 @@ def optimize_per_ring(
         constellation, model.c, model.snr_gauss_db,
         (Family.MAXWELL_BOLTZMANN, Family.KURTOSIS_TAILORED),
     )
-    starts = [
-        _amplitudes_from_masses(ring_masses(constellation, pmf))
-        for pmf in (build_pmf(constellation, tailored_point.params),
-                    build_pmf(constellation, mb_point.params),
-                    uniform_pmf(constellation))
-    ]
+    masses = [ring_masses(constellation, pmf)
+              for pmf in (tailored_point.pmf, mb_point.pmf, uniform_pmf(constellation))]
+    starts = [np.sqrt(q[1:] / q[0]) for q in masses]  # the amplitudes y, y_0 = 1
     points = _bfgs_points("per-ring search", lambda y: _per_ring_gradient(constellation, model, y),
                           starts, _PER_RING_MAXFEV)
     return max(points, key=lambda p: p.mi_4d)  # the first of equal bests

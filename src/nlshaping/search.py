@@ -7,7 +7,8 @@ It steps with Armijo backtracking and scales its first inverse-Hessian
 estimate as Shanno & Phua (Math. Program. 14(1) 1978) do. It returns
 ``(x, fun, nfev, status)``: the best point, its value, the number of
 objective calls, and 0 on convergence, 1 at the evaluation cap or 2
-when the objective returned NaN.
+when the objective returned NaN; then whatever else the objective
+returned at that point.
 
 ``bisect`` finds a root of a scalar function inside a bracket that
 holds a sign change.
@@ -26,7 +27,7 @@ _ARMIJO = 1e-4
 
 def bfgs(func, x0, gtol: float, maxfev: int):
     """Minimize ``func`` from ``x0`` by BFGS; ``func(x)`` returns the value
-    and the gradient at a copy of ``x``.
+    and the gradient at a copy of ``x``, and may return more after them.
 
     Stops with status 0 when the gradient's largest entry is at most
     ``gtol``, or when the step along a descent direction must shrink
@@ -36,14 +37,15 @@ def bfgs(func, x0, gtol: float, maxfev: int):
     call), status 2 when the objective is not finite at ``x0``, or
     when the search stops at that floor after a non-finite trial. The
     point returned is the last one accepted, with its value as
-    returned.
+    returned; the rest of its objective call's return follows the
+    status, and only its and the current trial's are kept.
     """
     x = np.array(x0, dtype=np.float64).ravel()
     nfev = 1
-    fun, grad = func(x.copy())
+    fun, grad, *more = func(x.copy())
     fun, grad = float(fun), np.asarray(grad, dtype=np.float64)
     if not (np.isfinite(fun) and np.isfinite(grad).all()):
-        return x, fun, nfev, 2
+        return x, fun, nfev, 2, *more
     inv_hess = np.eye(x.size)
     scaled = False
     while np.abs(grad).max() > gtol:
@@ -55,10 +57,10 @@ def bfgs(func, x0, gtol: float, maxfev: int):
         step = 1.0
         while True:
             if nfev >= maxfev:
-                return x, fun, nfev, 1
+                return x, fun, nfev, 1, *more
             trial = x + step * direction
             nfev += 1
-            trial_fun, trial_grad = func(trial.copy())
+            trial_fun, trial_grad, *trial_more = func(trial.copy())
             trial_fun = float(trial_fun)
             finite = np.isfinite(trial_fun) and np.isfinite(trial_grad).all()
             if finite and trial_fun <= fun + _ARMIJO * step * slope:
@@ -71,7 +73,7 @@ def bfgs(func, x0, gtol: float, maxfev: int):
             else:
                 step *= 0.5
             if -step * slope <= 4.0 * np.finfo(np.float64).eps * max(abs(fun), 1e-300):
-                return x, fun, nfev, 0 if finite else 2
+                return x, fun, nfev, 0 if finite else 2, *more
         trial_grad = np.asarray(trial_grad, dtype=np.float64)
         s, y = trial - x, trial_grad - grad
         sy = float(s @ y)
@@ -83,8 +85,8 @@ def bfgs(func, x0, gtol: float, maxfev: int):
             hy = inv_hess @ y
             inv_hess += (sy + y @ hy) * np.outer(rho_s, rho_s) - (
                 np.outer(hy, rho_s) + np.outer(rho_s, hy))
-        x, fun, grad = trial, trial_fun, trial_grad
-    return x, fun, nfev, 0
+        x, fun, grad, more = trial, trial_fun, trial_grad, trial_more
+    return x, fun, nfev, 0, *more
 
 
 def bisect(func, lo: float, hi: float, xtol: float) -> float:

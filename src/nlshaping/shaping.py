@@ -60,21 +60,37 @@ class Pmf:
     def __len__(self) -> int:
         return self.probs.size
 
+    def __setstate__(self, state):  # an unpickled array is writable again
+        state["probs"].setflags(write=False)
+        self.__dict__.update(state)
+
+
+# The coefficients each family takes; the others must keep their defaults.
+_TAKES = {Family.UNIFORM: (), Family.MAXWELL_BOLTZMANN: ("nu1",),
+          Family.KURTOSIS_TAILORED: ("nu1", "nu2"), Family.PER_RING: ("ring_probs",)}
+
 
 @dataclass(frozen=True)
 class ShapingParams:
-    """Family selector plus its parameters.
-
-    ``lam`` is the Maxwell-Boltzmann rate; ``nu1``/``nu2`` weight the
-    second and fourth power moments in the tailored family; ``ring_probs``
-    gives total per-ring masses for the free per-ring family.
-    """
+    """Family selector plus its coefficients: ``nu1``/``nu2`` weight |x|^2
+    and |x|^4 in the tailored family's exponent, and a Maxwell-Boltzmann
+    rate is its ``nu1``; ``ring_probs``, the per-ring family's masses, is
+    required there. A coefficient the family does not take is an error."""
 
     family: Family
-    lam: float = 0.0
     nu1: float = 0.0
     nu2: float = 0.0
     ring_probs: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        takes = _TAKES.get(self.family)
+        if takes is None:
+            raise ValueError(f"unknown family {self.family!r}")
+        for name, value in (("nu1", self.nu1), ("nu2", self.nu2), ("ring_probs", self.ring_probs)):
+            if name not in takes and (value is not None if name == "ring_probs" else value != 0.0):
+                raise ValueError(f"the {self.family.value} family takes no {name}, got {value!r}")
+        if "ring_probs" in takes and self.ring_probs is None:
+            raise ValueError("the per_ring family requires ring_probs")
 
 
 def uniform_pmf(constellation: Constellation) -> Pmf:
@@ -82,9 +98,8 @@ def uniform_pmf(constellation: Constellation) -> Pmf:
 
 
 def mb_pmf(constellation: Constellation, lam: float) -> Pmf:
-    """Maxwell-Boltzmann pmf, p_i proportional to exp(-lam |x_i|^2)."""
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam!r}")
+    """Maxwell-Boltzmann pmf, p_i proportional to exp(-lam |x_i|^2): the
+    tailored family's point nu1 = lam, nu2 = 0."""
     return tailored_pmf(constellation, lam, 0.0)
 
 
@@ -94,14 +109,17 @@ def tailored_pmf(constellation: Constellation, nu1: float, nu2: float) -> Pmf:
     The one exponential builder: :func:`uniform_pmf` is its (0, 0) point
     and :func:`mb_pmf` its (lam, 0) point. Positive nu2 suppresses the
     outer tail harder than any Maxwell-Boltzmann pmf, which is what pulls
-    the excess kurtosis down; nu2 may take either sign.
-    """
+    the excess kurtosis down; nu2 may take either sign. Exponents that
+    overflow raise a ValueError."""
     if not (math.isfinite(nu1) and math.isfinite(nu2)):
         raise ValueError(f"nu1/nu2 must be finite, got {nu1!r}, {nu2!r}")
     r2 = constellation.sq_magnitudes
-    exponents = -nu1 * r2 - nu2 * r2 * r2
-    # Subtract the max exponent so exp never overflows; underflow is benign.
-    weights = np.exp(exponents - exponents.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = -nu1 * r2 - nu2 * r2 * r2
+        if not np.isfinite(exponents).all():
+            raise ValueError(f"nu1/nu2 = {nu1!r}, {nu2!r} overflow -nu1 |x|^2 - nu2 |x|^4")
+        # Subtract the max exponent so exp never overflows; underflow is benign.
+        weights = np.exp(exponents - exponents.max())
     return Pmf(weights / weights.sum())
 
 
@@ -118,17 +136,9 @@ def ring_pmf(constellation: Constellation, ring_probs) -> Pmf:
 
 def build_pmf(constellation: Constellation, params: ShapingParams) -> Pmf:
     """Instantiate the pmf described by ``params`` on ``constellation``."""
-    if params.family is Family.UNIFORM:
-        return uniform_pmf(constellation)
-    if params.family is Family.MAXWELL_BOLTZMANN:
-        return mb_pmf(constellation, params.lam)
-    if params.family is Family.KURTOSIS_TAILORED:
-        return tailored_pmf(constellation, params.nu1, params.nu2)
     if params.family is Family.PER_RING:
-        if params.ring_probs is None:
-            raise ValueError("per-ring family requires ring_probs")
         return ring_pmf(constellation, params.ring_probs)
-    raise ValueError(f"unknown family {params.family!r}")
+    return tailored_pmf(constellation, params.nu1, params.nu2)
 
 
 def ring_masses(constellation: Constellation, pmf: Pmf) -> np.ndarray:

@@ -681,6 +681,19 @@ def transmission_run(
     return receive(field, config, center), field.tx_symbols[center]
 
 
+def _sweep_keys(config: LinkConfig, powers: list[float]) -> list[int]:
+    """Each power's milli-dBm seed key; ``config`` must be measurable and the keys distinct."""
+    _require_measurable(config)
+    millis = [round(p * 1000.0) for p in powers]
+    for i in range(1, len(powers)):
+        if millis[i] == millis[i - 1]:
+            raise ValueError(
+                f"launch powers {powers[i - 1]} and {powers[i]} dBm round to the "
+                "same milli-dBm seed key; space the grid by at least 0.001 dB"
+            )
+    return millis
+
+
 def power_sweep(
     config: LinkConfig,
     modulations,
@@ -708,14 +721,7 @@ def power_sweep(
     names = [m.name for m in modulations]
     if len(set(names)) != len(names):
         raise ValueError(f"modulation names must be distinct, got {names}")
-    _require_measurable(config)
-    millis = [round(p * 1000.0) for p in powers]
-    for i in range(1, len(powers)):
-        if millis[i] == millis[i - 1]:
-            raise ValueError(
-                f"launch powers {powers[i - 1]} and {powers[i]} dBm round to the "
-                "same milli-dBm seed key; space the grid by at least 0.001 dB"
-            )
+    millis = _sweep_keys(config, powers)
     runs = [(launch_dbm, milli, modulation)
             for launch_dbm, milli in zip(powers, millis) for modulation in modulations]
 

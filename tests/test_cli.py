@@ -257,6 +257,29 @@ class TestExitCodes:
         assert captured.err == f"error: {argv[0]} failed: no optimum\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("line, argv, message", [
+        ("symbols_per_channel = 4096\n", ["--power-min", "0", "--power-max", "0"],
+         "symbols_per_channel = 4096 is too few to measure: need 5000, 10000 samples "
+         "over the two polarizations"),
+        ("", ["--power-min", "0", "--power-max", "0.001", "--power-step", "0.0004"],
+         "launch powers 0.0 and 0.0004 dBm round to the same milli-dBm seed key; "
+         "space the grid by at least 0.001 dB"),
+    ], ids=["unmeasurable-link", "shared-seed-key"])
+    def test_sweep_checks_run_before_the_design(self, line, argv, message, tmp_path,
+                                                 monkeypatch, capsys):
+        # power_sweep's own checks, with its messages and exit code 1,
+        # before build_modulations designs a pmf.
+        designs = []
+        monkeypatch.setattr(cli, "mi_curve", lambda *args: designs.append(args))
+        kept = [ln for ln in TINY_CFG.splitlines(keepends=True)
+                if not (line and ln.startswith(line.partition("=")[0]))]
+        cfg = tmp_path / "link.cfg"
+        cfg.write_text("".join(kept) + line, encoding="utf-8")
+        assert run_cli(["simulate", "--config", str(cfg), "--order", "4096",
+                        "--families", "opt", *argv]) == 1
+        assert capsys.readouterr().err == f"error: simulate failed: {message}\n"
+        assert designs == []
+
     def test_search_cap_in_a_worker_is_1(self, monkeypatch, capsys):
         from nlshaping import nl_model
 

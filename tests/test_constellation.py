@@ -261,6 +261,16 @@ class TestUniformPower:
         assert c.uniform_power == 2.0 * (order - 1) / 3.0
         assert c.uniform_power == mean_power(c, uniform_pmf(c))
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_at_the_largest_scales(self):
+        # Every scale the constructor takes keeps P_u finite; the mean of
+        # the squared magnitudes overflowed here (inf at QPSK, 7e153).
+        for side, scale in ((2, 7e153), (64, 1.4e152)):
+            c = Constellation(side, scale)
+            want = mean_power(c, uniform_pmf(c))
+            assert np.isfinite(want)
+            assert c.uniform_power == pytest.approx(want, rel=1e-15)
+
 
 class TestNormalized:
     def test_uniform_16qam_scale(self):

@@ -15,6 +15,7 @@ from nlshaping import (
     MiCurvePoint,
     NlChannelModel,
     ShapingParams,
+    build_pmf,
     effective_snr_db,
     evaluate_family,
     gauss_hermite,
@@ -31,13 +32,18 @@ from nlshaping import (
 from nlshaping import nl_model
 from nlshaping.nl_model import (
     _exp_gradient,
+    _exp_params,
     _per_ring_gradient,
     _scaled_stats,
-    _tailored,
 )
 
 RULE = gauss_hermite(16)
 MODEL_18 = NlChannelModel(c=0.69, snr_gauss_db=18.0)
+
+
+def tailored(v, pu) -> ShapingParams:
+    """Tailored-family parameters at the searches' scaled (nu1 P_u, nu2 P_u^2)."""
+    return _exp_params(Family.KURTOSIS_TAILORED, v, pu)
 
 
 def scan_best(constellation, model, u1, u2) -> float:
@@ -119,7 +125,7 @@ class TestEvaluateFamily:
         model = NlChannelModel(c=0.69, snr_gauss_db=15.0)
         uni = evaluate_family(c, ShapingParams(Family.UNIFORM), model)
         mb = evaluate_family(
-            c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=0.0), model
+            c, ShapingParams(Family.MAXWELL_BOLTZMANN, nu1=0.0), model
         )
         assert mb.mi_4d == pytest.approx(uni.mi_4d, abs=1e-12)
         assert mb.kurtosis == pytest.approx(uni.kurtosis, abs=1e-12)
@@ -154,7 +160,7 @@ class TestOptimizeMb:
         best_scan = -np.inf
         for u in np.concatenate([[0.0], np.geomspace(1e-3, 30.0, 200)]):
             scan = evaluate_family(
-                c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu), model
+                c, ShapingParams(Family.MAXWELL_BOLTZMANN, nu1=u / pu), model
             ).mi_4d
             best_scan = max(best_scan, scan)
         assert best_scan <= point.mi_4d + 1e-4
@@ -172,18 +178,18 @@ class TestOptimizeMb:
         # derivative runs there (to u = -0.155 at 256QAM, -0.170 at
         # 1024QAM); the rate returned is the scanned edge, exactly.
         point = optimize_mb(square_qam(order), NlChannelModel(c=0.69, snr_gauss_db=5.0))
-        assert point.params.lam == 0.0
+        assert point.params.nu1 == 0.0
 
     def test_small_rate_found_from_the_scanned_zero(self):
         # At 16QAM 18 dB the best scanned rate is u = 0, and the optimum
         # is a small positive rate below the scan's first nonzero 0.05.
         c = square_qam(16)
         pu, _ = _scaled_stats(c)
-        scan = [evaluate_family(c, ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu), MODEL_18).mi_4d
+        scan = [evaluate_family(c, ShapingParams(Family.MAXWELL_BOLTZMANN, nu1=u / pu), MODEL_18).mi_4d
                 for u in nl_model._COARSE_U]
         assert int(np.argmax(scan)) == 0
         point = optimize_mb(c, MODEL_18)
-        assert point.params.lam * pu == pytest.approx(1.512e-3, abs=1e-6)
+        assert point.params.nu1 * pu == pytest.approx(1.512e-3, abs=1e-6)
         assert point.mi_4d > scan[0]
 
     @pytest.mark.parametrize("order, snr", [(16, 18.0), (64, 10.0), (256, 5.0), (256, 18.0),
@@ -230,10 +236,20 @@ class TestOptimizeTailored:
         model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
         mb_point = optimize_mb(qpsk, model)
         point = optimize_tailored(qpsk, model, mb=mb_point)
-        assert point.params.nu1 == mb_point.params.lam
+        assert point.params.nu1 == mb_point.params.nu1
         assert point.params.nu2 == 0.0
         assert point.mi_4d == mb_point.mi_4d
         assert point.kurtosis == mb_point.kurtosis
+
+    def test_mb_candidate_shares_the_mb_pmf(self):
+        # The MB optimum enters as a tailored point with the MB point's own
+        # pmf object, not a rebuilt one; at QPSK it wins.
+        qpsk = Constellation(2)
+        model = NlChannelModel(c=0.69, snr_gauss_db=10.0)
+        mb_point = optimize_mb(qpsk, model)
+        point = optimize_tailored(qpsk, model, mb=mb_point)
+        assert point.family is Family.KURTOSIS_TAILORED
+        assert point.pmf is mb_point.pmf
 
     def test_grid_scan_oracle_never_beats_optimum(self):
         c = square_qam(16)
@@ -346,12 +362,12 @@ class TestSearchGradients:
         model = NlChannelModel(c=c, snr_gauss_db=snr)
         pu, stats = _scaled_stats(raw)
         for v in ([0.5, 0.2], [-0.3, 3.7], [2.0, -0.1]):
-            point, grad = _exp_gradient(raw, model, _tailored(v, pu), stats)
-            assert point == evaluate_family(raw, _tailored(v, pu), model)
+            point, grad = _exp_gradient(raw, model, tailored(v, pu), stats)
+            assert point == evaluate_family(raw, tailored(v, pu), model)
             for k in range(2):
                 step = np.zeros(2)
                 step[k] = 1e-5
-                up, down = (evaluate_family(raw, _tailored(np.add(v, s), pu), model).mi_4d
+                up, down = (evaluate_family(raw, tailored(np.add(v, s), pu), model).mi_4d
                             for s in (step, -step))
                 assert grad[k] == pytest.approx((up - down) / 2e-5, rel=1e-6, abs=1e-8)
 
@@ -365,12 +381,12 @@ class TestSearchGradients:
         t1 = raw.sq_magnitudes[np.newaxis] / pu
 
         def mb(u):
-            return ShapingParams(Family.MAXWELL_BOLTZMANN, lam=u / pu)
+            return ShapingParams(Family.MAXWELL_BOLTZMANN, nu1=u / pu)
 
         for u in (-0.1, 0.0, 1.4, 6.0):
             point, grad = _exp_gradient(raw, model, mb(u), t1)
             assert point == evaluate_family(raw, mb(u), model)
-            tailored_grad = _exp_gradient(raw, model, _tailored([u, 0.0], pu), stats)[1]
+            tailored_grad = _exp_gradient(raw, model, tailored([u, 0.0], pu), stats)[1]
             assert grad[0] == pytest.approx(tailored_grad[0],
                                             rel=1e-12, abs=1e-15)
             up, down = (evaluate_family(raw, mb(u + s), model).mi_4d for s in (1e-5, -1e-5))
@@ -415,7 +431,7 @@ class TestSearchCaps:
     # read the family's free parameters from the point's params.
     BEST_SHAPES = [
         (optimize_mb, "_MB_MAXFEV", "Maxwell-Boltzmann rate search",
-         lambda params: (params.lam,)),
+         lambda params: (params.nu1,)),
         (optimize_tailored, "_TAILORED_MAXFEV", "tailored-family search",
          lambda params: (params.nu1, params.nu2)),
         (optimize_per_ring, "_PER_RING_MAXFEV", "per-ring search",
@@ -468,12 +484,46 @@ class TestSearchCaps:
     def test_error_survives_pickling(self):
         from nlshaping import OptimizationError
 
-        best = evaluate_family(square_qam(16), ShapingParams(Family.MAXWELL_BOLTZMANN, lam=0.05),
+        best = evaluate_family(square_qam(16), ShapingParams(Family.MAXWELL_BOLTZMANN, nu1=0.05),
                                MODEL_18)
         error = pickle.loads(pickle.dumps(OptimizationError("m", best=best)))
         assert type(error) is OptimizationError
         assert str(error) == "m"
         assert error.best == best
+
+
+class TestPointPmf:
+    """Every point carries the pmf it was scored with: the pmf that
+    ``build_pmf`` makes from its params, bit for bit, and read-only."""
+
+    @staticmethod
+    def assert_carries_its_pmf(constellation, point):
+        want = build_pmf(constellation, point.params)
+        assert point.pmf.probs.tobytes() == want.probs.tobytes()
+        assert not point.pmf.probs.flags.writeable
+
+    @pytest.mark.parametrize("order, snr", [(16, 12.0), (64, 18.0), (256, 5.0)])
+    def test_searches(self, order, snr):
+        c = square_qam(order)
+        model = NlChannelModel(c=0.69, snr_gauss_db=snr)
+        mb_point = optimize_mb(c, model)
+        for point in (mb_point, optimize_tailored(c, model, mb=mb_point),
+                      optimize_per_ring(c, model)):
+            self.assert_carries_its_pmf(c, point)
+
+    def test_mi_curve_points_from_forked_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        c = square_qam(64)
+        for points in mi_curve(c, 0.69, [8.0, 14.0, 20.0]):
+            for point in points:
+                self.assert_carries_its_pmf(c, point)
+
+    def test_pmf_outside_equality_and_repr(self):
+        c = square_qam(16)
+        point = evaluate_family(c, ShapingParams(Family.MAXWELL_BOLTZMANN, nu1=0.05), MODEL_18)
+        assert "pmf" not in repr(point)
+        twin = evaluate_family(c, point.params, MODEL_18)
+        assert twin.pmf is not point.pmf and twin == point
 
 
 class TestMiCurve:

@@ -7,14 +7,16 @@ searches' tolerances. scipy is imported here only; the package itself
 never loads it.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from nlshaping import NlChannelModel, square_qam
-from nlshaping.nl_model import _exp_gradient, _scaled_stats, _tailored
+from nlshaping import Family, NlChannelModel, square_qam
+from nlshaping.nl_model import _exp_gradient, _exp_params, _scaled_stats
 from nlshaping.search import bfgs, bisect
 
 QAM16 = square_qam(16)
@@ -90,7 +92,8 @@ class TestBfgs:
         pu, stats = _scaled_stats(QAM16)
 
         def neg_mi(v):
-            point, grad = _exp_gradient(QAM16, model, _tailored(v, pu), stats)
+            params = _exp_params(Family.KURTOSIS_TAILORED, v, pu)
+            point, grad = _exp_gradient(QAM16, model, params, stats)
             return -point.mi_4d, -grad
 
         x, fun, _, status = bfgs(neg_mi, [1.0, 0.2], gtol=1e-9, maxfev=600)
@@ -162,6 +165,34 @@ class TestBfgs:
         x, _, _, status = bfgs(clobbering, start, gtol=1e-9, maxfev=400)
         assert status == 0
         np.testing.assert_allclose(x, minimizer, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("maxfev, want_status", [(7, 1), (2000, 0)])
+    def test_further_outputs_of_the_returned_point(self, maxfev, want_status):
+        # An objective's outputs after the value and gradient come back with
+        # the returned point, and the search keeps those of two calls at
+        # most: the accepted point's and the last trial's.
+        func, start, _ = problem("rosenbrock", 3, 5)
+        live = weakref.WeakSet()
+
+        class Token:
+            def __init__(self, x):
+                self.x = x
+
+        def tagged(x):
+            value, grad = func(x)
+            token = Token(x.copy())
+            live.add(token)
+            assert len(live) <= 3  # this call's, the accepted point's, the last trial's
+            return value, grad, token
+
+        x, fun, _, status, token = bfgs(tagged, start, gtol=1e-9, maxfev=maxfev)
+        assert status == want_status
+        assert np.array_equal(token.x, x) and fun == func(x)[0]
+
+    def test_nan_start_returns_its_further_outputs(self):
+        x, _, _, status, extra = bfgs(lambda x: (np.nan, np.full_like(x, np.nan), "start"),
+                                      [0.5], gtol=1e-9, maxfev=100)
+        assert (status, extra) == (2, "start")
 
     def test_integer_start_is_promoted(self):
         x, _, _, _ = bfgs(lambda x: (float(np.sum((x - 0.5) ** 2)), 2.0 * (x - 0.5)), [1, 2],

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import pickle
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -62,6 +64,14 @@ class TestPmfValidation:
         pmf = Pmf(probs)
         assert pmf.probs[1] == 0.0
         assert pmf.probs.sum() == 1.0
+
+    def test_unpickled_probs_stay_read_only(self):
+        # A pmf that a forked worker sends back keeps its bits and its
+        # read-only array.
+        pmf = mb_pmf(square_qam(64), 0.03)
+        twin = pickle.loads(pickle.dumps(pmf))
+        assert twin.probs.tobytes() == pmf.probs.tobytes()
+        assert not twin.probs.flags.writeable
 
 
 class TestIdentityEquality:
@@ -151,6 +161,16 @@ class TestTailored:
             tailored_pmf(c, np.inf, 0.0)
         with pytest.raises(ValueError):
             tailored_pmf(c, 0.0, np.nan)
+
+    @pytest.mark.parametrize("nu1, nu2", [(1e308, 0.0), (-1e308, 0.0), (0.0, 1e307),
+                                          (-1e306, 1e306)])
+    def test_overflowing_exponents_named(self, nu1, nu2):
+        # Finite coefficients whose exponents overflow at 16QAM: a
+        # ValueError naming them, and no floating-point warning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nu1/nu2 .* overflow"):
+                tailored_pmf(square_qam(16), nu1, nu2)
 
 
 # sha256 per side of the uniform pmf, of the MB pmfs at lam P_u in PIN_MB_U
@@ -346,7 +366,7 @@ class TestRingPmf:
         c = square_qam(16)
         cases = [
             (ShapingParams(Family.UNIFORM), uniform_pmf(c)),
-            (ShapingParams(Family.MAXWELL_BOLTZMANN, lam=0.1), mb_pmf(c, 0.1)),
+            (ShapingParams(Family.MAXWELL_BOLTZMANN, nu1=0.1), mb_pmf(c, 0.1)),
             (ShapingParams(Family.KURTOSIS_TAILORED, nu1=0.1, nu2=-0.001),
              tailored_pmf(c, 0.1, -0.001)),
             (ShapingParams(Family.PER_RING, ring_probs=(0.2, 0.5, 0.3)),
@@ -358,6 +378,44 @@ class TestRingPmf:
     def test_per_ring_requires_masses(self):
         with pytest.raises(ValueError, match="ring_probs"):
             build_pmf(square_qam(16), ShapingParams(Family.PER_RING))
+
+
+class TestShapingParams:
+    @pytest.mark.parametrize("family, coefficients, name", [
+        (Family.UNIFORM, {"nu1": 0.5}, "nu1"),
+        (Family.UNIFORM, {"nu2": -0.1}, "nu2"),
+        (Family.UNIFORM, {"ring_probs": (1.0,)}, "ring_probs"),
+        (Family.MAXWELL_BOLTZMANN, {"nu1": 0.5, "nu2": 0.01}, "nu2"),
+        (Family.MAXWELL_BOLTZMANN, {"ring_probs": np.array([0.5, 0.5])}, "ring_probs"),
+        (Family.KURTOSIS_TAILORED, {"nu1": 0.1, "ring_probs": (1.0,)}, "ring_probs"),
+        (Family.PER_RING, {"nu1": 0.5, "ring_probs": (1.0,)}, "nu1"),
+        (Family.PER_RING, {"nu2": 0.5, "ring_probs": (1.0,)}, "nu2"),
+    ])
+    def test_rejects_coefficient_outside_family(self, family, coefficients, name):
+        with pytest.raises(ValueError, match=f"^the {family.value} family takes no {name}, got "):
+            ShapingParams(family, **coefficients)
+
+    def test_per_ring_without_masses_named(self):
+        with pytest.raises(ValueError, match="^the per_ring family requires ring_probs$"):
+            ShapingParams(Family.PER_RING)
+
+    def test_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'mb'"):
+            ShapingParams("mb", nu1=0.5)
+
+    def test_mb_rate_is_nu1(self):
+        # Before the rate and nu1 were one field, an MB point given nu1
+        # built the uniform pmf.
+        c = square_qam(16)
+        got = build_pmf(c, ShapingParams(Family.MAXWELL_BOLTZMANN, nu1=0.5))
+        assert got.probs.tobytes() == mb_pmf(c, 0.5).probs.tobytes()
+        assert ShapingParams(Family.MAXWELL_BOLTZMANN, 0.5) == ShapingParams(
+            Family.MAXWELL_BOLTZMANN, nu1=0.5)
+
+    def test_defaults_and_negative_zero_are_unset(self):
+        for family in Family:
+            if family is not Family.PER_RING:
+                ShapingParams(family, nu1=-0.0, nu2=-0.0)
 
 
 def choice_cdf(probs):
